@@ -35,6 +35,7 @@ print(f"{instance.n_queues} queues across groups {sorted(groups)}")
 
 
 labels = kept.groups["race"]
+queue_ids = partition.assign_dataset(kept)
 baseline_by_group = {
     g: causal.dr_potential_mean(kept.subset(labels == g), out, prop,
                                 kept.baseline)
@@ -45,7 +46,7 @@ baseline_by_group = {
 def group_gains(result):
     """Per-group expected outcome gain over the baseline resource."""
     policy = core.policy_from_flows(result.flows, instance)
-    values = ope.per_group_values(kept, policy, partition, instance, "DR",
+    values = ope.per_group_values(kept, policy, queue_ids, instance, "DR",
                                   "race", out=out, prop=prop)
     return {g: v - baseline_by_group[g] for g, v in values.items()}
 

@@ -50,9 +50,10 @@ print(f"objective {result.objective:.4f}, policy value "
 
 print("\n== 5. evaluate the learned policy ==")
 policy = core.policy_from_flows(result.flows, instance)
-gt = ope.evaluate_gt(kept, policy, partition, instance)
-dm = ope.evaluate_dm(kept, policy, partition, out, instance)
-dr = ope.evaluate_dr(kept, policy, partition, out, prop, instance)
+queue_ids = partition.assign_dataset(kept)
+gt = ope.evaluate_gt(kept, policy, queue_ids, instance)
+dm = ope.evaluate_dm(kept, policy, queue_ids, out, instance)
+dr = ope.evaluate_dr(kept, policy, queue_ids, out, prop, instance)
 historical = float(np.mean(kept.outcome))
 print(f"historical outcome mean: {historical:.4f}")
 for est in (dm, dr, gt):

@@ -1,7 +1,7 @@
 """Fair, interpretable resource-eligibility matching policies from observational data."""
 
 from .core import (CATEMatrix, Dataset, FlowMatrix, MCMSInstance, MatchingTopology,
-                   Policy, Record, policy_from_flows, policy_value, rationalize,
+                   Policy, policy_from_flows, policy_value, rationalize,
                    validate_instance)
 from .queuing import (CRPDecomposition, FlowSolveError, check_admissible,
                       crp_components, steady_state_flows)
@@ -18,7 +18,7 @@ from .synth import (SynthParams, alpha_variant, generate, run_alpha_sweep,
 
 __all__ = [
     "CATEMatrix", "Dataset", "FlowMatrix", "MCMSInstance", "MatchingTopology",
-    "Policy", "Record", "policy_from_flows", "policy_value", "rationalize",
+    "Policy", "policy_from_flows", "policy_value", "rationalize",
     "validate_instance", "CRPDecomposition", "FlowSolveError", "check_admissible",
     "crp_components", "steady_state_flows", "BigMConstants", "FairnessSpec",
     "InfeasibleModelError", "MIOModel", "OptimizationResult", "SolverLimitError",

@@ -181,6 +181,7 @@ class PropensityModel:
 
     tree: DecisionTree
     resources: list
+    feature_mode: str = "all"     # design the tree was fit on; see Dataset.design
 
     def predict_proba(self, X):
         p = self.tree.predict(np.atleast_2d(X)).astype(float)
@@ -203,19 +204,10 @@ class OutcomeModel:
 
     trees: dict                   # resource -> DecisionTree
     resources: list
+    feature_mode: str = "all"
 
     def predict(self, X, resource):
         return np.clip(self.trees[resource].predict(np.atleast_2d(X)).astype(float), 0.0, 1.0)
-
-    def predict_observed(self, X, treatments):
-        X = np.atleast_2d(X)
-        out = np.empty(len(X))
-        treatments = np.asarray(treatments)
-        for r in self.resources:
-            mask = treatments == r
-            if mask.any():
-                out[mask] = self.predict(X[mask], r)
-        return out
 
 
 def fit_propensity(dataset: Dataset, params: dict | None = None,
@@ -223,20 +215,20 @@ def fit_propensity(dataset: Dataset, params: dict | None = None,
     """Historical-policy model: multiclass CART on features (or score only)."""
     params = dict(params or {})
     params.setdefault("min_node_size", 15)
-    X = _design(dataset, features)
+    X = dataset.design(features)
     counts = {r: int(np.sum(dataset.treatment == r)) for r in dataset.resource_set}
     missing = [r for r, c in counts.items() if c == 0]
     if missing:
         raise ValueError(f"resources never observed: {missing}")
     tree = fit_cart(X, dataset.treatment, "multiclass", params)
-    return PropensityModel(tree, list(dataset.resource_set))
+    return PropensityModel(tree, list(dataset.resource_set), features)
 
 
 def fit_outcome(dataset: Dataset, params: dict | None = None,
                 features: str = "all") -> OutcomeModel:
     params = dict(params or {})
     params.setdefault("min_node_size", 15)
-    X = _design(dataset, features)
+    X = dataset.design(features)
     trees = {}
     for r in dataset.resource_set:
         mask = dataset.treatment == r
@@ -247,13 +239,7 @@ def fit_outcome(dataset: Dataset, params: dict | None = None,
                                           max(1, int(mask.sum()) // 2))
         trees[r] = fit_cart(X[mask], dataset.outcome[mask],
                             "binary-regression", sub_params)
-    return OutcomeModel(trees, list(dataset.resource_set))
-
-
-def _design(dataset: Dataset, features: str):
-    if features == "score":
-        return dataset.score[:, None]
-    return dataset.features
+    return OutcomeModel(trees, list(dataset.resource_set), features)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +355,7 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
     baseline = dataset.baseline
     mask = (dataset.treatment == resource) | (dataset.treatment == baseline)
     sub = dataset.subset(mask)
-    X = _design(sub, features)
+    X = sub.design(features)
     y = sub.outcome.astype(float)
     w = (sub.treatment == resource).astype(int)
     mns = params["min_node_size"]
@@ -391,13 +377,32 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
 # ---------------------------------------------------------------------------
 # Partitioning
 
+def _cell_keys(trees: list, X, labels=None):
+    """Distinct cell keys among the rows of ``X`` and each row's index into them.
+
+    A row's key is the tuple of its leaf ids across ``trees``; with group
+    labels it is (leaf tuple, ``str(label)``).
+    """
+    cols = [t.leaf_ids(X) for t in trees]
+    if labels is not None:
+        names, codes = np.unique(labels, return_inverse=True)
+        cols.append(codes.reshape(-1))
+    rows, inverse = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+    keys = [tuple(row) for row in rows.tolist()]
+    if labels is not None:
+        keys = [(key[:-1], str(names[key[-1]])) for key in keys]
+    return keys, inverse.reshape(-1)
+
+
 @dataclass
 class PartitionFunction:
     """Maps feature vectors (and optionally a group label) to queue identifiers.
 
     Queues are the leaf-id tuples observed in training, intersected across the
-    per-resource causal trees. Unseen tuples fall back to the Hamming-nearest
-    observed tuple, ties broken by lexicographic tuple order.
+    per-resource causal trees; a grouped partition keys them by (tuple,
+    ``str(label)``). An unseen key falls back to the observed key with the
+    fewest differing leaves, ties broken by key order; a grouped key searches
+    its own group when that group was observed.
     """
 
     trees: list
@@ -407,41 +412,23 @@ class PartitionFunction:
     group_dimension: str | None = None
     score_cells: dict = field(default_factory=dict)  # base tuple -> list of queue ids
 
-    def _tuples(self, dataset: Dataset):
-        X = _design(dataset, self.feature_mode)
-        ids = np.column_stack([t.leaf_ids(X) for t in self.trees])
-        return [tuple(row) for row in ids]
+    def assign_dataset(self, dataset: Dataset) -> np.ndarray:
+        """Queue id of every record, looked up once per distinct key."""
+        labels = dataset.groups[self.group_dimension] if self.group_dimension else None
+        keys, inverse = _cell_keys(self.trees, dataset.design(self.feature_mode), labels)
+        queues = [self.queue_table[k] if k in self.queue_table else self._nearest(k)
+                  for k in keys]
+        return np.array(queues, dtype=str)[inverse]
 
-    def _nearest(self, tup):
-        observed = sorted({k[0] if self.group_dimension else k
-                           for k in self.queue_table})
-        best = min(observed,
-                   key=lambda o: (sum(a != b for a, b in zip(o, tup)), o))
-        return best
-
-    def assign_dataset(self, dataset: Dataset):
-        tuples = self._tuples(dataset)
-        out = []
-        if self.group_dimension:
-            labels = dataset.groups[self.group_dimension]
-            for tup, g in zip(tuples, labels):
-                key = (tup, g)
-                if key not in self.queue_table:
-                    key = self._fallback(tup, g)
-                out.append(self.queue_table[key])
-        else:
-            for tup in tuples:
-                if tup not in self.queue_table:
-                    tup = self._nearest(tup)
-                out.append(self.queue_table[tup])
-        return out
-
-    def _fallback(self, tup, g):
-        same_group = [k for k in self.queue_table if k[1] == g]
-        if not same_group:
-            same_group = list(self.queue_table)
-        return min(same_group,
-                   key=lambda k: (sum(a != b for a, b in zip(k[0], tup)), k[0], str(k[1])))
+    def _nearest(self, key):
+        # ungrouped keys get the label "", so one rule serves both kinds
+        cell = (lambda k: k) if self.group_dimension else (lambda k: (k, ""))
+        tup, g = cell(key)
+        observed = {cell(k): q for k, q in self.queue_table.items()}
+        candidates = [k for k in observed if k[1] == g] or list(observed)
+        best = min(candidates,
+                   key=lambda k: (sum(a != b for a, b in zip(k[0], tup)), k))
+        return observed[best]
 
     @property
     def n_queues(self):
@@ -455,12 +442,9 @@ def intersect_partitions(trees: list, dataset: Dataset,
         raise ValueError("at least one tree required")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    X = _design(dataset, feature_mode)
-    ids = np.column_stack([t.leaf_ids(X) for t in trees])
-    observed = sorted({tuple(row) for row in ids})
-    table = {tup: f"q{i}" for i, tup in enumerate(observed)}
-    return PartitionFunction(list(trees), table, [table[t] for t in observed],
-                             feature_mode)
+    observed, _ = _cell_keys(trees, dataset.design(feature_mode))
+    table = {tup: f"q{i}" for i, tup in enumerate(sorted(observed))}
+    return PartitionFunction(list(trees), table, list(table.values()), feature_mode)
 
 
 def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
@@ -468,35 +452,35 @@ def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
     """Refine queues into (queue, group label) cells observed in the data."""
     if group_dimension not in dataset.groups:
         raise ValueError(f"unknown group dimension: {group_dimension}")
-    tuples = partition._tuples(dataset)
-    labels = dataset.groups[group_dimension]
-    seen = sorted({(tup, str(g)) for tup, g in zip(tuples, labels)})
+    seen, _ = _cell_keys(partition.trees, dataset.design(partition.feature_mode),
+                         dataset.groups[group_dimension])
     if len({g for _, g in seen}) == 1:
         return partition
     table = {}
     cells = {}
-    queues = []
-    for tup, g in seen:
+    for tup, g in sorted(seen):
         qid = f"{partition.queue_table.get(tup, 'q?')}:{g}"
         table[(tup, g)] = qid
-        queues.append(qid)
         cells.setdefault(partition.queue_table.get(tup), []).append(qid)
-    return PartitionFunction(partition.trees, table, queues,
+    return PartitionFunction(partition.trees, table, list(table.values()),
                              partition.feature_mode, group_dimension, cells)
 
 
 # ---------------------------------------------------------------------------
 # Doubly-robust CATE, screening, risk scores, arrival rates
 
-def _dr_terms(dataset: Dataset, out: OutcomeModel, prop: PropensityModel,
-              resource: str):
-    """Per-record DR pseudo-outcome for potential outcome Y(resource)."""
-    X = dataset.features
-    yhat_r = out.predict(X, resource)
-    yhat_obs = out.predict_observed(X, dataset.treatment)
-    pbar = prop.prob_of(X, dataset.treatment)
-    correction = (dataset.outcome - yhat_obs) * (dataset.treatment == resource) / pbar
-    return yhat_r + correction
+def _dr_terms(dataset: Dataset, out: OutcomeModel, prop: PropensityModel):
+    """Per-record DR pseudo-outcomes, one row per resource of ``resource_set``.
+
+    Each model predicts once, on the design it was fit on.
+    """
+    yhat = np.array([out.predict(dataset.design(out.feature_mode), r)
+                     for r in dataset.resource_set])
+    t_idx = dataset.treatment_index()
+    yhat_obs = yhat[t_idx, np.arange(len(dataset))]
+    pbar = prop.prob_of(dataset.design(prop.feature_mode), dataset.treatment)
+    treated = t_idx == np.arange(len(dataset.resource_set))[:, None]
+    return yhat + (dataset.outcome - yhat_obs) * treated / pbar
 
 
 def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
@@ -506,31 +490,29 @@ def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
     Returns (CATEMatrix, kept queue ids); queues with no records are dropped.
     """
     assignments = np.array(partition.assign_dataset(dataset))
-    baseline = dataset.baseline
-    terms = {r: _dr_terms(dataset, out, prop, r) for r in dataset.resource_set}
+    terms = _dr_terms(dataset, out, prop)
     kept = [q for q in partition.queues if np.any(assignments == q)]
     tau = np.zeros((len(kept), len(dataset.resource_set)))
     for qi, q in enumerate(kept):
         mask = assignments == q
-        t_base = terms[baseline][mask].mean()
-        for ri, r in enumerate(dataset.resource_set):
-            if r == baseline:
-                continue
-            tau[qi, ri] = terms[r][mask].mean() - t_base
-    c = float(terms[baseline].mean())
+        t_base = terms[0][mask].mean()       # resource_set[0] is the baseline
+        for ri in range(1, len(terms)):
+            tau[qi, ri] = terms[ri][mask].mean() - t_base
+    c = float(terms[0].mean())
     return CATEMatrix(tau, c), kept
 
 
 def dr_potential_mean(dataset: Dataset, out: OutcomeModel, prop: PropensityModel,
                       resource: str) -> float:
     """DR estimate of the mean potential outcome under one resource."""
-    return float(_dr_terms(dataset, out, prop, resource).mean())
+    terms = _dr_terms(dataset, out, prop)
+    return float(terms[dataset.resource_set.index(resource)].mean())
 
 
 def positivity_screen(dataset: Dataset, prop: PropensityModel,
                       threshold: float = POSITIVITY_THRESHOLD):
     """Split off records whose smallest estimated propensity is below threshold."""
-    proba = prop.predict_proba(dataset.features)
+    proba = prop.predict_proba(dataset.design(prop.feature_mode))
     keep = proba.min(axis=1) >= threshold
     return dataset.subset(keep), dataset.subset(~keep)
 
@@ -608,9 +590,11 @@ def tree_from_json(obj: dict) -> DecisionTree:
 
 def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list):
     payload = {
-        "propensity": {"tree": tree_to_json(prop.tree), "resources": prop.resources},
+        "propensity": {"tree": tree_to_json(prop.tree), "resources": prop.resources,
+                       "feature_mode": prop.feature_mode},
         "outcome": {"resources": out.resources,
-                    "trees": {r: tree_to_json(t) for r, t in out.trees.items()}},
+                    "trees": {r: tree_to_json(t) for r, t in out.trees.items()},
+                    "feature_mode": out.feature_mode},
         "causal_trees": [{"tree": tree_to_json(t.tree), "resource": t.resource,
                           "baseline": t.baseline, "honest": t.honest,
                           "min_node_size": t.min_node_size,
@@ -624,10 +608,12 @@ def load_models(path):
     with open(path) as fh:
         payload = json.load(fh)
     prop = PropensityModel(tree_from_json(payload["propensity"]["tree"]),
-                           payload["propensity"]["resources"])
+                           payload["propensity"]["resources"],
+                           payload["propensity"]["feature_mode"])
     out = OutcomeModel({r: tree_from_json(t)
                         for r, t in payload["outcome"]["trees"].items()},
-                       payload["outcome"]["resources"])
+                       payload["outcome"]["resources"],
+                       payload["outcome"]["feature_mode"])
     trees = [CausalTree(tree_from_json(t["tree"]), t["resource"], t["baseline"],
                         t["honest"], t["min_node_size"], t["feature_mode"])
              for t in payload["causal_trees"]]

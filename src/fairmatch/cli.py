@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
     "fairness": {"kind": "none", "dimension": "", "bound": 0.0,
                  "baseline_value": None},
     "non_affirmative": False,
-    "solver": {"abs_gap": 1e-7, "time_limit_s": None, "node_limit": None},
+    "solver": {"time_limit_s": None, "node_limit": None},
     "simulate": {"horizon_days": 5000.0, "warmup_fraction": 0.2},
     "estimators": ["CT", "DM", "DR", "IPW", "GT"],
     "sq_cuts": None,
@@ -144,11 +144,11 @@ def cmd_fit(cfg) -> int:
     instance = causal.arrival_rates(kept, partition, window, cfg["rho"])
     out = _out_dir(cfg)
     causal.save_models(out / "models.json", prop, out_model, trees)
-    assignments = np.array(partition.assign_dataset(kept))
+    queue_ids = partition.assign_dataset(kept)
     _write_json(out / "fit_report.json", {
         "n_total": len(dataset), "n_kept": len(kept), "n_screened": len(dropped),
         "window_days": window, "rho": cfg["rho"],
-        "queues": [{"queue": q, "count": int(np.sum(assignments == q)),
+        "queues": [{"queue": q, "count": int(np.sum(queue_ids == q)),
                     "lambda": str(lam)}
                    for q, lam in zip(instance.queues, instance.lam)],
         "mu": {r: str(m) for r, m in zip(instance.resources, instance.mu)},
@@ -159,7 +159,8 @@ def cmd_fit(cfg) -> int:
 
 
 def _rebuild(cfg):
-    """Dataset + saved models back to (kept, partition, tau, instance, models)."""
+    """Dataset + saved models back to (kept, partition, queue ids of the kept
+    records, tau, instance, models)."""
     dataset = _load_dataset(cfg)
     try:
         prop, out_model, trees = causal.load_models(Path(cfg["out_dir"]) / "models.json")
@@ -173,12 +174,11 @@ def _rebuild(cfg):
             raise ConfigError("fairness and non-affirmative runs need a "
                               "group dimension")
         partition = causal.split_queues_by_group(partition, kept, dim)
-    tau, queues = causal.estimate_cate_dr(kept, partition, prop, out_model)
+    tau, _ = causal.estimate_cate_dr(kept, partition, prop, out_model)
     window = float(kept.arrival_time.max())
     instance = causal.arrival_rates(kept, partition, window, cfg["rho"])
-    if list(instance.queues) != list(queues):
-        raise ValueError("queue sets from effects and rates disagree")
-    return kept, partition, tau, instance, prop, out_model
+    queue_ids = partition.assign_dataset(kept)
+    return kept, partition, queue_ids, tau, instance, prop, out_model
 
 
 def _fairness_spec(cfg, instance) -> optimizer.FairnessSpec:
@@ -212,13 +212,12 @@ def _topology_payload(instance, result, tau):
     }
 
 
-def _write_eligibility(path, instance, result, partition, kept):
+def _write_eligibility(path, instance, result, queue_ids, kept):
     """Human-readable view: per resource, the eligible queues with their
     score ranges."""
-    assignments = np.array(partition.assign_dataset(kept))
     ranges = {}
     for q in instance.queues:
-        mask = assignments == q
+        mask = queue_ids == q
         if mask.any():
             ranges[q] = (float(kept.score[mask].min()), float(kept.score[mask].max()))
     with open(path, "w") as fh:
@@ -234,7 +233,7 @@ def _write_eligibility(path, instance, result, partition, kept):
 
 
 def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
-    kept, partition, tau, instance, *_ = _rebuild(cfg)
+    kept, partition, queue_ids, tau, instance, *_ = _rebuild(cfg)
     fairness = _fairness_spec(cfg, instance)
     if use_oracle_route:
         result = optimizer.enumerate_oracle(instance, tau, fairness)
@@ -245,8 +244,7 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
                      if len([q for q in c if q in instance.queues]) > 1]
             optimizer.add_non_affirmative_links(
                 model, [[q for q in c if q in instance.queues] for c in cells])
-        result = optimizer.solve(model, abs_gap=cfg["solver"]["abs_gap"],
-                                 time_limit_s=cfg["solver"]["time_limit_s"],
+        result = optimizer.solve(model, time_limit_s=cfg["solver"]["time_limit_s"],
                                  node_limit=cfg["solver"]["node_limit"])
     out = _out_dir(cfg)
     payload = _topology_payload(instance, result, tau)
@@ -260,7 +258,7 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
                   file=sys.stderr)
             cross_check = False
     _write_json(out / "topology.json", payload)
-    _write_eligibility(out / "eligibility.txt", instance, result, partition, kept)
+    _write_eligibility(out / "eligibility.txt", instance, result, queue_ids, kept)
     print(f"objective {result.objective:.6f}, policy value "
           f"{result.policy_value:.6f}, edges {len(payload['edges'])}")
     if cross_check and not use_oracle_route and not payload["oracle_match"]:
@@ -313,13 +311,12 @@ def cmd_simulate(cfg) -> int:
     return 0
 
 
-def _sq_topology(cfg, instance, partition, kept):
+def _sq_topology(cfg, instance, queue_ids, kept):
     """Status-quo eligibility from configured score cut ranges per resource."""
     cuts = cfg["sq_cuts"]
-    assignments = np.array(partition.assign_dataset(kept))
     m = np.zeros((instance.n_queues, instance.n_resources), dtype=int)
     for q, qn in enumerate(instance.queues):
-        mask = assignments == qn
+        mask = queue_ids == qn
         mean_score = float(kept.score[mask].mean())
         for r, rn in enumerate(instance.resources):
             lo, hi = cuts.get(rn, (-np.inf, np.inf))
@@ -328,16 +325,15 @@ def _sq_topology(cfg, instance, partition, kept):
 
 
 def cmd_evaluate(cfg) -> int:
-    kept, partition, tau, instance, prop, out_model = _rebuild(cfg)
-    _, _, flows, payload = _load_topology(cfg)
-    scopes = {"optimized": (core.FlowMatrix(flows), payload["objective"])}
+    kept, _, queue_ids, tau, instance, prop, out_model = _rebuild(cfg)
+    scopes = {"optimized": core.FlowMatrix(_load_topology(cfg)[2])}
     fcfs = core.MatchingTopology.fully_connected(instance.n_queues,
                                                  instance.n_resources)
-    scopes["fcfs"] = (queuing.steady_state_flows(instance, fcfs), None)
+    scopes["fcfs"] = queuing.steady_state_flows(instance, fcfs)
     if cfg["sq_cuts"]:
-        sq = _sq_topology(cfg, instance, partition, kept)
+        sq = _sq_topology(cfg, instance, queue_ids, kept)
         try:
-            scopes["sq"] = (queuing.steady_state_flows(instance, sq), None)
+            scopes["sq"] = queuing.steady_state_flows(instance, sq)
         except queuing.FlowSolveError:
             print("status-quo topology has no steady-state flow; skipped",
                   file=sys.stderr)
@@ -346,22 +342,17 @@ def cmd_evaluate(cfg) -> int:
         estimators = [e for e in estimators if e != "GT"]
     rows = []
     dim = cfg["fairness"]["dimension"]
-    for scope, (flow_obj, objective) in scopes.items():
-        f = flow_obj if isinstance(flow_obj, core.FlowMatrix) else flow_obj
-        policy = core.policy_from_flows(f, instance)
+    for scope, flows in scopes.items():
+        policy = core.policy_from_flows(flows, instance)
         for est in estimators:
             if est == "CT":
-                obj = objective if objective is not None \
-                    else float(np.sum(tau.tau * f.f))
-                value = obj / float(instance.lam_total) + tau.baseline_mean
-                rows.append([est, scope, "", repr(float(value)), len(kept)])
-                continue
-            fn, needs = ope._ESTIMATORS[est]
-            models = {"out": out_model, "prop": prop}
-            args = [kept, policy, partition] + [models[k] for k in needs] + [instance]
-            rows.append([est, scope, "", repr(fn(*args).value), len(kept)])
+                value = core.policy_value(flows, tau, instance)
+            else:
+                value = ope.estimate(est, kept, policy, queue_ids, instance,
+                                     out_model, prop).value
+            rows.append([est, scope, "", repr(value), len(kept)])
             if dim and est == "DR":
-                for g, v in ope.per_group_values(kept, policy, partition, instance,
+                for g, v in ope.per_group_values(kept, policy, queue_ids, instance,
                                                  est, dim, out=out_model,
                                                  prop=prop).items():
                     rows.append([est, scope, g, repr(v), ""])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,20 +28,6 @@ def rationalize(x, cap: int = DENOMINATOR_CAP) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     return Fraction(float(x)).limit_denominator(cap)
-
-
-@dataclass(frozen=True)
-class Record:
-    """One observational record: features, score, group labels, treatment, outcome."""
-
-    id: str
-    features: np.ndarray
-    score: float
-    groups: dict
-    treatment: str
-    outcome: int
-    arrival_time: float
-    potential_outcomes: dict | None = None
 
 
 class Dataset:
@@ -93,14 +79,17 @@ class Dataset:
     def __len__(self):
         return len(self.score)
 
-    def record(self, i: int) -> Record:
-        po = None
-        if self.potential_outcomes is not None:
-            po = {r: int(v[i]) for r, v in self.potential_outcomes.items()}
-        return Record(str(self.ids[i]), self.features[i], float(self.score[i]),
-                      {k: v[i] for k, v in self.groups.items()},
-                      str(self.treatment[i]), int(self.outcome[i]),
-                      float(self.arrival_time[i]), po)
+    def design(self, feature_mode: str) -> np.ndarray:
+        """Model inputs for a feature mode: the score column for "score",
+        every feature otherwise."""
+        if feature_mode == "score":
+            return self.score[:, None]
+        return self.features
+
+    def treatment_index(self) -> np.ndarray:
+        """Each record's treatment as its position in ``resource_set``."""
+        index = {r: i for i, r in enumerate(self.resource_set)}
+        return np.array([index[t] for t in self.treatment], dtype=int)
 
     def subset(self, mask) -> "Dataset":
         mask = np.asarray(mask)

@@ -149,13 +149,12 @@ def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: f
     return _stats(*out[:4], horizon_days, warmup_end, seed, out[4])
 
 
-def simulate_replay(dataset: Dataset, partition, instance: MCMSInstance,
+def simulate_replay(dataset: Dataset, queue_ids, instance: MCMSInstance,
                     topology: MatchingTopology, seed: int = 0,
                     audit: bool = False) -> SimulationStats:
-    """Replay individual arrivals from dataset timestamps through the partition;
-    resource arrivals remain synthetic Poisson."""
+    """Replay individual arrivals from dataset timestamps into the records'
+    queues; resource arrivals remain synthetic Poisson."""
     topology.check_shape(instance)
-    queue_index = {q: i for i, q in enumerate(instance.queues)}
     if len(dataset) == 0:
         empty = SimulationStats(
             empirical_flows=np.zeros((instance.n_queues, instance.n_resources)),
@@ -163,13 +162,11 @@ def simulate_replay(dataset: Dataset, partition, instance: MCMSInstance,
             overall_avg_wait=float("nan"), matched_count=0,
             expired_horizon_count=0, horizon=0.0, seed=seed)
         return empty
-    assignments = partition.assign_dataset(dataset)
-    streams_q = [[] for _ in range(instance.n_queues)]
-    for t, q in zip(dataset.arrival_time, assignments):
-        if q not in queue_index:
-            raise ValueError(f"record mapped to unknown queue {q!r}")
-        streams_q[queue_index[q]].append(t)
-    streams_q = [np.sort(np.array(s)) for s in streams_q]
+    queue_ids = np.asarray(queue_ids)
+    unknown = set(queue_ids.tolist()) - set(instance.queues)
+    if unknown:
+        raise ValueError(f"records mapped to unknown queues {sorted(unknown)}")
+    streams_q = [np.sort(dataset.arrival_time[queue_ids == q]) for q in instance.queues]
     horizon = float(dataset.arrival_time.max()) + 1.0
     rng = np.random.default_rng(seed)
     streams_r = [_poisson_stream(rng, float(x), horizon) for x in instance.mu]

@@ -6,9 +6,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import ndtr
 
-from .core import Dataset, MCMSInstance, Policy
+from .core import Dataset, MCMSInstance, Policy, policy_value
 
 
 @dataclass(frozen=True)
@@ -19,63 +19,64 @@ class ValueEstimate:
     n_effective: float = 0.0
 
 
-def _policy_rows(dataset: Dataset, policy: Policy, partition, instance: MCMSInstance):
+def _policy_rows(policy: Policy, queue_ids, instance: MCMSInstance):
     """Per-record policy rows pi(. | queue of record)."""
     queue_index = {q: i for i, q in enumerate(instance.queues)}
-    assignments = partition.assign_dataset(dataset)
     try:
-        rows = np.array([queue_index[q] for q in assignments])
+        rows = np.array([queue_index[q] for q in queue_ids], dtype=int)
     except KeyError as exc:
         raise ValueError(f"record mapped to queue absent from instance: {exc}")
     return policy.probs[rows]
 
 
-def _resource_index(dataset: Dataset):
-    index = {r: i for i, r in enumerate(dataset.resource_set)}
-    return np.array([index[t] for t in dataset.treatment])
+def _predictions(dataset: Dataset, out):
+    """Outcome predictions, one column per resource."""
+    X = dataset.design(out.feature_mode)
+    return np.column_stack([out.predict(X, r) for r in dataset.resource_set])
 
 
-def evaluate_dm(dataset: Dataset, policy: Policy, partition, out,
+def _observed(dataset: Dataset, pi, prop):
+    """Index, policy probability and propensity of each record's observed resource."""
+    t_idx = dataset.treatment_index()
+    pbar = prop.prob_of(dataset.design(prop.feature_mode), dataset.treatment)
+    if np.any(pbar <= 0):
+        raise ValueError("zero propensity encountered; screen the dataset first")
+    return t_idx, pi[np.arange(len(t_idx)), t_idx], pbar
+
+
+def evaluate_dm(dataset: Dataset, policy: Policy, queue_ids, out,
                 instance: MCMSInstance) -> ValueEstimate:
     """Direct method: model-predicted outcomes averaged under the policy."""
-    pi = _policy_rows(dataset, policy, partition, instance)
-    yhat = np.column_stack([out.predict(dataset.features, r)
-                            for r in dataset.resource_set])
+    pi = _policy_rows(policy, queue_ids, instance)
+    yhat = _predictions(dataset, out)
     return ValueEstimate("DM", float(np.mean(np.sum(pi * yhat, axis=1))),
                          n_effective=float(len(dataset)))
 
 
-def evaluate_ipw(dataset: Dataset, policy: Policy, partition, prop,
+def evaluate_ipw(dataset: Dataset, policy: Policy, queue_ids, prop,
                  instance: MCMSInstance) -> ValueEstimate:
     """Inverse propensity weighting of the observed outcomes."""
-    pi = _policy_rows(dataset, policy, partition, instance)
-    t_idx = _resource_index(dataset)
-    pi_obs = pi[np.arange(len(t_idx)), t_idx]
-    pbar = prop.prob_of(dataset.features, dataset.treatment)
-    if np.any(pbar <= 0):
-        raise ValueError("zero propensity encountered; screen the dataset first")
+    pi = _policy_rows(policy, queue_ids, instance)
+    _, pi_obs, pbar = _observed(dataset, pi, prop)
     weights = pi_obs / pbar
     return ValueEstimate("IPW", float(np.mean(weights * dataset.outcome)),
                          n_effective=float(weights.sum()))
 
 
-def evaluate_dr(dataset: Dataset, policy: Policy, partition, out, prop,
+def evaluate_dr(dataset: Dataset, policy: Policy, queue_ids, out, prop,
                 instance: MCMSInstance) -> ValueEstimate:
     """Doubly robust: direct method plus an importance-weighted residual correction."""
-    dm = evaluate_dm(dataset, policy, partition, out, instance)
-    pi = _policy_rows(dataset, policy, partition, instance)
-    t_idx = _resource_index(dataset)
-    pi_obs = pi[np.arange(len(t_idx)), t_idx]
-    pbar = prop.prob_of(dataset.features, dataset.treatment)
-    if np.any(pbar <= 0):
-        raise ValueError("zero propensity encountered; screen the dataset first")
-    yhat_obs = out.predict_observed(dataset.features, dataset.treatment)
+    pi = _policy_rows(policy, queue_ids, instance)
+    yhat = _predictions(dataset, out)
+    dm = float(np.mean(np.sum(pi * yhat, axis=1)))
+    t_idx, pi_obs, pbar = _observed(dataset, pi, prop)
+    yhat_obs = yhat[np.arange(len(t_idx)), t_idx]
     correction = np.mean((dataset.outcome - yhat_obs) * pi_obs / pbar)
-    return ValueEstimate("DR", dm.value + float(correction),
+    return ValueEstimate("DR", dm + float(correction),
                          n_effective=float(len(dataset)))
 
 
-def evaluate_gt(dataset: Dataset, policy: Policy, partition,
+def evaluate_gt(dataset: Dataset, policy: Policy, queue_ids,
                 instance: MCMSInstance) -> ValueEstimate:
     """Ground truth from stored potential outcomes."""
     if dataset.potential_outcomes is None:
@@ -83,7 +84,7 @@ def evaluate_gt(dataset: Dataset, policy: Policy, partition,
     missing = set(dataset.resource_set) - set(dataset.potential_outcomes)
     if missing:
         raise ValueError(f"potential outcomes missing for {missing}")
-    pi = _policy_rows(dataset, policy, partition, instance)
+    pi = _policy_rows(policy, queue_ids, instance)
     po = np.column_stack([dataset.potential_outcomes[r]
                           for r in dataset.resource_set])
     return ValueEstimate("GT", float(np.mean(np.sum(pi * po, axis=1))),
@@ -92,8 +93,7 @@ def evaluate_gt(dataset: Dataset, policy: Policy, partition,
 
 def evaluate_ct(result, tau, instance: MCMSInstance) -> ValueEstimate:
     """Optimization-side value: flow-weighted effects over total rate, plus C."""
-    value = result.objective / float(instance.lam_total) + tau.baseline_mean
-    return ValueEstimate("CT", float(value))
+    return ValueEstimate("CT", policy_value(result.flows, tau, instance))
 
 
 _ESTIMATORS = {
@@ -104,22 +104,29 @@ _ESTIMATORS = {
 }
 
 
-def per_group_values(dataset: Dataset, policy: Policy, partition,
+def estimate(name: str, dataset: Dataset, policy: Policy, queue_ids,
+             instance: MCMSInstance, out=None, prop=None) -> ValueEstimate:
+    """Run the estimator registered under ``name`` with the models it needs."""
+    fn, needs = _ESTIMATORS[name]
+    models = {"out": out, "prop": prop}
+    return fn(dataset, policy, queue_ids, *[models[k] for k in needs], instance)
+
+
+def per_group_values(dataset: Dataset, policy: Policy, queue_ids,
                      instance: MCMSInstance, estimator: str, group_dimension: str,
                      out=None, prop=None) -> dict:
     """Estimator restricted to each group's records."""
     if group_dimension not in dataset.groups:
         raise ValueError(f"unknown group dimension: {group_dimension}")
-    fn, needs = _ESTIMATORS[estimator]
-    models = {"out": out, "prop": prop}
     labels = dataset.groups[group_dimension]
+    queue_ids = np.asarray(queue_ids)
     values = {}
     for g in sorted(set(labels.tolist())):
-        sub = dataset.subset(labels == g)
-        if len(sub) == 0:
+        mask = labels == g
+        if not mask.any():
             raise ValueError(f"empty group: {g}")
-        args = [sub, policy, partition] + [models[k] for k in needs] + [instance]
-        values[str(g)] = fn(*args).value
+        values[str(g)] = estimate(estimator, dataset.subset(mask), policy,
+                                  queue_ids[mask], instance, out, prop).value
     return values
 
 
@@ -172,7 +179,7 @@ def within_group_calibration(predicted, observed, group_labels):
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.inf)
-    p = 2 * sstats.norm.sf(np.abs(z))
+    p = 2 * ndtr(-np.abs(z))
     return [{"name": n, "coefficient": float(b), "stderr": float(s),
              "p_value": float(pv)} for n, b, s, pv in zip(names, beta, se, p)]
 

@@ -323,7 +323,7 @@ def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
     return model
 
 
-def solve(model: MIOModel, abs_gap: float = 1e-7, time_limit_s: float | None = None,
+def solve(model: MIOModel, time_limit_s: float | None = None,
           node_limit: int | None = None) -> OptimizationResult:
     """Branch-and-bound solve of the assembled model (HiGHS backend)."""
     c = -model.objective

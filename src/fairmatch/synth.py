@@ -150,23 +150,14 @@ def _evaluate_all(dataset, fitted, estimators=("CT", "DM", "DR", "IPW", "GT")):
     result = fitted["result"]
     instance = fitted["instance"]
     policy = core.policy_from_flows(result.flows, instance)
+    queue_ids = fitted["partition"].assign_dataset(dataset)
     values = {}
     for est in estimators:
         if est == "CT":
             values[est] = ope.evaluate_ct(result, fitted["tau"], instance).value
-        elif est == "DM":
-            values[est] = ope.evaluate_dm(dataset, policy, fitted["partition"],
-                                          fitted["outcome"], instance).value
-        elif est == "DR":
-            values[est] = ope.evaluate_dr(dataset, policy, fitted["partition"],
-                                          fitted["outcome"], fitted["propensity"],
-                                          instance).value
-        elif est == "IPW":
-            values[est] = ope.evaluate_ipw(dataset, policy, fitted["partition"],
-                                           fitted["propensity"], instance).value
-        elif est == "GT":
-            values[est] = ope.evaluate_gt(dataset, policy, fitted["partition"],
-                                          instance).value
+        else:
+            values[est] = ope.estimate(est, dataset, policy, queue_ids, instance,
+                                       fitted["outcome"], fitted["propensity"]).value
     return values
 
 

@@ -238,10 +238,11 @@ def _fairness_pipeline(seed=808):
 def _group_dr_advantages(kept, partition, instance, result, prop, out, groups):
     policy = core.policy_from_flows(result.flows, instance)
     labels = kept.groups["race"]
+    queue_ids = partition.assign_dataset(kept)
     adv = {}
     for g in groups:
         sub = kept.subset(labels == g)
-        value = ope.evaluate_dr(sub, policy, partition, out, prop,
+        value = ope.evaluate_dr(sub, policy, queue_ids[labels == g], out, prop,
                                 instance).value
         base = causal.dr_potential_mean(sub, out, prop, kept.baseline)
         adv[g] = value - base
@@ -313,6 +314,7 @@ class RegionPartition:
 
 
 class TruthProp:
+    feature_mode = "score"
     _index = {r: i for i, r in enumerate(synth.RESOURCES)}
 
     def predict_proba(self, X):
@@ -336,22 +338,13 @@ class SkewedProp(TruthProp):
 
 class TruthOut:
     resources = list(synth.RESOURCES)
+    feature_mode = "score"
 
     def __init__(self, bias=0.0):
         self.bias = bias
 
     def predict(self, X, resource):
         return synth.outcome_mean(resource, np.atleast_2d(X)[:, 0]) + self.bias
-
-    def predict_observed(self, X, treatments):
-        s = np.atleast_2d(X)[:, 0]
-        outp = np.empty(len(s))
-        treatments = np.asarray(treatments)
-        for r in self.resources:
-            mask = treatments == r
-            if mask.any():
-                outp[mask] = synth.outcome_mean(r, s[mask]) + self.bias
-        return outp
 
 
 def test_criterion_09_dr_estimator_properties():

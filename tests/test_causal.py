@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import binomial_3sigma
 from conftest import make_dataset
-from fairmatch import causal, core, synth
+from fairmatch import causal, core, ope, synth
 
 
 def score_tree(cuts):
@@ -238,7 +240,121 @@ class TestPartitions:
         assert refined.n_queues == base.n_queues
 
 
+def _brute_force_queues(part, ds):
+    """Per-row reading of the documented assignment rule."""
+    X = ds.score[:, None] if part.feature_mode == "score" else ds.features
+    labels = (ds.groups[part.group_dimension] if part.group_dimension
+              else [None] * len(ds))
+    out = []
+    for x, g in zip(X, labels):
+        tup = tuple(int(t.leaf_ids(x[None, :])[0]) for t in part.trees)
+        if part.group_dimension:
+            key = (tup, str(g))
+            pool = ([k for k in part.queue_table if k[1] == key[1]]
+                    or list(part.queue_table))
+            rank = lambda k: (sum(a != b for a, b in zip(k[0], tup)), k[0], k[1])
+        else:
+            key, pool = tup, list(part.queue_table)
+            rank = lambda k: (sum(a != b for a, b in zip(k, tup)), k)
+        out.append(part.queue_table[key] if key in part.queue_table
+                   else part.queue_table[min(pool, key=rank)])
+    return out
+
+
+class TestAssignDataset:
+    @given(seed=st.integers(0, 2**32 - 1), grouped=st.booleans(),
+           int_labels=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_row_rule(self, seed, grouped, int_labels):
+        rng = np.random.default_rng(seed)
+        n = 240
+        X = rng.uniform(0, 1, (n, 2))
+        labels = rng.integers(0, 3, n)
+        groups = {"g": labels if int_labels else np.array([f"L{v}" for v in labels],
+                                                           dtype=object)}
+        ds = core.Dataset(X, X[:, 1], groups, rng.choice(["a", "b"], n),
+                          rng.integers(0, 2, n), np.arange(1.0, n + 1),
+                          ["a", "b"], ["x0", "x1"])
+        trees = [causal.CausalTree(causal.fit_cart(X, rng.random(n), "binary-regression",
+                                                   {"min_node_size": 20, "max_depth": 3}),
+                                   "b", "a", False, 20, "all")
+                 for _ in range(2)]
+        # training sees part of the feature space and no label 2 in its upper
+        # half, so the probe meets unseen tuples and unseen (tuple, label) keys
+        train = ds.subset((X[:, 0] < 0.6) & ((labels < 2) | (X[:, 1] < 0.5)))
+        part = causal.intersect_partitions(trees, train, "all")
+        if grouped:
+            part = causal.split_queues_by_group(part, train, "g")
+            assert part.group_dimension == "g"
+        assert list(part.assign_dataset(ds)) == _brute_force_queues(part, ds)
+
+    def test_integer_labels_reach_their_own_queues(self):
+        scores = np.linspace(0, 1, 40)
+        labels = np.arange(40) % 2
+        ds = make_dataset(scores, ["a", "b"] * 20, [0, 1] * 20, groups={"g": labels})
+        base = causal.intersect_partitions([stub_causal_tree([0.5])], ds, "score")
+        part = causal.split_queues_by_group(base, ds, "g")
+        queue_ids = part.assign_dataset(ds)
+        assert [q.endswith(f":{g}") for q, g in zip(queue_ids, labels)] == [True] * 40
+        _, kept = causal.estimate_cate_dr(ds, part, _StubProp(0.5),
+                                          _StubOut({"a": 0.0, "b": 0.5}))
+        assert kept == part.queues
+
+
+def _with_noise(ds, seed=0):
+    """The same records with a noise feature in front of the score."""
+    noise = np.random.default_rng(seed).uniform(5.0, 6.0, len(ds))
+    return core.Dataset(np.column_stack([noise, ds.score]), ds.score, ds.groups,
+                        ds.treatment, ds.outcome, ds.arrival_time, ds.resource_set,
+                        ["noise", "score"], potential_outcomes=ds.potential_outcomes)
+
+
+class TestFeatureMode:
+    """Models fit on the score alone read the score, whatever else the
+    dataset carries."""
+
+    def test_score_models_ignore_other_features(self, tmp_path):
+        plain = synth.generate(synth.alpha_variant(synth.SynthParams(n=4_000, seed=15),
+                                                   0.02))
+        noisy = _with_noise(plain)
+        prop = causal.fit_propensity(noisy, {"min_node_size": 50}, "score")
+        out = causal.fit_outcome(noisy, {"min_node_size": 50}, "score")
+        tree = causal.fit_causal_tree(noisy, "PSH", {"min_node_size": 300,
+                                                     "max_depth": 2}, "score", 0)
+        kept, dropped = causal.positivity_screen(plain, prop, 0.05)
+        assert len(dropped) > 0
+        assert np.array_equal(causal.positivity_screen(noisy, prop, 0.05)[0].ids,
+                              kept.ids)
+        part = causal.intersect_partitions([tree], kept, "score")
+        tau, _ = causal.estimate_cate_dr(kept, part, prop, out)
+        tau2, _ = causal.estimate_cate_dr(_with_noise(kept), part, prop, out)
+        assert np.array_equal(tau.tau, tau2.tau)
+        assert tau.baseline_mean == tau2.baseline_mean
+
+        causal.save_models(tmp_path / "models.json", prop, out, [tree])
+        prop2, out2, _ = causal.load_models(tmp_path / "models.json")
+        assert (prop2.feature_mode, out2.feature_mode) == ("score", "score")
+        assert np.array_equal(causal.positivity_screen(noisy, prop2, 0.05)[0].ids,
+                              kept.ids)
+
+    def test_off_policy_estimates_ignore_other_features(self):
+        plain = synth.generate(synth.SynthParams(n=3_000, seed=16))
+        prop = causal.fit_propensity(plain, {"min_node_size": 50}, "score")
+        out = causal.fit_outcome(plain, {"min_node_size": 50}, "score")
+        part = causal.intersect_partitions([stub_causal_tree([0.2], "RRH")], plain,
+                                           "score")
+        instance = causal.arrival_rates(plain, part, float(plain.arrival_time.max()))
+        policy = core.Policy(np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
+        queue_ids = part.assign_dataset(plain)
+        for name in ("DM", "IPW", "DR"):
+            assert (ope.estimate(name, _with_noise(plain), policy, queue_ids, instance,
+                                 out, prop)
+                    == ope.estimate(name, plain, policy, queue_ids, instance, out, prop))
+
+
 class _StubProp:
+    feature_mode = "score"
+
     def __init__(self, value=0.5):
         self.value = value
 
@@ -251,15 +367,13 @@ class _StubProp:
 
 class _StubOut:
     resources = ["a", "b"]
+    feature_mode = "score"
 
     def __init__(self, table):
         self.table = table
 
     def predict(self, X, resource):
         return np.full(len(np.atleast_2d(X)), self.table[resource])
-
-    def predict_observed(self, X, treatments):
-        return np.array([self.table[t] for t in treatments])
 
 
 class _OneQueue:
@@ -288,14 +402,12 @@ class TestDREstimation:
 
         class Interp:
             resources = ["a", "b"]
+            feature_mode = "score"
 
             def predict(self, X, resource):
-                return np.full(len(np.atleast_2d(X)),
-                               float(y[treat == resource].mean()))
-
-            def predict_observed(self, X, treatments):
                 # matches each record's observed outcome exactly
-                return y.astype(float)
+                return np.where(treat == resource, y,
+                                float(y[treat == resource].mean()))
 
         tau, _ = causal.estimate_cate_dr(ds, _OneQueue(), _StubProp(0.5), Interp())
         plugin = y[treat == "b"].mean() - y[treat == "a"].mean()
@@ -323,6 +435,8 @@ class TestScreeningAndRates:
         ds = synth.generate(params)
 
         class TruthProp:
+            feature_mode = "score"
+
             def predict_proba(self, X):
                 return synth.true_propensity(X[:, 0], params.propensity_table)
 

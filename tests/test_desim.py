@@ -100,25 +100,15 @@ class TestMatchingDiscipline:
 class TestReplay:
     def test_empty_dataset(self):
         inst = make_instance([1], [Fraction(11, 10)])
-
-        class P:
-            def assign_dataset(self, ds):
-                return []
-
         ds = make_dataset([], [], [], resources=("a",))
-        stats = desim.simulate_replay(ds, P(), inst, topo([[1]]), seed=0)
+        stats = desim.simulate_replay(ds, [], inst, topo([[1]]), seed=0)
         assert stats.matched_count == 0
         assert np.all(stats.empirical_flows == 0)
 
     def test_single_record_matches_once(self):
         inst = make_instance([1], [Fraction(5)])
-
-        class P:
-            def assign_dataset(self, ds):
-                return ["q0"] * len(ds)
-
         ds = make_dataset([0.0], ["a"], [1], resources=("a",), arrival=[1.0])
-        stats = desim.simulate_replay(ds, P(), inst, topo([[1]]), seed=0)
+        stats = desim.simulate_replay(ds, ["q0"] * len(ds), inst, topo([[1]]), seed=0)
         assert stats.matched_count == 1
         assert stats.expired_horizon_count == 0
 
@@ -129,13 +119,9 @@ class TestReplay:
         arrivals = np.sort(rng.uniform(0, 1000.0, n))
         ds = make_dataset(scores, ["a"] * n, [0] * n, resources=("a",),
                           arrival=arrivals)
-
-        class P:
-            def assign_dataset(self, dataset):
-                return ["q0" if s < 0 else "q1" for s in dataset.score]
-
+        queue_ids = ["q0" if s < 0 else "q1" for s in ds.score]
         inst = make_instance([2, 2], [Fraction(9, 2)])
-        stats = desim.simulate_replay(ds, P(), inst, topo([[1], [1]]), seed=0)
+        stats = desim.simulate_replay(ds, queue_ids, inst, topo([[1], [1]]), seed=0)
         share = stats.empirical_flows[0, 0] / stats.empirical_flows.sum()
         assert abs(share - 0.5) < binomial_3sigma(0.5, n)
 

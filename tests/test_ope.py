@@ -8,14 +8,13 @@ from conftest import make_dataset, make_instance
 from fairmatch import core, ope
 
 
-class OneQueue:
-    queues = ["q0"]
-
-    def assign_dataset(self, ds):
-        return ["q0"] * len(ds)
+def one_queue(ds):
+    return ["q0"] * len(ds)
 
 
 class StubProp:
+    feature_mode = "score"
+
     def __init__(self, value=0.5):
         self.value = value
 
@@ -25,15 +24,13 @@ class StubProp:
 
 class StubOut:
     resources = ["a", "b"]
+    feature_mode = "score"
 
     def __init__(self, table):
         self.table = table
 
     def predict(self, X, resource):
         return np.full(len(np.atleast_2d(X)), self.table[resource])
-
-    def predict_observed(self, X, treatments):
-        return np.array([self.table[t] for t in treatments], dtype=float)
 
 
 def one_queue_instance():
@@ -47,20 +44,20 @@ def uniform_policy():
 class TestDirectMethod:
     def test_single_record_mixture(self):
         ds = make_dataset([0.0], ["a"], [1])
-        est = ope.evaluate_dm(ds, uniform_policy(), OneQueue(),
+        est = ope.evaluate_dm(ds, uniform_policy(), one_queue(ds),
                               StubOut({"a": 0.2, "b": 0.6}), one_queue_instance())
         assert est.value == pytest.approx(0.4, abs=1e-12)
 
     def test_constant_model_returns_constant(self):
         ds = make_dataset([0.1, 0.2, 0.3], ["a", "b", "a"], [0, 1, 0])
-        est = ope.evaluate_dm(ds, uniform_policy(), OneQueue(),
+        est = ope.evaluate_dm(ds, uniform_policy(), one_queue(ds),
                               StubOut({"a": 0.3, "b": 0.3}), one_queue_instance())
         assert est.value == pytest.approx(0.3, abs=1e-12)
 
     def test_degenerate_policy_reads_one_column(self):
         ds = make_dataset([0.0, 1.0], ["a", "b"], [1, 0])
         policy = core.Policy(np.array([[0.0, 1.0]]))
-        est = ope.evaluate_dm(ds, policy, OneQueue(),
+        est = ope.evaluate_dm(ds, policy, one_queue(ds),
                               StubOut({"a": 0.1, "b": 0.9}), one_queue_instance())
         assert est.value == pytest.approx(0.9, abs=1e-12)
 
@@ -69,7 +66,7 @@ class TestIPW:
     def test_single_record(self):
         # pi_obs = 0.5, pbar = 0.5, Y = 1 -> weight 1, value 1
         ds = make_dataset([0.0], ["a"], [1])
-        est = ope.evaluate_ipw(ds, uniform_policy(), OneQueue(), StubProp(0.5),
+        est = ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds), StubProp(0.5),
                                one_queue_instance())
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
@@ -80,7 +77,7 @@ class TestIPW:
         treat = np.where(rng.random(n) < 0.5, "a", "b")
         y = rng.integers(0, 2, n)
         ds = make_dataset(rng.uniform(0, 1, n), treat, y)
-        est = ope.evaluate_ipw(ds, uniform_policy(), OneQueue(), StubProp(0.5),
+        est = ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds), StubProp(0.5),
                                one_queue_instance())
         assert est.value == pytest.approx(float(y.mean()), abs=1e-12)
         assert est.n_effective == pytest.approx(n, abs=1e-9)
@@ -88,7 +85,7 @@ class TestIPW:
     def test_zero_propensity_rejected(self):
         ds = make_dataset([0.0], ["a"], [1])
         with pytest.raises(ValueError):
-            ope.evaluate_ipw(ds, uniform_policy(), OneQueue(), StubProp(0.0),
+            ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds), StubProp(0.0),
                              one_queue_instance())
 
 
@@ -100,16 +97,16 @@ class TestDoublyRobust:
         y = (treat == "b").astype(int)
         ds = make_dataset(rng.uniform(0, 1, n), treat, y)
         out = StubOut({"a": 0.0, "b": 1.0})  # matches every observed outcome
-        dm = ope.evaluate_dm(ds, uniform_policy(), OneQueue(), out,
+        dm = ope.evaluate_dm(ds, uniform_policy(), one_queue(ds), out,
                              one_queue_instance())
-        dr = ope.evaluate_dr(ds, uniform_policy(), OneQueue(), out, StubProp(0.5),
+        dr = ope.evaluate_dr(ds, uniform_policy(), one_queue(ds), out, StubProp(0.5),
                              one_queue_instance())
         assert dr.value == pytest.approx(dm.value, abs=1e-12)
 
     def test_three_record_hand_computation(self):
         ds = make_dataset([0.0, 0.0, 0.0], ["a", "b", "b"], [1, 0, 1])
         out = StubOut({"a": 0.5, "b": 0.5})
-        dr = ope.evaluate_dr(ds, uniform_policy(), OneQueue(), out, StubProp(0.5),
+        dr = ope.evaluate_dr(ds, uniform_policy(), one_queue(ds), out, StubProp(0.5),
                              one_queue_instance())
         # DM = 0.5; corrections: (1-.5)*1, (0-.5)*1, (1-.5)*1 -> mean 1/6
         assert dr.value == pytest.approx(0.5 + 1.0 / 6.0, abs=1e-12)
@@ -120,20 +117,20 @@ class TestGroundTruth:
         po = {"a": [0, 1], "b": [1, 1]}
         ds = make_dataset([0.0, 1.0], ["a", "a"], [0, 1], po=po)
         policy = core.Policy(np.array([[0.0, 1.0]]))
-        est = ope.evaluate_gt(ds, policy, OneQueue(), one_queue_instance())
+        est = ope.evaluate_gt(ds, policy, one_queue(ds), one_queue_instance())
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_policy_averages_columns(self):
         po = {"a": [0, 0], "b": [1, 1]}
         ds = make_dataset([0.0, 1.0], ["a", "a"], [0, 0], po=po)
-        est = ope.evaluate_gt(ds, uniform_policy(), OneQueue(),
+        est = ope.evaluate_gt(ds, uniform_policy(), one_queue(ds),
                               one_queue_instance())
         assert est.value == pytest.approx(0.5, abs=1e-12)
 
     def test_missing_po_rejected(self):
         ds = make_dataset([0.0], ["a"], [1])
         with pytest.raises(ValueError):
-            ope.evaluate_gt(ds, uniform_policy(), OneQueue(), one_queue_instance())
+            ope.evaluate_gt(ds, uniform_policy(), one_queue(ds), one_queue_instance())
 
 
 class TestOptimizationSideValue:
@@ -158,10 +155,10 @@ class TestPerGroup:
         y = rng.integers(0, 2, n)
         ds = make_dataset(rng.uniform(0, 1, n), treat, y,
                           groups={"race": labels.astype(object)})
-        values = ope.per_group_values(ds, uniform_policy(), OneQueue(),
+        values = ope.per_group_values(ds, uniform_policy(), one_queue(ds),
                                       one_queue_instance(), "IPW", "race",
                                       prop=StubProp(0.5))
-        overall = ope.evaluate_ipw(ds, uniform_policy(), OneQueue(),
+        overall = ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds),
                                    StubProp(0.5), one_queue_instance()).value
         n_a = int((labels == "A").sum())
         blended = (values["A"] * n_a + values["B"] * (n - n_a)) / n
@@ -170,7 +167,7 @@ class TestPerGroup:
     def test_single_group_rejected_dimension(self):
         ds = make_dataset([0.0], ["a"], [1])
         with pytest.raises(ValueError):
-            ope.per_group_values(ds, uniform_policy(), OneQueue(),
+            ope.per_group_values(ds, uniform_policy(), one_queue(ds),
                                  one_queue_instance(), "GT", "race")
 
 
