@@ -39,38 +39,36 @@ class DecisionTree:
     n_features: int
     classes: list | None = None
 
-    def _leaf(self, x):
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
-    def predict_row(self, x):
-        return self._leaf(x).value
+    def _walk(self, X):
+        """Send blocks of row indices down the tree (``x[feature] <= threshold``
+        goes left). Returns the leaves in left-to-right order and each row's
+        index into them; every node is visited, so a row's index does not
+        depend on the other rows."""
+        X = np.atleast_2d(X)
+        leaves = []
+        ids = np.empty(len(X), dtype=int)
+        stack = [(self.root, np.arange(len(X)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                ids[rows] = len(leaves)
+                leaves.append(node)
+            else:
+                left = X[rows, node.feature] <= node.threshold
+                stack += [(node.right, rows[~left]), (node.left, rows[left])]
+        return leaves, ids
 
     def predict(self, X):
-        X = np.atleast_2d(X)
-        return np.array([self.predict_row(x) for x in X])
+        leaves, ids = self._walk(X)
+        return np.array([leaf.value for leaf in leaves])[ids]
 
     def leaf_ids(self, X):
         """Index of the leaf each row falls into, in left-to-right order."""
-        order = {}
-
-        def walk(node):
-            if node.is_leaf:
-                order[id(node)] = len(order)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return np.array([order[id(self._leaf(x))] for x in np.atleast_2d(X)])
+        return self._walk(X)[1]
 
     @property
     def n_leaves(self):
-        def count(node):
-            return 1 if node.is_leaf else count(node.left) + count(node.right)
-        return count(self.root)
+        return len(self._walk(np.empty((0, self.n_features)))[0])
 
 
 def _impurity_gain_sweep(xs, stats_left, stats_total, n, kind):
@@ -185,7 +183,8 @@ class PropensityModel:
 
     def predict_proba(self, X):
         p = self.tree.predict(np.atleast_2d(X)).astype(float)
-        # tree classes may omit resources never observed in its leaves' order
+        # reorder the tree's classes into resources order; a resource the
+        # tree never saw gets zero
         out = np.zeros((p.shape[0], len(self.resources)))
         for i, r in enumerate(self.resources):
             if r in self.tree.classes:
@@ -194,8 +193,9 @@ class PropensityModel:
 
     def prob_of(self, X, treatments):
         proba = self.predict_proba(X)
-        idx = np.array([self.resources.index(t) for t in treatments])
-        return proba[np.arange(len(idx)), idx]
+        kinds, inverse = np.unique(np.asarray(treatments), return_inverse=True)
+        cols = np.array([self.resources.index(t) for t in kinds.tolist()], dtype=int)
+        return proba[np.arange(len(inverse)), cols[inverse.reshape(-1)]]
 
 
 @dataclass

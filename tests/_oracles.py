@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: flows come from dense
 enumeration of support patterns, components from a hand-rolled union-find,
-and statistical checks from binomial confidence intervals.
+tree lookups from a descent one row at a time, and statistical checks from
+binomial confidence intervals.
 """
 
 from fractions import Fraction
@@ -78,6 +79,21 @@ def union_find_components(n_q, n_r, edges):
             parent[a] = b
     touched = {find(q) for q, _ in edges} | {find(n_q + r) for _, r in edges}
     return len(touched)
+
+
+def tree_leaves(node):
+    """Leaves of a ``TreeNode`` tree in left-to-right order, by recursion."""
+    if node.feature < 0:
+        return [node]
+    return tree_leaves(node.left) + tree_leaves(node.right)
+
+
+def tree_leaf(root, x):
+    """Leaf that one row reaches, descending node by node from the root."""
+    node = root
+    while node.feature >= 0:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
 
 
 def binomial_3sigma(p, n):

@@ -4,6 +4,9 @@ wraps, and its fairness-sweep set-up passes the benchmark's learning checks."""
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fairmatch
 from fairmatch import causal, core, desim, ope
 
@@ -29,6 +32,23 @@ def test_wrapped_methods_and_estimator_table_exist():
         assert callable(getattr(owner, name, None)), name
     for name, (fn, needs) in ope._ESTIMATORS.items():
         assert callable(fn) and set(needs) <= {"out", "prop"}, name
+
+
+@pytest.mark.parametrize("called", ["predict", "leaf_ids", "n_leaves"])
+def test_tree_lookups_do_not_call_each_other(monkeypatch, called):
+    """The trace counts rows at both `predict` and `leaf_ids`; a lookup that
+    went through the other would count its rows twice."""
+    X = np.arange(40.0)[:, None]
+    tree = causal.fit_cart(X, np.arange(40) // 10, "multiclass", {"min_node_size": 5})
+
+    def refuse(self, X):
+        raise AssertionError("one tree lookup called another")
+    for other in {"predict", "leaf_ids"} - {called}:
+        monkeypatch.setattr(causal.DecisionTree, other, refuse)
+    if called == "n_leaves":
+        assert tree.n_leaves == 4
+    else:
+        assert len(getattr(tree, called)(X)) == len(X)
 
 
 def test_fairness_sweep_setup_passes_learning_checks(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import binomial_3sigma
+from _oracles import binomial_3sigma, tree_leaf, tree_leaves
 from conftest import make_dataset
 from fairmatch import causal, core, ope, synth
 
@@ -60,7 +60,75 @@ class TestFitCart:
                             {"min_node_size": 8})
 
 
+# Thresholds and row values share a grid, so rows often sit exactly on a threshold.
+_GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def _random_tree_and_rows(draw):
+    n_features = draw(st.integers(1, 3))
+    multiclass = draw(st.booleans())
+
+    def grow(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            if multiclass:
+                return causal.TreeNode(value=np.array(
+                    draw(st.lists(st.floats(0, 1), min_size=3, max_size=3))))
+            return causal.TreeNode(value=draw(st.floats(-1, 1)))
+        return causal.TreeNode(draw(st.integers(0, n_features - 1)),
+                               draw(st.sampled_from(_GRID)), grow(depth - 1), grow(depth - 1))
+
+    tree = causal.DecisionTree(grow(draw(st.integers(0, 5))),
+                               "multiclass" if multiclass else "binary-regression",
+                               n_features, ["a", "b", "c"] if multiclass else None)
+    values = st.sampled_from(_GRID) | st.floats(-1.5, 1.5)
+    rows = draw(st.lists(st.lists(values, min_size=n_features, max_size=n_features),
+                         max_size=25))
+    return tree, np.array(rows, dtype=float).reshape(len(rows), n_features)
+
+
+class TestTreeWalk:
+    @given(case=_random_tree_and_rows(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_by_row_descent(self, case, data):
+        tree, X = case
+        leaves = tree_leaves(tree.root)
+        reached = [tree_leaf(tree.root, x) for x in X]
+        expected_ids = [next(i for i, leaf in enumerate(leaves) if leaf is r)
+                        for r in reached]
+        ids = tree.leaf_ids(X)
+        pred = tree.predict(X)
+        assert tree.n_leaves == len(leaves)
+        assert ids.tolist() == expected_ids
+        n_classes = (len(tree.classes),) if tree.classes else ()
+        assert pred.shape == (len(X),) + n_classes
+        for p, r in zip(pred, reached):
+            assert np.array_equal(p, r.value)
+        # a row's leaf does not depend on which other rows are in X
+        perm = np.array(data.draw(st.permutations(range(len(X)))), dtype=int)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(X),
+                                           max_size=len(X))), dtype=bool)
+        for sub in (perm, keep):
+            assert np.array_equal(tree.leaf_ids(X[sub]), ids[sub])
+            assert np.array_equal(tree.predict(X[sub]), pred[sub])
+
+
 class TestNuisanceModels:
+    def test_zero_rows_keep_their_shape(self):
+        ds = make_dataset([0.1, 0.2, 0.3, 0.4] * 5, ["a", "b"] * 10, [0, 1] * 10)
+        prop = causal.fit_propensity(ds, {"min_node_size": 2}, "score")
+        out = causal.fit_outcome(ds, {"min_node_size": 2}, "score")
+        empty = np.zeros((0, 1))
+        assert prop.predict_proba(empty).shape == (0, 2)
+        assert prop.prob_of(empty, []).shape == (0,)
+        assert out.predict(empty, "a").shape == (0,)
+
+    def test_prob_of_rejects_unknown_treatment(self):
+        ds = make_dataset([0.1, 0.2, 0.3, 0.4] * 5, ["a", "b"] * 10, [0, 1] * 10)
+        prop = causal.fit_propensity(ds, {"min_node_size": 2}, "score")
+        with pytest.raises(ValueError):
+            prop.prob_of(ds.features[:2], ["a", "z"])
+
     def test_propensity_recovers_generator_table(self):
         ds = synth.generate(synth.SynthParams(n=30_000, seed=0))
         prop = causal.fit_propensity(ds, {"min_node_size": 2000, "max_depth": 6},
