@@ -71,103 +71,164 @@ class DecisionTree:
         return len(self._walk(np.empty((0, self.n_features)))[0])
 
 
-def _impurity_gain_sweep(xs, stats_left, stats_total, n, kind):
-    """Impurity decrease for every split position of one sorted feature.
+class _Cart:
+    """CART rule: a node splits while it holds two children of
+    ``min_node_size`` rows and its target is not constant. A split scores its
+    impurity decrease, computed from cumulative per-row statistics, so any
+    positive score beats the parent."""
 
-    ``stats_left`` are cumulative sufficient statistics after each row:
-    class counts (multiclass) or (sum, sumsq) pairs (regression).
+    min_gain = 0.0
+
+    def __init__(self, min_node_size, n_classes=0):
+        self.min_node_size, self.n_classes = min_node_size, n_classes
+
+    def may_split(self, y):
+        return len(y) >= 2 * self.min_node_size and np.any(y != y[0])
+
+    def parent(self, y):
+        return 0.0
+
+    def scores(self, ys):
+        n = len(ys)
+        cum = np.cumsum(self.stats(ys), axis=0)
+        k = np.arange(1, n)
+        children = (k * self.impurity(cum[:-1], k[:, None])
+                    + (n - k) * self.impurity(cum[-1] - cum[:-1], (n - k)[:, None]))
+        valid = (k >= self.min_node_size) & (n - k >= self.min_node_size)
+        return self.impurity(cum[-1], n) - children / n, valid
+
+
+class _Gini(_Cart):
+    """Integer class codes; Laplace-smoothed class frequencies in the leaves."""
+
+    def value(self, y):
+        return ((np.bincount(y, minlength=self.n_classes) + LAPLACE_ALPHA)
+                / (len(y) + LAPLACE_ALPHA * self.n_classes))
+
+    def stats(self, ys):
+        return (ys[:, None] == np.arange(self.n_classes)).astype(float)
+
+    @staticmethod
+    def impurity(counts, size):
+        return 1.0 - np.sum((counts / size) ** 2, axis=-1)
+
+
+class _Mse(_Cart):
+    """Real-valued target; leaf means."""
+
+    def value(self, y):
+        return float(np.mean(y))
+
+    def stats(self, ys):
+        return np.column_stack([ys, ys ** 2])
+
+    @staticmethod
+    def impurity(sums, size):
+        means = sums / size
+        return means[..., 1] - means[..., 0] ** 2
+
+
+class _Effect:
+    """Causal-tree rule on (outcome, arm) rows, arm 1 treated and 0 baseline:
+    the leaf value is the difference in arm means, and a split maximizes the
+    size-weighted squared effect of its children, each keeping at least
+    ``min_node_size`` rows of each arm."""
+
+    min_gain = 1e-12
+
+    def __init__(self, min_node_size):
+        self.min_node_size = min_node_size
+
+    @staticmethod
+    def value(yw):
+        y, w = yw.T
+        return float(y[w == 1].mean() - y[w == 0].mean())
+
+    def may_split(self, yw):
+        return True
+
+    def parent(self, yw):
+        return len(yw) * self.value(yw) ** 2
+
+    def scores(self, yw):
+        ys, ws = yw.T
+        n, n1, mns = len(yw), ws.sum(), self.min_node_size
+        n0 = n - n1
+        c1 = np.cumsum(ws)[:-1]
+        c0 = np.arange(1, n) - c1
+        s1 = np.cumsum(ys * ws)[:-1]
+        s0 = np.cumsum(ys * (1 - ws))[:-1]
+        valid = (c1 >= mns) & (c0 >= mns) & (n1 - c1 >= mns) & (n0 - c0 >= mns)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau_l = s1 / c1 - s0 / c0
+            tau_r = (s1[-1] + ys[-1] * ws[-1] - s1) / (n1 - c1) \
+                - (s0[-1] + ys[-1] * (1 - ws[-1]) - s0) / (n0 - c0)
+        k = np.arange(1, n)
+        return k * tau_l ** 2 + (n - k) * tau_r ** 2, valid
+
+
+def _grow(X, y, rule, max_depth, depth=0):
+    """Greedy binary tree on rows ``X`` with targets ``y`` under ``rule``.
+
+    Each node tries every non-constant feature, places the threshold midway
+    between distinct sorted neighbours (on the lower one when the midpoint
+    rounds to the upper), and keeps the best split whose score
+    exceeds the rule's parent score by more than ``rule.min_gain``; the
+    first feature and the first position win ties.
     """
-    n_left = np.arange(1, n)
-    n_right = n - n_left
-    if kind == "multiclass":
-        left = stats_left[:-1]
-        right = stats_total - left
-        gini_l = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        parent = 1.0 - np.sum((stats_total / n) ** 2)
-        return parent - (n_left * gini_l + n_right * gini_r) / n
-    s_l = stats_left[:-1, 0]
-    s_r = stats_total[0] - s_l
-    q_l = stats_left[:-1, 1]
-    q_r = stats_total[1] - q_l
-    mse_l = q_l / n_left - (s_l / n_left) ** 2
-    mse_r = q_r / n_right - (s_r / n_right) ** 2
-    parent = stats_total[1] / n - (stats_total[0] / n) ** 2
-    return parent - (n_left * mse_l + n_right * mse_r) / n
-
-
-def _best_cart_split(X, y, kind, classes, min_node_size):
-    n, n_feat = X.shape
+    node = TreeNode(count=len(y), value=rule.value(y))
+    if (max_depth is not None and depth >= max_depth) or not rule.may_split(y):
+        return node
+    parent = rule.parent(y)
     best = None
-    for j in range(n_feat):
+    for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="mergesort")
         xs = X[order, j]
-        ys = y[order]
         if xs[0] == xs[-1]:
             continue
-        if kind == "multiclass":
-            onehot = (ys[:, None] == classes[None, :]).astype(float)
-            cum = np.cumsum(onehot, axis=0)
-            total = cum[-1]
-        else:
-            cum = np.cumsum(np.column_stack([ys, ys ** 2]), axis=0)
-            total = cum[-1]
-        gains = _impurity_gain_sweep(xs, cum, total, n, kind)
-        valid = (xs[:-1] < xs[1:])
-        k = np.arange(1, n)
-        valid &= (k >= min_node_size) & (n - k >= min_node_size)
+        score, valid = rule.scores(y[order])
+        valid &= xs[:-1] < xs[1:]
         if not valid.any():
             continue
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))
-        if best is None or gains[i] > best[0]:
-            best = (gains[i], j, 0.5 * (xs[i] + xs[i + 1]))
-    return best
-
-
-def _grow_cart(X, y, kind, classes, params, depth):
-    node = TreeNode(count=len(y))
-    if kind == "multiclass":
-        node.value = np.array([(np.sum(y == c) + LAPLACE_ALPHA)
-                               / (len(y) + LAPLACE_ALPHA * len(classes))
-                               for c in classes])
-    else:
-        node.value = float(np.mean(y))
-    max_depth = params.get("max_depth")
-    if ((max_depth is not None and depth >= max_depth)
-            or len(y) < 2 * params["min_node_size"]
-            or (kind != "multiclass" and np.all(y == y[0]))
-            or (kind == "multiclass" and len(np.unique(y)) == 1)):
-        return node
-    best = _best_cart_split(X, y, kind, classes, params["min_node_size"])
-    if best is None or best[0] <= params.get("min_impurity_decrease", 0.0):
+        i = int(np.argmax(np.where(valid, score, -np.inf)))
+        gain = score[i] - parent
+        if gain > rule.min_gain and (best is None or gain > best[0]):
+            # the midpoint of adjacent floats can round up to the upper one
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            best = (gain, j, thr if thr < xs[i + 1] else xs[i])
+    if best is None:
         return node
     _, j, thr = best
     mask = X[:, j] <= thr
     node.feature, node.threshold = j, thr
-    node.left = _grow_cart(X[mask], y[mask], kind, classes, params, depth + 1)
-    node.right = _grow_cart(X[~mask], y[~mask], kind, classes, params, depth + 1)
+    node.left = _grow(X[mask], y[mask], rule, max_depth, depth + 1)
+    node.right = _grow(X[~mask], y[~mask], rule, max_depth, depth + 1)
     return node
+
+
+def _read_params(params: dict, defaults: dict) -> dict:
+    """``defaults`` overridden by ``params``; a key outside ``defaults`` is an error."""
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown tree parameters: {sorted(unknown)}")
+    return {**defaults, **params}
 
 
 def fit_cart(X, y, target_kind: str, params: dict) -> DecisionTree:
     """Greedy CART: Gini for multiclass targets, MSE for binary regression."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    params = {"min_node_size": 1, "max_depth": None,
-              "min_impurity_decrease": 0.0, **params}
-    if len(y) < 2 * params["min_node_size"]:
+    params = _read_params(params, {"min_node_size": 1, "max_depth": None})
+    mns = params["min_node_size"]
+    if len(y) < 2 * mns:
         raise ValueError("not enough rows for the requested minimum node size")
     if target_kind == "multiclass":
-        classes = np.array(sorted(set(y.tolist())))
-    elif target_kind == "binary-regression":
-        classes = None
-        y = y.astype(float)
-    else:
-        raise ValueError(f"unknown target kind: {target_kind}")
-    root = _grow_cart(X, y, target_kind, classes, params, 0)
-    return DecisionTree(root, target_kind, X.shape[1],
-                        classes.tolist() if classes is not None else None)
+        classes, codes = np.unique(np.asarray(y), return_inverse=True)
+        root = _grow(X, codes.reshape(-1), _Gini(mns, len(classes)), params["max_depth"])
+        return DecisionTree(root, target_kind, X.shape[1], classes.tolist())
+    if target_kind == "binary-regression":
+        root = _grow(X, np.asarray(y, dtype=float), _Mse(mns), params["max_depth"])
+        return DecisionTree(root, target_kind, X.shape[1])
+    raise ValueError(f"unknown target kind: {target_kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +274,7 @@ class OutcomeModel:
 def fit_propensity(dataset: Dataset, params: dict | None = None,
                    features: str = "all") -> PropensityModel:
     """Historical-policy model: multiclass CART on features (or score only)."""
-    params = dict(params or {})
-    params.setdefault("min_node_size", 15)
+    params = {"min_node_size": 15, **(params or {})}
     X = dataset.design(features)
     counts = {r: int(np.sum(dataset.treatment == r)) for r in dataset.resource_set}
     missing = [r for r, c in counts.items() if c == 0]
@@ -226,19 +286,16 @@ def fit_propensity(dataset: Dataset, params: dict | None = None,
 
 def fit_outcome(dataset: Dataset, params: dict | None = None,
                 features: str = "all") -> OutcomeModel:
-    params = dict(params or {})
-    params.setdefault("min_node_size", 15)
+    params = {"min_node_size": 15, **(params or {})}
     X = dataset.design(features)
     trees = {}
     for r in dataset.resource_set:
         mask = dataset.treatment == r
         if not mask.any():
             raise ValueError(f"no observations for resource {r}")
-        sub_params = dict(params)
-        sub_params["min_node_size"] = min(params["min_node_size"],
-                                          max(1, int(mask.sum()) // 2))
-        trees[r] = fit_cart(X[mask], dataset.outcome[mask],
-                            "binary-regression", sub_params)
+        mns = min(params["min_node_size"], max(1, int(mask.sum()) // 2))
+        trees[r] = fit_cart(X[mask], dataset.outcome[mask], "binary-regression",
+                            {**params, "min_node_size": mns})
     return OutcomeModel(trees, list(dataset.resource_set), features)
 
 
@@ -260,64 +317,6 @@ class CausalTree:
     @property
     def n_leaves(self):
         return self.tree.n_leaves
-
-
-def _best_effect_split(X, y, w, min_node_size):
-    """Split maximizing the size-weighted squared-effect criterion.
-
-    ``w`` is 1 for the treated arm, 0 for baseline. Children must keep at
-    least ``min_node_size`` points of each arm.
-    """
-    n, n_feat = X.shape
-    best = None
-    n1 = w.sum()
-    n0 = n - n1
-    tau_parent = y[w == 1].mean() - y[w == 0].mean()
-    parent_score = n * tau_parent ** 2
-    for j in range(n_feat):
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        ys = y[order].astype(float)
-        ws = w[order]
-        if xs[0] == xs[-1]:
-            continue
-        c1 = np.cumsum(ws)[:-1]
-        c0 = np.arange(1, n) - c1
-        s1 = np.cumsum(ys * ws)[:-1]
-        s0 = np.cumsum(ys * (1 - ws))[:-1]
-        valid = ((xs[:-1] < xs[1:]) & (c1 >= min_node_size) & (c0 >= min_node_size)
-                 & (n1 - c1 >= min_node_size) & (n0 - c0 >= min_node_size))
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau_l = s1 / c1 - s0 / c0
-            tau_r = (s1[-1] + ys[-1] * ws[-1] - s1) / (n1 - c1) \
-                - (s0[-1] + ys[-1] * (1 - ws[-1]) - s0) / (n0 - c0)
-        k = np.arange(1, n)
-        score = k * tau_l ** 2 + (n - k) * tau_r ** 2
-        score = np.where(valid, score, -np.inf)
-        i = int(np.argmax(score))
-        gain = score[i] - parent_score
-        if gain > 1e-12 and (best is None or gain > best[0]):
-            best = (gain, j, 0.5 * (xs[i] + xs[i + 1]))
-    return best
-
-
-def _grow_effect_tree(X, y, w, params, depth):
-    node = TreeNode(count=len(y))
-    node.value = float(y[w == 1].mean() - y[w == 0].mean())
-    max_depth = params.get("max_depth")
-    if max_depth is not None and depth >= max_depth:
-        return node
-    best = _best_effect_split(X, y, w, params["min_node_size"])
-    if best is None:
-        return node
-    _, j, thr = best
-    mask = X[:, j] <= thr
-    node.feature, node.threshold = j, thr
-    node.left = _grow_effect_tree(X[mask], y[mask], w[mask], params, depth + 1)
-    node.right = _grow_effect_tree(X[~mask], y[~mask], w[~mask], params, depth + 1)
-    return node
 
 
 def _honest_reestimate(node, X, y, w, min_node_size):
@@ -350,8 +349,8 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
     Splits maximize the size-weighted squared effect; in honest mode the leaf
     effects are re-estimated on a held-out half.
     """
-    params = {"min_node_size": 15, "honest": True, "split_fraction": 0.5,
-              "max_depth": None, **(params or {})}
+    params = _read_params(params or {}, {"min_node_size": 15, "honest": True,
+                                         "max_depth": None})
     baseline = dataset.baseline
     mask = (dataset.treatment == resource) | (dataset.treatment == baseline)
     sub = dataset.subset(mask)
@@ -361,15 +360,14 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
     mns = params["min_node_size"]
     if w.sum() == 0 or w.sum() == len(w):
         raise ValueError(f"arm starvation: no data for one of ({baseline}, {resource})")
+    yw = np.column_stack([y, w])
     if params["honest"]:
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(len(y))
-        n_split = int(len(y) * params["split_fraction"])
-        tr, est = perm[:n_split], perm[n_split:]
-        root = _grow_effect_tree(X[tr], y[tr], w[tr], params, 0)
+        perm = np.random.default_rng(seed).permutation(len(y))
+        tr, est = perm[:len(y) // 2], perm[len(y) // 2:]
+        root = _grow(X[tr], yw[tr], _Effect(mns), params["max_depth"])
         _honest_reestimate(root, X[est], y[est], w[est], mns)
     else:
-        root = _grow_effect_tree(X, y, w, params, 0)
+        root = _grow(X, yw, _Effect(mns), params["max_depth"])
     tree = DecisionTree(root, "binary-regression", X.shape[1])
     return CausalTree(tree, resource, baseline, params["honest"], mns, features)
 

@@ -69,6 +69,9 @@ def load_config(path=None, overrides=None) -> dict:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         for key, value in user.items():
             if isinstance(cfg[key], dict) and isinstance(value, dict):
+                unknown = set(value) - set(cfg[key])
+                if unknown:
+                    raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
                 cfg[key] = {**cfg[key], **value}
             else:
                 cfg[key] = value

@@ -114,7 +114,7 @@ class Dataset:
             w = csv.writer(fh)
             w.writerow(header)
             for i in range(len(self)):
-                row = ([str(self.ids[i])] + [repr(v) for v in self.features[i]]
+                row = ([str(self.ids[i])] + [repr(float(v)) for v in self.features[i]]
                        + [repr(float(self.score[i]))]
                        + [str(self.groups[g][i]) for g in group_dims]
                        + [str(self.treatment[i]), int(self.outcome[i]),
@@ -124,34 +124,35 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path, resource_set, feature_names, group_dimensions=()):
-        rows = []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append(row)
+            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
         if not rows:
             raise ValueError(f"empty dataset file: {path}")
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"data row {i} has {len(row)} fields, "
+                                 f"the header has {len(header)}")
+        cols = dict(zip(header, zip(*rows)))
         required = ["id"] + list(feature_names) + ["score", "treatment",
                                                   "outcome", "arrival_time"]
         for col in required + list(group_dimensions):
-            if col not in rows[0]:
+            if col not in cols:
                 raise ValueError(f"missing column: {col}")
-        po_cols = [c for c in rows[0] if c.startswith("po_")]
-        for row in rows:
-            for col in required:
-                if row[col] is None or row[col] == "":
-                    raise ValueError(f"missing value in column {col}")
-        features = [[float(r[c]) for c in feature_names] for r in rows]
-        po = None
-        if po_cols:
-            po = {c[3:]: [int(r[c]) for r in rows] for c in po_cols}
-        return cls(features, [float(r["score"]) for r in rows],
-                   {g: [r[g] for r in rows] for g in group_dimensions},
-                   [r["treatment"] for r in rows],
-                   [int(r["outcome"]) for r in rows],
-                   [float(r["arrival_time"]) for r in rows],
-                   resource_set, feature_names, ids=[r["id"] for r in rows],
-                   potential_outcomes=po)
+        for col in required:
+            if "" in cols[col]:
+                raise ValueError(f"missing value in column {col}")
+
+        def column(col, kind=str):
+            return np.array(list(map(kind, cols[col])))
+
+        features = np.column_stack([np.empty((len(rows), 0))]
+                                   + [column(c, float) for c in feature_names])
+        po = {c[3:]: column(c, int) for c in cols if c.startswith("po_")}
+        return cls(features, column("score", float),
+                   {g: column(g) for g in group_dimensions}, column("treatment"),
+                   column("outcome", int), column("arrival_time", float),
+                   resource_set, feature_names, ids=column("id"),
+                   potential_outcomes=po or None)
 
 
 @dataclass(frozen=True)

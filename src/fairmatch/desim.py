@@ -107,7 +107,15 @@ def _run_matching(times, kinds, idxs, eligible_r_per_q, eligible_q_per_r,
     return counts, wait_sum, wait_n, expired, log
 
 
-def _stats(counts, wait_sum, wait_n, expired, horizon, warmup_end, seed, log):
+def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, audit):
+    """FCFS matching of the arrival streams on the topology, and its statistics."""
+    times, kinds, idxs = _merged_events(streams_q, streams_r)
+    m = topology.m
+    n_q, n_r = m.shape
+    elig_r = [list(np.flatnonzero(m[q])) for q in range(n_q)]
+    elig_q = [list(np.flatnonzero(m[:, r])) for r in range(n_r)]
+    counts, wait_sum, wait_n, expired, log = _run_matching(
+        times, kinds, idxs, elig_r, elig_q, n_q, n_r, warmup_end, horizon, audit)
     measured = horizon - warmup_end
     with np.errstate(invalid="ignore"):
         avg_wait = np.where(wait_n > 0, wait_sum / np.maximum(wait_n, 1), np.nan)
@@ -138,15 +146,8 @@ def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: f
     rng = np.random.default_rng(seed)
     streams_q = [_poisson_stream(rng, float(x), horizon_days) for x in instance.lam]
     streams_r = [_poisson_stream(rng, float(x), horizon_days) for x in instance.mu]
-    times, kinds, idxs = _merged_events(streams_q, streams_r)
-    m = topology.m
-    elig_r = [list(np.flatnonzero(m[q])) for q in range(instance.n_queues)]
-    elig_q = [list(np.flatnonzero(m[:, r])) for r in range(instance.n_resources)]
-    warmup_end = warmup_fraction * horizon_days
-    out = _run_matching(times, kinds, idxs, elig_r, elig_q,
-                        instance.n_queues, instance.n_resources,
-                        warmup_end, horizon_days, audit)
-    return _stats(*out[:4], horizon_days, warmup_end, seed, out[4])
+    return _match_streams(streams_q, streams_r, topology,
+                          warmup_fraction * horizon_days, horizon_days, seed, audit)
 
 
 def simulate_replay(dataset: Dataset, queue_ids, instance: MCMSInstance,
@@ -156,12 +157,11 @@ def simulate_replay(dataset: Dataset, queue_ids, instance: MCMSInstance,
     queues; resource arrivals remain synthetic Poisson."""
     topology.check_shape(instance)
     if len(dataset) == 0:
-        empty = SimulationStats(
+        return SimulationStats(
             empirical_flows=np.zeros((instance.n_queues, instance.n_resources)),
             avg_wait_per_queue=np.full(instance.n_queues, np.nan),
             overall_avg_wait=float("nan"), matched_count=0,
             expired_horizon_count=0, horizon=0.0, seed=seed)
-        return empty
     queue_ids = np.asarray(queue_ids)
     unknown = set(queue_ids.tolist()) - set(instance.queues)
     if unknown:
@@ -170,14 +170,7 @@ def simulate_replay(dataset: Dataset, queue_ids, instance: MCMSInstance,
     horizon = float(dataset.arrival_time.max()) + 1.0
     rng = np.random.default_rng(seed)
     streams_r = [_poisson_stream(rng, float(x), horizon) for x in instance.mu]
-    times, kinds, idxs = _merged_events(streams_q, streams_r)
-    m = topology.m
-    elig_r = [list(np.flatnonzero(m[q])) for q in range(instance.n_queues)]
-    elig_q = [list(np.flatnonzero(m[:, r])) for r in range(instance.n_resources)]
-    out = _run_matching(times, kinds, idxs, elig_r, elig_q,
-                        instance.n_queues, instance.n_resources,
-                        0.0, horizon, audit)
-    return _stats(*out[:4], horizon, 0.0, seed, out[4])
+    return _match_streams(streams_q, streams_r, topology, 0.0, horizon, seed, audit)
 
 
 def write_event_log(stats: SimulationStats, path):

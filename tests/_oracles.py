@@ -4,12 +4,22 @@ These deliberately avoid the library's own algorithms: flows come from dense
 enumeration of support patterns, components from a hand-rolled union-find,
 tree lookups from a descent one row at a time, and statistical checks from
 binomial confidence intervals.
+
+The one exception is tree growth. ``reference_fit_cart`` and
+``reference_fit_causal_tree`` keep the earlier, separate CART and causal-tree
+growers unchanged, so that a test can require the shared grower in
+``fairmatch.causal`` to produce bit-identical trees: the same splits,
+thresholds, counts and leaf values. Fitted trees feed every later stage, and
+the pipeline's outputs are required to stay byte-identical.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from fairmatch.causal import (LAPLACE_ALPHA, CausalTree, DecisionTree, TreeNode,
+                              _honest_reestimate)
 
 
 def brute_force_flows(instance, topology):
@@ -94,6 +104,188 @@ def tree_leaf(root, x):
     while node.feature >= 0:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node
+
+
+def _impurity_gain_sweep(xs, stats_left, stats_total, n, kind):
+    """Impurity decrease for every split position of one sorted feature.
+
+    ``stats_left`` are cumulative sufficient statistics after each row:
+    class counts (multiclass) or (sum, sumsq) pairs (regression).
+    """
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    if kind == "multiclass":
+        left = stats_left[:-1]
+        right = stats_total - left
+        gini_l = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
+        parent = 1.0 - np.sum((stats_total / n) ** 2)
+        return parent - (n_left * gini_l + n_right * gini_r) / n
+    s_l = stats_left[:-1, 0]
+    s_r = stats_total[0] - s_l
+    q_l = stats_left[:-1, 1]
+    q_r = stats_total[1] - q_l
+    mse_l = q_l / n_left - (s_l / n_left) ** 2
+    mse_r = q_r / n_right - (s_r / n_right) ** 2
+    parent = stats_total[1] / n - (stats_total[0] / n) ** 2
+    return parent - (n_left * mse_l + n_right * mse_r) / n
+
+
+def _best_cart_split(X, y, kind, classes, min_node_size):
+    n, n_feat = X.shape
+    best = None
+    for j in range(n_feat):
+        order = np.argsort(X[:, j], kind="mergesort")
+        xs = X[order, j]
+        ys = y[order]
+        if xs[0] == xs[-1]:
+            continue
+        if kind == "multiclass":
+            onehot = (ys[:, None] == classes[None, :]).astype(float)
+            cum = np.cumsum(onehot, axis=0)
+            total = cum[-1]
+        else:
+            cum = np.cumsum(np.column_stack([ys, ys ** 2]), axis=0)
+            total = cum[-1]
+        gains = _impurity_gain_sweep(xs, cum, total, n, kind)
+        valid = (xs[:-1] < xs[1:])
+        k = np.arange(1, n)
+        valid &= (k >= min_node_size) & (n - k >= min_node_size)
+        if not valid.any():
+            continue
+        gains = np.where(valid, gains, -np.inf)
+        i = int(np.argmax(gains))
+        if best is None or gains[i] > best[0]:
+            best = (gains[i], j, 0.5 * (xs[i] + xs[i + 1]))
+    return best
+
+
+def _grow_cart(X, y, kind, classes, params, depth):
+    node = TreeNode(count=len(y))
+    if kind == "multiclass":
+        node.value = np.array([(np.sum(y == c) + LAPLACE_ALPHA)
+                               / (len(y) + LAPLACE_ALPHA * len(classes))
+                               for c in classes])
+    else:
+        node.value = float(np.mean(y))
+    max_depth = params.get("max_depth")
+    if ((max_depth is not None and depth >= max_depth)
+            or len(y) < 2 * params["min_node_size"]
+            or (kind != "multiclass" and np.all(y == y[0]))
+            or (kind == "multiclass" and len(np.unique(y)) == 1)):
+        return node
+    best = _best_cart_split(X, y, kind, classes, params["min_node_size"])
+    if best is None or best[0] <= params.get("min_impurity_decrease", 0.0):
+        return node
+    _, j, thr = best
+    mask = X[:, j] <= thr
+    node.feature, node.threshold = j, thr
+    node.left = _grow_cart(X[mask], y[mask], kind, classes, params, depth + 1)
+    node.right = _grow_cart(X[~mask], y[~mask], kind, classes, params, depth + 1)
+    return node
+
+
+def reference_fit_cart(X, y, target_kind: str, params: dict) -> DecisionTree:
+    """Greedy CART: Gini for multiclass targets, MSE for binary regression."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y)
+    params = {"min_node_size": 1, "max_depth": None,
+              "min_impurity_decrease": 0.0, **params}
+    if len(y) < 2 * params["min_node_size"]:
+        raise ValueError("not enough rows for the requested minimum node size")
+    if target_kind == "multiclass":
+        classes = np.array(sorted(set(y.tolist())))
+    elif target_kind == "binary-regression":
+        classes = None
+        y = y.astype(float)
+    else:
+        raise ValueError(f"unknown target kind: {target_kind}")
+    root = _grow_cart(X, y, target_kind, classes, params, 0)
+    return DecisionTree(root, target_kind, X.shape[1],
+                        classes.tolist() if classes is not None else None)
+
+
+def _best_effect_split(X, y, w, min_node_size):
+    """Split maximizing the size-weighted squared-effect criterion.
+
+    ``w`` is 1 for the treated arm, 0 for baseline. Children must keep at
+    least ``min_node_size`` points of each arm.
+    """
+    n, n_feat = X.shape
+    best = None
+    n1 = w.sum()
+    n0 = n - n1
+    tau_parent = y[w == 1].mean() - y[w == 0].mean()
+    parent_score = n * tau_parent ** 2
+    for j in range(n_feat):
+        order = np.argsort(X[:, j], kind="mergesort")
+        xs = X[order, j]
+        ys = y[order].astype(float)
+        ws = w[order]
+        if xs[0] == xs[-1]:
+            continue
+        c1 = np.cumsum(ws)[:-1]
+        c0 = np.arange(1, n) - c1
+        s1 = np.cumsum(ys * ws)[:-1]
+        s0 = np.cumsum(ys * (1 - ws))[:-1]
+        valid = ((xs[:-1] < xs[1:]) & (c1 >= min_node_size) & (c0 >= min_node_size)
+                 & (n1 - c1 >= min_node_size) & (n0 - c0 >= min_node_size))
+        if not valid.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau_l = s1 / c1 - s0 / c0
+            tau_r = (s1[-1] + ys[-1] * ws[-1] - s1) / (n1 - c1) \
+                - (s0[-1] + ys[-1] * (1 - ws[-1]) - s0) / (n0 - c0)
+        k = np.arange(1, n)
+        score = k * tau_l ** 2 + (n - k) * tau_r ** 2
+        score = np.where(valid, score, -np.inf)
+        i = int(np.argmax(score))
+        gain = score[i] - parent_score
+        if gain > 1e-12 and (best is None or gain > best[0]):
+            best = (gain, j, 0.5 * (xs[i] + xs[i + 1]))
+    return best
+
+
+def _grow_effect_tree(X, y, w, params, depth):
+    node = TreeNode(count=len(y))
+    node.value = float(y[w == 1].mean() - y[w == 0].mean())
+    max_depth = params.get("max_depth")
+    if max_depth is not None and depth >= max_depth:
+        return node
+    best = _best_effect_split(X, y, w, params["min_node_size"])
+    if best is None:
+        return node
+    _, j, thr = best
+    mask = X[:, j] <= thr
+    node.feature, node.threshold = j, thr
+    node.left = _grow_effect_tree(X[mask], y[mask], w[mask], params, depth + 1)
+    node.right = _grow_effect_tree(X[~mask], y[~mask], w[~mask], params, depth + 1)
+    return node
+
+
+def reference_fit_causal_tree(dataset, resource, params=None, features="all", seed=0):
+    params = {"min_node_size": 15, "honest": True, "split_fraction": 0.5,
+              "max_depth": None, **(params or {})}
+    baseline = dataset.baseline
+    mask = (dataset.treatment == resource) | (dataset.treatment == baseline)
+    sub = dataset.subset(mask)
+    X = sub.design(features)
+    y = sub.outcome.astype(float)
+    w = (sub.treatment == resource).astype(int)
+    mns = params["min_node_size"]
+    if w.sum() == 0 or w.sum() == len(w):
+        raise ValueError(f"arm starvation: no data for one of ({baseline}, {resource})")
+    if params["honest"]:
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(len(y))
+        n_split = int(len(y) * params["split_fraction"])
+        tr, est = perm[:n_split], perm[n_split:]
+        root = _grow_effect_tree(X[tr], y[tr], w[tr], params, 0)
+        _honest_reestimate(root, X[est], y[est], w[est], mns)
+    else:
+        root = _grow_effect_tree(X, y, w, params, 0)
+    tree = DecisionTree(root, "binary-regression", X.shape[1])
+    return CausalTree(tree, resource, baseline, params["honest"], mns, features)
 
 
 def binomial_3sigma(p, n):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import binomial_3sigma, tree_leaf, tree_leaves
+from _oracles import (binomial_3sigma, reference_fit_cart, reference_fit_causal_tree,
+                      tree_leaf, tree_leaves)
 from conftest import make_dataset
 from fairmatch import causal, core, ope, synth
 
@@ -58,6 +60,108 @@ class TestFitCart:
         with pytest.raises(ValueError):
             causal.fit_cart(X, np.zeros(10), "binary-regression",
                             {"min_node_size": 8})
+
+
+    def test_threshold_between_adjacent_floats(self):
+        # the midpoint of these neighbours rounds to 1.0 itself
+        X = np.array([[np.nextafter(1.0, 0.0)], [1.0], [2.0]])
+        tree = causal.fit_cart(X, np.array([0.0, 1.0, 1.0]), "binary-regression", {})
+        assert tree.root.threshold == X[0, 0]
+        assert tree.predict(X).tolist() == [0.0, 1.0, 1.0]
+        X = np.array([[np.nextafter(1.0, 0.0)], [1.0]])
+        tree = causal.fit_cart(X, np.array([0, 1]), "multiclass", {})
+        assert tree.leaf_ids(X).tolist() == [0, 1]
+
+    def test_unknown_params_rejected(self):
+        X = np.linspace(0, 1, 10)[:, None]
+        for key in ("min_impurity_decrease", "min_node_sise"):
+            with pytest.raises(ValueError, match=key):
+                causal.fit_cart(X, np.zeros(10), "binary-regression", {key: 0.0})
+
+
+@st.composite
+def _design(draw, n_min=2):
+    """Rows on a grid of sixty-fourths (many ties), sometimes with a constant
+    column. Midpoints of grid values are exact; the reference growers put a
+    threshold on the upper of two adjacent floats, see
+    ``test_threshold_between_adjacent_floats``."""
+    n = draw(st.integers(n_min, 60))
+    n_features = draw(st.integers(1, 3))
+    cols = []
+    for _ in range(n_features):
+        if draw(st.integers(0, 4)) == 0:
+            cols.append(np.full(n, draw(st.sampled_from(_GRID))))
+        else:
+            cols.append(np.array(draw(st.lists(st.integers(-64, 64).map(lambda k: k / 64),
+                                               min_size=n, max_size=n))))
+    return np.column_stack(cols)
+
+
+_DEPTHS = st.none() | st.integers(0, 4)
+
+
+def _dumps(tree):
+    # json text, so NaN leaf values compare equal to themselves
+    return json.dumps(causal.tree_to_json(tree))
+
+
+class TestGrowerMatchesReference:
+    """The shared grower reproduces the earlier CART and causal-tree growers
+    bit for bit (see ``_oracles.reference_fit_cart``)."""
+
+    @given(X=_design(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cart(self, X, data):
+        n = len(X)
+        kind = data.draw(st.sampled_from(["multiclass", "binary-regression"]))
+        if kind == "multiclass":
+            labels = data.draw(st.sampled_from([["SO", "RRH", "PSH", "x"], [0, 1, 2, 7]]))
+            pool = labels[:data.draw(st.integers(1, 4))]
+            y = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        else:
+            values = st.sampled_from([0.0, 1.0, 0.5, -2.25]) | st.floats(-3, 3)
+            y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        params = {"min_node_size": data.draw(st.integers(1, max(1, n // 2))),
+                  "max_depth": data.draw(_DEPTHS)}
+        assert _dumps(causal.fit_cart(X, y, kind, params)) == \
+            _dumps(reference_fit_cart(X, y, kind, params))
+
+    @given(X=_design(n_min=4), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    def test_causal_tree(self, X, data):
+        n = len(X)
+        arms = data.draw(st.lists(st.sampled_from(["a", "b"]), min_size=n - 2, max_size=n - 2))
+        treat = np.array(["a", "b"] + arms, dtype=object)
+        y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        ds = core.Dataset(X, X[:, 0], {}, treat, y, np.arange(n, dtype=float),
+                          ["a", "b"], [f"f{j}" for j in range(X.shape[1])])
+        params = {"min_node_size": data.draw(st.integers(1, 4)),
+                  "max_depth": data.draw(_DEPTHS), "honest": data.draw(st.booleans())}
+        features = data.draw(st.sampled_from(["all", "score"]))
+        seed = data.draw(st.integers(0, 3))
+        new = causal.fit_causal_tree(ds, "b", params, features, seed)
+        ref = reference_fit_causal_tree(ds, "b", params, features, seed)
+        assert _dumps(new.tree) == _dumps(ref.tree)
+
+    def test_rounding_gain_does_not_split(self):
+        # three copies of one block: every child has the parent's effect, and
+        # rounding leaves a gain of about 9e-16, under the 1e-12 minimum
+        block = [("a", 1), ("a", 1), ("a", 0), ("b", 0), ("b", 0)]
+        ds = make_dataset([float(x) for x in range(3) for _ in block],
+                          [t for _ in range(3) for t, _ in block],
+                          [y for _ in range(3) for _, y in block])
+        params = {"min_node_size": 1, "honest": False}
+        tree = causal.fit_causal_tree(ds, "b", params, "score")
+        assert tree.n_leaves == 1
+        assert _dumps(tree.tree) == _dumps(reference_fit_causal_tree(ds, "b", params,
+                                                                     "score").tree)
+
+    def test_unknown_params_rejected(self):
+        ds = make_dataset([0.1, 0.2, 0.3, 0.4] * 5, ["a", "b"] * 10, [0, 1] * 10)
+        for key in ("split_fraction", "min_node_sise"):
+            with pytest.raises(ValueError, match=key):
+                causal.fit_causal_tree(ds, "b", {key: 0.5}, "score", 0)
 
 
 # Thresholds and row values share a grid, so rows often sit exactly on a threshold.

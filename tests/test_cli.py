@@ -130,6 +130,25 @@ class TestExitCodes:
         bad.write_text(json.dumps({"mystery_knob": 1}))
         assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section", ["tree_params", "nuisance_params", "fairness",
+                                         "solver", "simulate", "synth", "experiment"])
+    def test_unknown_nested_config_key(self, tmp_path, section):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({section: {"min_node_sise": 100}}))
+        with pytest.raises(cli.ConfigError, match="min_node_sise"):
+            cli.load_config(bad)
+        assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
+
+    def test_group_probs_contents_are_free_form(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        probs = {"race": {"A": 0.3, "B": 0.7}}
+        path.write_text(json.dumps({"synth": {"group_probs": probs},
+                                    "tree_params": {"min_node_size": 100}}))
+        cfg = cli.load_config(path)
+        assert cfg["synth"]["group_probs"] == probs
+        assert cfg["tree_params"] == {**cli.DEFAULT_CONFIG["tree_params"],
+                                      "min_node_size": 100}
+
     def test_missing_dataset(self, tmp_path):
         assert cli.main(["fit", "--dataset", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG

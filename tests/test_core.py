@@ -152,6 +152,45 @@ class TestDataset:
         assert np.array_equal(back.potential_outcomes["y"],
                               ds.potential_outcomes["y"])
 
+    def test_csv_round_trip_exact(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n = 30
+        features = rng.normal(size=(n, 2)) * [1.0, 1e-7]
+        ds = core.Dataset(features, features[:, 0] + 1 / 3,
+                          {"race": [str(g) for g in rng.choice(["A", "BB"], n)]},
+                          [str(t) for t in rng.choice(["x", "y"], n)],
+                          rng.integers(0, 2, n), np.sort(rng.random(n) * 100),
+                          ["x", "y"], ["f0", "f1"],
+                          potential_outcomes={"x": rng.integers(0, 2, n),
+                                              "y": rng.integers(0, 2, n)})
+        path = tmp_path / "d.csv"
+        ds.to_csv(path)
+        back = core.Dataset.from_csv(path, ["x", "y"], ["f0", "f1"], ["race"])
+        pairs = [(back.features, ds.features), (back.score, ds.score),
+                 (back.groups["race"], ds.groups["race"]),
+                 (back.treatment, ds.treatment), (back.outcome, ds.outcome),
+                 (back.arrival_time, ds.arrival_time), (back.ids, ds.ids)]
+        pairs += [(back.potential_outcomes[r], ds.potential_outcomes[r]) for r in "xy"]
+        assert list(back.potential_outcomes) == ["x", "y"]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty"),
+        ("id,score,treatment,outcome,arrival_time\n", "empty"),
+        ("id,treatment,outcome,arrival_time\n0,x,1,0.5\n", "missing column: score"),
+        ("id,score,treatment,outcome,arrival_time\n0,,x,1,0.5\n", "missing value"),
+        ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1,0.5,9\n", "data row 1"),
+        ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1,0.5\n1,0.2,y,0\n",
+         "data row 2"),
+    ])
+    def test_csv_errors(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            core.Dataset.from_csv(path, ["x", "y"], ["score"])
+
     def test_unknown_treatment_rejected(self):
         with pytest.raises(ValueError):
             core.Dataset(np.zeros((2, 1)), np.zeros(2), {},
