@@ -5,8 +5,9 @@ from .core import (CATEMatrix, Dataset, FlowMatrix, MCMSInstance, MatchingTopolo
                    validate_instance)
 from .queuing import (CRPDecomposition, FlowSolveError, check_admissible,
                       crp_components, steady_state_flows)
-from .optimizer import (BigMConstants, FairnessSpec, InfeasibleModelError,
-                        MIOModel, OptimizationResult, SolverLimitError,
+from .optimizer import (BigMConstants, FairnessSpec, InexactFlowError,
+                        InfeasibleModelError, MIOModel, OptimizationResult,
+                        PoolingCutLimitError, SolverLimitError,
                         add_non_affirmative_links, build_mio, compute_bigM,
                         enumerate_oracle, solve, write_lp_text)
 from .desim import SimulationStats, simulate, simulate_replay, write_event_log
@@ -21,7 +22,8 @@ __all__ = [
     "Policy", "policy_from_flows", "policy_value", "rationalize",
     "validate_instance", "CRPDecomposition", "FlowSolveError", "check_admissible",
     "crp_components", "steady_state_flows", "BigMConstants", "FairnessSpec",
-    "InfeasibleModelError", "MIOModel", "OptimizationResult", "SolverLimitError",
+    "InexactFlowError", "InfeasibleModelError", "MIOModel", "OptimizationResult",
+    "PoolingCutLimitError", "SolverLimitError",
     "add_non_affirmative_links", "build_mio", "compute_bigM", "enumerate_oracle",
     "solve", "write_lp_text", "SimulationStats", "simulate", "simulate_replay",
     "write_event_log", "ValueEstimate", "evaluate_ct", "evaluate_dm",

@@ -1,5 +1,5 @@
 """Tree learners, partition construction, doubly-robust effect estimation,
-positivity screening, risk scores, and arrival-rate estimation."""
+positivity screening, and arrival-rate estimation."""
 
 from __future__ import annotations
 
@@ -346,8 +346,11 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
                     features: str = "all", seed: int = 0) -> CausalTree:
     """Effect-heterogeneity tree for one resource against the baseline.
 
-    Splits maximize the size-weighted squared effect; in honest mode the leaf
-    effects are re-estimated on a held-out half.
+    Splits maximize the size-weighted squared effect and keep at least
+    ``min_node_size`` (>= 1) rows of each arm in every child; in honest mode
+    the leaf effects are re-estimated on a held-out half, and a split is
+    collapsed when that half misses the per-arm minimum. When neither half
+    holds both arms, the single leaf takes the whole subset's effect.
     """
     params = _read_params(params or {}, {"min_node_size": 15, "honest": True,
                                          "max_depth": None})
@@ -358,6 +361,8 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
     y = sub.outcome.astype(float)
     w = (sub.treatment == resource).astype(int)
     mns = params["min_node_size"]
+    if mns < 1:
+        raise ValueError("min_node_size must be at least 1")
     if w.sum() == 0 or w.sum() == len(w):
         raise ValueError(f"arm starvation: no data for one of ({baseline}, {resource})")
     yw = np.column_stack([y, w])
@@ -366,6 +371,8 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
         tr, est = perm[:len(y) // 2], perm[len(y) // 2:]
         root = _grow(X[tr], yw[tr], _Effect(mns), params["max_depth"])
         _honest_reestimate(root, X[est], y[est], w[est], mns)
+        if not np.isfinite(root.value):
+            root.value = _Effect.value(yw)
     else:
         root = _grow(X, yw, _Effect(mns), params["max_depth"])
     tree = DecisionTree(root, "binary-regression", X.shape[1])
@@ -513,12 +520,6 @@ def positivity_screen(dataset: Dataset, prop: PropensityModel,
     proba = prop.predict_proba(dataset.design(prop.feature_mode))
     keep = proba.min(axis=1) >= threshold
     return dataset.subset(keep), dataset.subset(~keep)
-
-
-def risk_scores(out: OutcomeModel, x) -> np.ndarray:
-    """Per-resource estimated success probabilities for one feature vector."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.array([out.predict(x, r)[0] for r in out.resources])
 
 
 def arrival_rates(dataset: Dataset, partition: PartitionFunction,

@@ -5,7 +5,9 @@ write their outputs under the configured output directory. Given identical
 inputs and seeds, outputs are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 optimization
-infeasible, 5 solver limit reached without a proven optimum.
+infeasible, 5 solver limit reached without a proven optimum, 6 post-solve
+check failed (inexact MIO flows, or no single pooled component within the
+cut rounds).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import causal, core, desim, ope, optimizer, queuing, synth
 
-EXIT_CONFIG, EXIT_DATA, EXIT_INFEASIBLE, EXIT_LIMITS = 2, 3, 4, 5
+EXIT_CONFIG, EXIT_DATA, EXIT_INFEASIBLE, EXIT_LIMITS, EXIT_POSTSOLVE = 2, 3, 4, 5, 6
 
 DEFAULT_CONFIG = {
     "dataset": "dataset.csv",
@@ -474,6 +476,9 @@ def main(argv=None) -> int:
     except optimizer.SolverLimitError as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_LIMITS
+    except (optimizer.InexactFlowError, optimizer.PoolingCutLimitError) as exc:
+        print(f"post-solve check failed: {exc}", file=sys.stderr)
+        return EXIT_POSTSOLVE
     except (ValueError, KeyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

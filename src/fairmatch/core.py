@@ -104,23 +104,29 @@ class Dataset:
                        potential_outcomes=po)
 
     def to_csv(self, path):
-        group_dims = self.group_dimensions
-        po_resources = (list(self.potential_outcomes.keys())
-                        if self.potential_outcomes is not None else [])
-        header = (["id"] + self.feature_names + ["score"] + group_dims
-                  + ["treatment", "outcome", "arrival_time"]
-                  + [f"po_{r}" for r in po_resources])
+        """One row per record. A feature named ``score`` is written once, as
+        the score column, so it must equal the score."""
+        names, features = list(self.feature_names), self.features
+        if "score" in names:
+            j = names.index("score")
+            if not np.array_equal(features[:, j], self.score):
+                raise ValueError("feature 'score' differs from the score column")
+            names.pop(j)
+            features = np.delete(features, j, axis=1)
+        po = self.potential_outcomes or {}
+        header = (["id"] + names + ["score"] + self.group_dimensions
+                  + ["treatment", "outcome", "arrival_time"] + [f"po_{r}" for r in po])
+        _check_unique(header)
+        columns = ([map(str, self.ids.tolist())] + [col.tolist() for col in features.T]
+                   + [self.score.tolist()]
+                   + [map(str, self.groups[g].tolist()) for g in self.group_dimensions]
+                   + [map(str, self.treatment.tolist()), self.outcome.tolist(),
+                      self.arrival_time.tolist()]
+                   + [v.tolist() for v in po.values()])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for i in range(len(self)):
-                row = ([str(self.ids[i])] + [repr(float(v)) for v in self.features[i]]
-                       + [repr(float(self.score[i]))]
-                       + [str(self.groups[g][i]) for g in group_dims]
-                       + [str(self.treatment[i]), int(self.outcome[i]),
-                          repr(float(self.arrival_time[i]))]
-                       + [int(self.potential_outcomes[r][i]) for r in po_resources])
-                w.writerow(row)
+            w.writerows(zip(*columns))
 
     @classmethod
     def from_csv(cls, path, resource_set, feature_names, group_dimensions=()):
@@ -128,6 +134,7 @@ class Dataset:
             header, *rows = [row for row in csv.reader(fh) if row] or [[]]
         if not rows:
             raise ValueError(f"empty dataset file: {path}")
+        _check_unique(header)
         for i, row in enumerate(rows, start=1):
             if len(row) != len(header):
                 raise ValueError(f"data row {i} has {len(row)} fields, "
@@ -153,6 +160,12 @@ class Dataset:
                    column("outcome", int), column("arrival_time", float),
                    resource_set, feature_names, ids=column("id"),
                    potential_outcomes=po or None)
+
+
+def _check_unique(header):
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ValueError(f"repeated column names: {repeated}")
 
 
 @dataclass(frozen=True)

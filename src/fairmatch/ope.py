@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,14 +181,3 @@ def within_group_calibration(predicted, observed, group_labels):
     p = 2 * ndtr(-np.abs(z))
     return [{"name": n, "coefficient": float(b), "stderr": float(s),
              "p_value": float(pv)} for n, b, s, pv in zip(names, beta, se, p)]
-
-
-def write_estimates_csv(path, estimates, scope: str = "overall"):
-    """Emit estimates as rows of (estimator, scope, group, value, n)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimator", "scope", "group", "value", "n"])
-        for est in estimates:
-            w.writerow([est.estimator, scope, "", repr(est.value), est.n_effective])
-            for g, v in est.per_group_values.items():
-                w.writerow([est.estimator, "group", g, repr(v), ""])

@@ -1,15 +1,26 @@
 """Mixed-integer optimization of the matching topology.
 
 The model maximizes flow-weighted treatment effects subject to flow balance,
-big-M linearized KKT conditions of the steady-state flow QP, a single
-resource-pooling component (via perturbed-flow certificates), and optional
+big-M linearized KKT conditions of the steady-state flow QP, and optional
 fairness constraints. Resource rates are rebalanced to the total individual
 arrival rate, matching the flow solver.
+
+``solve`` verifies every HiGHS solution after the fact. HiGHS runs with a
+``mip_feasibility_tolerance`` of 1e-9, because a binary that is 1e-6 off
+integral opens a big-M KKT row by 1e-6 times the big-M, and the flows then
+stop being the QP flows of the topology. The QP flows of the returned
+topology are recomputed; when the MIO's flows differ from them by more than
+1e-9 times the total arrival rate, ``InexactFlowError`` is raised. A topology
+whose QP flows split into more than one resource-pooling component is cut
+off, with one cut per component (some topology edge must join it to the rest)
+and one canonical no-good cut on the binaries, and the model is solved again,
+for at most ``MAX_CUT_ROUNDS`` rounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,9 +30,12 @@ from scipy import optimize as sopt
 from scipy import sparse
 
 from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology
-from .queuing import FlowSolveError, _support_components, check_admissible, steady_state_flows
+from .queuing import FlowSolveError, check_admissible, crp_components, steady_state_flows
 
 MAX_ORACLE_CELLS = 16
+MAX_CUT_ROUNDS = 100             # solves per call before PoolingCutLimitError
+MIP_FEASIBILITY_TOL = 1e-9       # HiGHS integrality tolerance on the binaries
+FLOW_REL_TOL = 1e-9              # MIO vs QP flows, relative to the total arrival rate
 
 FAIRNESS_KINDS = ("none", "maximin_allocation", "parity_allocation",
                   "maximin_outcome", "parity_outcome")
@@ -35,11 +49,18 @@ class SolverLimitError(RuntimeError):
     pass
 
 
+class InexactFlowError(RuntimeError):
+    """The MIO's flows are not the QP flows of the topology it returned."""
+
+
+class PoolingCutLimitError(RuntimeError):
+    """No single-component topology was found within MAX_CUT_ROUNDS solves."""
+
+
 @dataclass(frozen=True)
 class BigMConstants:
     w: Fraction
     z: Fraction
-    delta: Fraction
 
 
 @dataclass(frozen=True)
@@ -65,22 +86,13 @@ class FairnessSpec:
 
 
 def compute_bigM(instance: MCMSInstance) -> BigMConstants:
-    """Big-M and perturbation constants from the exact rational rates."""
+    """Big-M constants from the exact rational rates."""
     lam, mu = instance.lam, instance.mu
     inv = [Fraction(1) / x for x in lam] + [Fraction(1) / x for x in mu]
     w = Fraction(1, 2) * max(inv)
     size = len(lam) + len(mu) + 1
     z = max(lam) * max(mu) * (sum(inv, Fraction(0)) + size * size * w)
-    den_product = 1
-    for x in list(lam) + list(mu):
-        den_product *= x.denominator
-    delta = Fraction(1, den_product)
-    if delta < Fraction(1, 10**12):
-        warnings.warn("rate denominators make the pooling perturbation smaller "
-                      "than solver tolerances; consider coarser rationals")
-    if len(lam) > 1 and delta / (len(lam) - 1) >= min(lam):
-        raise ValueError("perturbation exceeds the smallest arrival rate")
-    return BigMConstants(w, z, delta)
+    return BigMConstants(w, z)
 
 
 @dataclass
@@ -103,7 +115,6 @@ class MIOModel:
     idx_theta: np.ndarray
     idx_m: np.ndarray
     idx_z: np.ndarray
-    idx_g: np.ndarray | None         # (Q, Q, R) or None when Q == 1
 
 
 @dataclass(frozen=True)
@@ -117,8 +128,8 @@ class OptimizationResult:
 
 def build_mio(instance: MCMSInstance, tau: CATEMatrix,
               fairness: FairnessSpec | None = None,
-              extra_linear=None, tighten_bounds: bool = True) -> MIOModel:
-    """Assemble the full constraint system over (f, nu, gamma, theta, g, m, z)."""
+              extra_linear=None) -> MIOModel:
+    """Assemble the full constraint system over (f, nu, gamma, theta, m, z)."""
     fairness = fairness or FairnessSpec.none()
     n_q, n_r = instance.n_queues, instance.n_resources
     if tau.tau.shape != (n_q, n_r):
@@ -130,7 +141,6 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
     consts = compute_bigM(balanced)
     z_big = float(consts.z)
     w_big = float(consts.w)
-    delta = float(consts.delta)
     lam = np.array([float(x) for x in lam_frac])
     mu = np.array([float(x) for x in mu_frac])
 
@@ -139,7 +149,6 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
     idx_nu = _add_block(names, "nu", (n_q, n_r))
     idx_gamma = _add_block(names, "gamma", (n_r,))
     idx_theta = _add_block(names, "theta", (n_q,))
-    idx_g = _add_block(names, "g", (n_q, n_q, n_r)) if n_q > 1 else None
     idx_m = _add_block(names, "m", (n_q, n_r))
     idx_z = _add_block(names, "z", (n_q, n_r))
     n_vars = len(names)
@@ -157,9 +166,7 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
     objective = np.zeros(n_vars)
     objective[idx_f.ravel()] = tau.tau.ravel()
 
-    cap = np.minimum(lam[:, None], mu[None, :]) if tighten_bounds \
-        else np.full((n_q, n_r), z_big)
-    g_cap = (lam[:, None] + delta) if tighten_bounds else np.full((n_q, 1), z_big)
+    cap = np.minimum(lam[:, None], mu[None, :])
 
     a_eq, a_ub = [], []
 
@@ -206,28 +213,11 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
             rr[idx_z[q, r]] = nu_cap
             a_ub.append((rr, nu_cap, f"multiplier_complementarity[{q},{r}]"))
 
-    if idx_g is not None:
-        for k in range(n_q):
-            for r in range(n_r):
-                rr = row()
-                rr[idx_g[k, :, r]] = 1.0
-                a_eq.append((rr, mu[r], f"pooling_resource[{k},{r}]"))
-            for q in range(n_q):
-                rr = row()
-                rr[idx_g[k, q, :]] = 1.0
-                rhs = lam[k] + delta if q == k else lam[q] - delta / (n_q - 1)
-                a_eq.append((rr, rhs, f"pooling_queue[{k},{q}]"))
-                for r in range(n_r):
-                    rr = row()
-                    rr[idx_g[k, q, r]] = 1.0
-                    rr[idx_m[q, r]] = -float(g_cap[q, 0] if tighten_bounds else z_big)
-                    a_ub.append((rr, 0.0, f"pooling_support[{k},{q},{r}]"))
-
     _add_fairness_rows(a_ub, fairness, instance, tau, idx_f, lam, n_vars)
 
     model = MIOModel(instance, tau, fairness, consts, objective, a_eq, a_ub,
                      integrality, lower, upper, names, n_vars, idx_f, idx_nu,
-                     idx_gamma, idx_theta, idx_m, idx_z, idx_g)
+                     idx_gamma, idx_theta, idx_m, idx_z)
     for entry in extra_linear or []:
         _append_extra(model, entry)
     return model
@@ -325,44 +315,115 @@ def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
 
 def solve(model: MIOModel, time_limit_s: float | None = None,
           node_limit: int | None = None) -> OptimizationResult:
-    """Branch-and-bound solve of the assembled model (HiGHS backend)."""
-    c = -model.objective
+    """Branch-and-bound solve (HiGHS backend), checked against the QP flows
+    and repeated with pooling cuts until the topology pools into one component.
+
+    ``time_limit_s`` bounds all rounds together, ``node_limit`` each round.
+    Flows and objective are those of the QP flows of the returned topology.
+    """
     constraints = []
     if model.a_eq:
-        a = sparse.csr_matrix(np.array([r for r, _, _ in model.a_eq]))
         b = np.array([rhs for _, rhs, _ in model.a_eq])
-        constraints.append(sopt.LinearConstraint(a, b, b))
+        constraints.append(sopt.LinearConstraint(_stack(model.a_eq), b, b))
     if model.a_ub:
-        a = sparse.csr_matrix(np.array([r for r, _, _ in model.a_ub]))
-        b = np.array([rhs for _, rhs, _ in model.a_ub])
-        constraints.append(sopt.LinearConstraint(a, -np.inf, b))
-    options = {"mip_rel_gap": 0.0}
-    if time_limit_s is not None:
-        options["time_limit"] = time_limit_s
-    if node_limit is not None:
-        options["node_limit"] = node_limit
-    res = sopt.milp(c, constraints=constraints,
-                    integrality=model.integrality,
-                    bounds=sopt.Bounds(model.lower, model.upper),
-                    options=options)
-    if res.status == 2:
-        raise InfeasibleModelError("matching optimization is infeasible")
-    if res.x is None:
-        raise SolverLimitError(f"no incumbent found: {res.message}")
-    x = res.x
-    m = np.rint(x[model.idx_m]).astype(int)
-    f = np.clip(x[model.idx_f], 0.0, None)
-    f[m == 0] = 0.0
-    objective = float(np.sum(model.tau.tau * f))
+        constraints.append(sopt.LinearConstraint(
+            _stack(model.a_ub), -np.inf, [rhs for _, rhs, _ in model.a_ub]))
+    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
+    cuts = []                        # (row, rhs): row @ x <= rhs
+    nodes = 0
+    for rounds in range(1, MAX_CUT_ROUNDS + 1):
+        round_constraints = list(constraints)
+        if cuts:
+            round_constraints.append(sopt.LinearConstraint(
+                np.array([row for row, _ in cuts]), -np.inf, [rhs for _, rhs in cuts]))
+        res = _milp(model, round_constraints, deadline, node_limit, rounds)
+        nodes += int(getattr(res, "mip_node_count", 0) or 0)
+        topology, flows, deviation = _qp_flows(model, res.x)
+        components = crp_components(model.instance, topology, flows)
+        if components.count == 1:
+            break
+        cuts.extend(_pooling_cuts(model, topology.m, components))
+    else:
+        raise PoolingCutLimitError(f"no single-component topology after "
+                                   f"{MAX_CUT_ROUNDS} cut rounds")
+    objective = float(np.sum(model.tau.tau * flows.f))
     value = objective / float(model.instance.lam_total) + model.tau.baseline_mean
+    dual_bound = getattr(res, "mip_dual_bound", None)
     stats = {
         "status": int(res.status),
         "message": res.message,
-        "nodes": int(getattr(res, "mip_node_count", 0) or 0),
+        "nodes": nodes,
         "gap": float(getattr(res, "mip_gap", 0.0) or 0.0),
+        "dual_bound": None if dual_bound is None else -float(dual_bound),
+        "rounds": rounds,
+        "flow_deviation": deviation,
     }
-    return OptimizationResult(MatchingTopology(m), FlowMatrix(f), objective,
-                              value, stats)
+    return OptimizationResult(topology, flows, objective, value, stats)
+
+
+def _stack(rows):
+    return sparse.csr_matrix(np.array([r for r, _, _ in rows]))
+
+
+def _milp(model, constraints, deadline, node_limit, rounds):
+    """One HiGHS solve; raises when it yields no incumbent."""
+    options = {"mip_rel_gap": 0.0, "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL}
+    if deadline is not None:
+        remaining = deadline - time.perf_counter()
+        if remaining <= 0:
+            raise SolverLimitError(f"time limit reached after {rounds - 1} cut rounds")
+        options["time_limit"] = remaining
+    if node_limit is not None:
+        options["node_limit"] = node_limit
+    with warnings.catch_warnings():
+        # scipy passes HiGHS's own option names through, with this warning
+        warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                RuntimeWarning)
+        res = sopt.milp(-model.objective, constraints=constraints,
+                        integrality=model.integrality,
+                        bounds=sopt.Bounds(model.lower, model.upper),
+                        options=options)
+    if res.status == 2:
+        raise InfeasibleModelError("matching optimization is infeasible" if rounds == 1
+                                   else "no single-component topology satisfies "
+                                        f"the constraints ({rounds - 1} cut rounds)")
+    if res.x is None:
+        raise SolverLimitError(f"no incumbent found: {res.message}")
+    return res
+
+
+def _qp_flows(model, x):
+    """Topology of a solution, its QP flows, and their largest distance from
+    the solution's flows; raises InexactFlowError beyond FLOW_REL_TOL."""
+    topology = MatchingTopology(np.rint(x[model.idx_m]).astype(int))
+    try:
+        flows = steady_state_flows(model.instance, topology)
+    except FlowSolveError as exc:
+        raise InexactFlowError(f"the returned topology has no QP flows: {exc}") from exc
+    deviation = float(np.max(np.abs(x[model.idx_f] - flows.f)))
+    if deviation > FLOW_REL_TOL * float(model.instance.lam_total):
+        raise InexactFlowError(f"MIO flows differ from the QP flows of their "
+                               f"topology by {deviation:.2e}")
+    return topology, flows, deviation
+
+
+def _pooling_cuts(model, m, components):
+    """Rows every single-component topology satisfies and m does not: per
+    component, some topology edge joins it to the rest; and the canonical
+    no-good cut on m itself (Balas & Jeroslow 1972), which component cuts
+    alone do not guarantee."""
+    n_q, n_r = m.shape
+    cuts = []
+    for qs, rs in components.components:
+        in_q = np.isin(np.arange(n_q), qs)
+        in_r = np.isin(np.arange(n_r), rs)
+        row = np.zeros(model.n_vars)
+        row[model.idx_m[in_q[:, None] != in_r[None, :]]] = -1.0
+        cuts.append((row, -1.0))
+    row = np.zeros(model.n_vars)
+    row[model.idx_m] = np.where(m == 1, 1.0, -1.0)
+    cuts.append((row, float(m.sum() - 1)))
+    return cuts
 
 
 def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
@@ -373,7 +434,6 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
     n_q, n_r = instance.n_queues, instance.n_resources
     if n_q * n_r > MAX_ORACLE_CELLS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_CELLS} topology cells")
-    eps = 1e-9 * float(instance.mu_total)
     groups = _group_queue_indices(fairness, instance)
     lam = instance.lam_f
     best = None
@@ -386,10 +446,7 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
             flows = steady_state_flows(instance, topology)
         except FlowSolveError:
             continue
-        edges = [(q, r) for q in range(n_q) for r in range(n_r)
-                 if flows.f[q, r] > eps]
-        _, _, n_comp = _support_components(n_q, n_r, edges)
-        if n_comp != 1:
+        if crp_components(instance, topology, flows).count != 1:
             continue
         if not _fairness_ok(flows.f, fairness, groups, tau, lam):
             continue

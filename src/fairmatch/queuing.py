@@ -226,9 +226,14 @@ def steady_state_flows(instance: MCMSInstance, topology: MatchingTopology,
     raise FlowSolveError("active-set iteration limit reached")
 
 
-def crp_components(instance: MCMSInstance, topology: MatchingTopology) -> CRPDecomposition:
-    """Components of the bipartite graph spanned by the positive QP flows."""
-    flows = steady_state_flows(instance, topology)
+def crp_components(instance: MCMSInstance, topology: MatchingTopology,
+                   flows: FlowMatrix | None = None) -> CRPDecomposition:
+    """Components of the bipartite graph spanned by the positive QP flows.
+
+    ``flows``, when given, are the topology's QP flows, already computed.
+    """
+    if flows is None:
+        flows = steady_state_flows(instance, topology)
     eps = _FLOW_EPS_REL * float(instance.mu_total)
     n_q, n_r = flows.f.shape
     edges = [(q, r) for q in range(n_q) for r in range(n_r) if flows.f[q, r] > eps]

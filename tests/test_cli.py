@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fairmatch import causal, cli
+from fairmatch import causal, cli, optimizer
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,15 @@ class TestOptimize:
         flows = np.array(payload["flows"])
         assert np.all(flows >= 0)
         assert (root / "eligibility.txt").read_text().startswith("SO:")
+
+    def test_solver_stats_recorded(self, workspace):
+        root, _ = workspace
+        payload = json.loads((root / "topology.json").read_text())
+        stats = payload["solver_stats"]
+        assert stats["rounds"] >= 1
+        lam_total = float(sum(map(Fraction, payload["lam"])))
+        assert 0.0 <= stats["flow_deviation"] <= 1e-9 * lam_total
+        assert stats["dual_bound"] == pytest.approx(payload["objective"], abs=1e-6)
 
     def test_oracle_verb_matches_milp_route(self, workspace, tmp_path):
         root, base = workspace
@@ -166,6 +176,18 @@ class TestExitCodes:
     def test_bad_fairness_flag(self, tmp_path):
         assert cli.main(["optimize", "--fairness", "maximin_outcome",
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("error", [optimizer.InexactFlowError,
+                                       optimizer.PoolingCutLimitError])
+    def test_post_solve_failure(self, workspace, monkeypatch, capsys, error):
+        _, base = workspace
+
+        def fail(*args, **kwargs):
+            raise error("planted")
+        monkeypatch.setattr(optimizer, "solve", fail)
+        capsys.readouterr()
+        assert cli.main(["optimize"] + base) == cli.EXIT_POSTSOLVE
+        assert capsys.readouterr().err.splitlines() == ["post-solve check failed: planted"]
 
     def test_infeasible_fairness_bound(self, workspace):
         _, base = workspace

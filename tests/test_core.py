@@ -182,6 +182,8 @@ class TestDataset:
         ("id,treatment,outcome,arrival_time\n0,x,1,0.5\n", "missing column: score"),
         ("id,score,treatment,outcome,arrival_time\n0,,x,1,0.5\n", "missing value"),
         ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1,0.5,9\n", "data row 1"),
+        ("id,score,score,treatment,outcome,arrival_time\n0,0.1,0.2,x,1,0.5\n",
+         "repeated column names: \\['score'\\]"),
         ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1,0.5\n1,0.2,y,0\n",
          "data row 2"),
     ])
@@ -190,6 +192,25 @@ class TestDataset:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             core.Dataset.from_csv(path, ["x", "y"], ["score"])
+
+    def test_score_feature_written_once(self, tmp_path):
+        scores = np.array([0.25, -1.5, 3.0])
+        other = np.array([7.0, 8.0, 9.0])
+        args = (np.array(["x", "y", "x"], dtype=object), np.array([1, 0, 1]),
+                np.array([0.0, 1.0, 2.0]), ["x", "y"])
+        ds = core.Dataset(np.column_stack([other, scores]), scores, {}, *args,
+                          ["other", "score"])
+        path = tmp_path / "d.csv"
+        ds.to_csv(path)
+        assert path.read_text().splitlines()[0] == \
+            "id,other,score,treatment,outcome,arrival_time"
+        back = core.Dataset.from_csv(path, ["x", "y"], ["other", "score"])
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.score, ds.score)
+        differs = core.Dataset(np.column_stack([other, scores + 1]), scores, {}, *args,
+                               ["other", "score"])
+        with pytest.raises(ValueError, match="feature 'score' differs"):
+            differs.to_csv(tmp_path / "e.csv")
 
     def test_unknown_treatment_rejected(self):
         with pytest.raises(ValueError):

@@ -215,14 +215,3 @@ class TestDiagnostics:
     def test_single_group_rejected(self):
         with pytest.raises(ValueError):
             ope.within_group_calibration([0.5, 0.5], [0, 1], ["A", "A"])
-
-
-class TestEstimatesCsv:
-    def test_rows_written(self, tmp_path):
-        est = ope.ValueEstimate("DR", 0.25, {"A": 0.2, "B": 0.3}, 10.0)
-        path = tmp_path / "est.csv"
-        ope.write_estimates_csv(path, [est])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "estimator,scope,group,value,n"
-        assert len(lines) == 4
-        assert lines[1].startswith("DR,overall,")

@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import random_instance
+from _oracles import random_instance, union_find_components
 from conftest import make_instance
-from fairmatch import core, optimizer, queuing
+from fairmatch import core, optimizer, queuing, synth
 
 
 def effects(rows):
@@ -13,8 +16,6 @@ def effects(rows):
 
 
 def two_by_two_instance():
-    # asymmetric arrivals keep the balanced rates non-integer, so the pooling
-    # perturbation stays well below the smallest arrival rate
     return make_instance([Fraction(6, 5), Fraction(4, 5)],
                          [Fraction(101, 100), Fraction(101, 100)])
 
@@ -24,7 +25,6 @@ class TestBigMConstants:
         inst = make_instance([1], [Fraction(1, 2), Fraction(1, 2)])
         c = optimizer.compute_bigM(inst)
         assert c.w == Fraction(1)
-        assert c.delta == Fraction(1, 4)
         # z = 1 * 1/2 * (5 + 16 * 1)
         assert c.z == Fraction(21, 2)
 
@@ -32,21 +32,8 @@ class TestBigMConstants:
         inst = make_instance([Fraction(1, 2), Fraction(1, 3)], [1])
         c = optimizer.compute_bigM(inst)
         assert c.w == Fraction(3, 2)
-        assert c.delta == Fraction(1, 6)
         # z = 1/2 * 1 * (6 + 16 * 3/2)
         assert c.z == Fraction(15)
-
-    def test_tiny_perturbation_warns(self):
-        d = 10 ** 6
-        inst = make_instance([Fraction(d - 1, d), Fraction(d - 3, d)],
-                             [Fraction(2 * d - 1, d)])
-        with pytest.warns(UserWarning):
-            optimizer.compute_bigM(inst)
-
-    def test_perturbation_exceeding_min_rate_rejected(self):
-        inst = make_instance([Fraction(1, 12), Fraction(1)], [Fraction(1)])
-        with pytest.raises(ValueError):
-            optimizer.compute_bigM(inst)
 
 
 class TestFairnessSpec:
@@ -67,18 +54,12 @@ class TestModelStructure:
     def test_two_by_two_counts(self):
         tau = effects([[0.0, 0.1], [0.0, 0.2]])
         model = optimizer.build_mio(two_by_two_instance(), tau)
-        # f, nu: 4 each; gamma, theta: 2 each; g: 8; m, z: 4 each
-        assert model.n_vars == 28
-        assert len(model.a_eq) == 12
-        assert len(model.a_ub) == 28
+        # f, nu: 4 each; gamma, theta: 2 each; m, z: 4 each; one balance row
+        # per queue and per resource; five rows per cell
+        assert model.n_vars == 20
+        assert len(model.a_eq) == 4
+        assert len(model.a_ub) == 20
         assert model.integrality.sum() == 8
-
-    def test_single_queue_omits_pooling_block(self, one_queue_instance):
-        tau = effects([[0.0, 0.5]])
-        model = optimizer.build_mio(one_queue_instance, tau)
-        assert model.idx_g is None
-        assert model.n_vars == 11
-        assert not any("pooling" in label for _, _, label in model.a_eq)
 
     def test_effect_shape_mismatch_rejected(self, symmetric_instance):
         with pytest.raises(ValueError):
@@ -111,13 +92,6 @@ class TestSolve:
         # balanced alternative-resource rate is 2/5; effect 0.5 on that edge
         assert result.objective == pytest.approx(0.2, abs=1e-6)
         assert result.topology.m[0, 1] == 1
-
-    def test_loose_bounds_reach_same_optimum(self, one_queue_instance):
-        tau = effects([[0.0, 0.5]])
-        tight = optimizer.solve(optimizer.build_mio(one_queue_instance, tau))
-        loose = optimizer.solve(optimizer.build_mio(one_queue_instance, tau,
-                                                    tighten_bounds=False))
-        assert loose.objective == pytest.approx(tight.objective, abs=1e-6)
 
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(17)
@@ -164,6 +138,186 @@ class TestSolve:
         result = optimizer.solve(optimizer.build_mio(one_queue_instance, tau))
         assert result.policy_value == pytest.approx(result.objective + 0.3,
                                                     abs=1e-9)
+
+
+def planted_instance():
+    """Effects reward the block-diagonal split [[1,0],[0,1]], which pools
+    into two components; rates are the planted 2x2 instance scaled by 1/7."""
+    inst = make_instance([Fraction(1, 7), Fraction(2, 7)],
+                         [Fraction(101, 700), Fraction(101, 350)])
+    return inst, effects([[0.0, -1.0], [0.0, 1.0]])
+
+
+class TestPostSolve:
+    def test_planted_split_is_cut_off(self):
+        inst, tau = planted_instance()
+        model = optimizer.build_mio(inst, tau)
+        n_ub = len(model.a_ub)
+        result = optimizer.solve(model)
+        oracle = optimizer.enumerate_oracle(inst, tau)
+        assert result.topology.m.tolist() == [[1, 1], [1, 1]]
+        assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
+        assert queuing.crp_components(inst, result.topology).count == 1
+        # the split and [[1,1],[0,1]] both pool into two components
+        assert result.solver_stats["rounds"] > 1
+        assert len(model.a_ub) == n_ub        # cuts stay local to the call
+        # a second solve of the same model repeats the same rounds
+        again = optimizer.solve(model)
+        assert again.solver_stats == result.solver_stats
+
+    def test_stats_report_rounds_deviation_and_bound(self):
+        result = optimizer.solve(optimizer.build_mio(two_by_two_instance(),
+                                                     effects([[0.0, 0.4], [0.0, -0.2]])))
+        stats = result.solver_stats
+        assert stats["rounds"] == 1
+        assert 0.0 <= stats["flow_deviation"] <= 1e-9 * 2
+        assert stats["dual_bound"] == pytest.approx(result.objective, abs=1e-6)
+        qp = queuing.steady_state_flows(two_by_two_instance(), result.topology)
+        assert np.array_equal(result.flows.f, qp.f)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pipeline_instances_exact(self, seed):
+        # 15-23 queues with rate denominators of 2e11 to 2e12; with HiGHS's default
+        # integrality tolerance of 1e-6 these solves return flows 3e-4 to
+        # 7e-3 away from the QP flows of their topology
+        data = synth.generate(synth.SynthParams(n=20_000, seed=seed))
+        fit = synth.run_pipeline(data, {"tree_params": {"min_node_size": 150,
+                                                        "max_depth": 6}})
+        inst, result = fit["instance"], fit["result"]
+        assert inst.n_queues >= 15
+        assert result.solver_stats["flow_deviation"] <= 1e-9 * float(inst.lam_total)
+        assert queuing.crp_components(inst, result.topology).count == 1
+
+    def test_inexact_flows_raise(self, monkeypatch):
+        inst, tau = planted_instance()
+        model = optimizer.build_mio(inst, tau)
+        milp = optimizer.sopt.milp
+
+        def off_by_a_little(*args, **kwargs):
+            res = milp(*args, **kwargs)
+            res.x[model.idx_f[0, 1]] += 1e-6
+            return res
+        monkeypatch.setattr(optimizer.sopt, "milp", off_by_a_little)
+        with pytest.raises(optimizer.InexactFlowError):
+            optimizer.solve(model)
+
+    def test_cut_limit_raises(self, monkeypatch):
+        # a solver that ignores the cuts returns the split every round
+        inst, tau = planted_instance()
+        model = optimizer.build_mio(inst, tau)
+        milp = optimizer.sopt.milp
+        calls = []
+
+        def without_cuts(c, constraints, **kwargs):
+            calls.append(len(constraints))
+            return milp(c, constraints=constraints[:2], **kwargs)
+        monkeypatch.setattr(optimizer.sopt, "milp", without_cuts)
+        monkeypatch.setattr(optimizer, "MAX_CUT_ROUNDS", 3)
+        with pytest.raises(optimizer.PoolingCutLimitError):
+            optimizer.solve(model)
+        assert calls == [2, 3, 3]
+
+    def test_time_limit_covers_all_rounds(self):
+        inst, tau = planted_instance()
+        with pytest.raises(optimizer.SolverLimitError):
+            optimizer.solve(optimizer.build_mio(inst, tau), time_limit_s=0.0)
+
+    def test_no_option_warning_escapes(self, recwarn):
+        optimizer.solve(optimizer.build_mio(two_by_two_instance(),
+                                            effects([[0.0, 0.4], [0.0, -0.2]])))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# Bounds on a grid of hundredths: the oracle accepts a fairness value within
+# 1e-7 of its bound and HiGHS within its own feasibility tolerance, so a bound
+# inside that band (such as 1e-7 over a group value of 0) can be met by one
+# route and not the other.
+_KINDS_AND_BOUNDS = {
+    "none": st.just(0.0),
+    "maximin_allocation": st.integers(0, 40).map(lambda k: k / 100),
+    "parity_allocation": st.integers(0, 50).map(lambda k: k / 100),
+    "maximin_outcome": st.integers(-30, 30).map(lambda k: k / 100),
+    "parity_outcome": st.integers(0, 30).map(lambda k: k / 100),
+}
+
+
+@st.composite
+def _instances(draw):
+    """Small instances with grid or large-denominator rates, random effects
+    and one fairness constraint over two queue groups."""
+    kind = draw(st.sampled_from(optimizer.FAIRNESS_KINDS))
+    n_q = draw(st.integers(1 if kind == "none" else 2, 3))
+    n_r = draw(st.integers(2, 3))
+    grid = draw(st.sampled_from([20, 7, 997]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = make_instance(*random_instance(rng, n_q, n_r, grid=grid))
+    t = rng.normal(scale=0.3, size=(n_q, n_r))
+    t[:, 0] = 0.0
+    cut = draw(st.integers(1, max(1, n_q - 1)))
+    groups = {"A": list(inst.queues[:cut]), "B": list(inst.queues[cut:])}
+    spec = optimizer.FairnessSpec(kind, draw(_KINDS_AND_BOUNDS[kind]), "g",
+                                  groups if kind != "none" else {})
+    return inst, core.CATEMatrix(t), spec
+
+
+class TestMatchesOracle:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cuts_keep_every_single_component_topology(self, data):
+        """Each round's cuts exclude its topology and no topology that pools
+        into one component (counted by union-find on the QP flows). Rates
+        balance within two blocks, so many topologies split."""
+        n_q, n_r = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+        q_block = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n_q - 2,
+                                              max_size=n_q - 2))
+        r_block = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n_r - 2,
+                                              max_size=n_r - 2))
+        lam = [Fraction(data.draw(st.integers(1, 9)), 10) for _ in range(n_q)]
+        weight = [data.draw(st.integers(1, 9)) for _ in range(n_r)]
+        mu = []
+        for r, b in enumerate(r_block):
+            lam_b = sum(x for x, qb in zip(lam, q_block) if qb == b)
+            w_b = sum(w for w, rb in zip(weight, r_block) if rb == b)
+            mu.append(Fraction(21, 20) * lam_b * weight[r] / w_b)
+        inst = make_instance(lam, mu)
+        model = optimizer.build_mio(inst, core.CATEMatrix(np.zeros((n_q, n_r))))
+        eps = 1e-9 * float(inst.mu_total)
+        single, split = [], []
+        for bits in itertools.product((0, 1), repeat=n_q * n_r):
+            topology = core.MatchingTopology(np.array(bits).reshape(n_q, n_r))
+            try:
+                flows = queuing.steady_state_flows(inst, topology)
+            except queuing.FlowSolveError:        # no balanced flows on it
+                continue
+            edges = list(zip(*np.nonzero(flows.f > eps)))
+            x = np.zeros(model.n_vars)
+            x[model.idx_m] = topology.m
+            if union_find_components(n_q, n_r, edges) == 1:
+                single.append(x)
+            else:
+                split.append((x, optimizer._pooling_cuts(
+                    model, topology.m, queuing.crp_components(inst, topology, flows))))
+        for x, cuts in split:
+            assert any(row @ x > rhs for row, rhs in cuts)
+            for y in single:
+                assert all(row @ y <= rhs for row, rhs in cuts)
+
+    @given(case=_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_objective_flows_and_pooling(self, case):
+        inst, tau, spec = case
+        try:
+            oracle = optimizer.enumerate_oracle(inst, tau, spec)
+        except optimizer.InfeasibleModelError:
+            with pytest.raises(optimizer.InfeasibleModelError):
+                optimizer.solve(optimizer.build_mio(inst, tau, spec))
+            return
+        result = optimizer.solve(optimizer.build_mio(inst, tau, spec))
+        assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
+        qp = queuing.steady_state_flows(inst, result.topology).f
+        assert np.max(np.abs(result.flows.f - qp)) <= 1e-9
+        assert result.solver_stats["flow_deviation"] <= 1e-9 * float(inst.lam_total)
+        assert queuing.crp_components(inst, result.topology).count == 1
 
 
 class TestFairnessConstraints:
