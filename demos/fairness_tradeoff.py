@@ -15,30 +15,15 @@ print("== pipeline with a protected group label ==")
 params = synth.SynthParams(n=10_000, seed=1,
                            group_probs={"race": {"A": 0.5, "B": 0.5}})
 dataset = synth.generate(params)
-prop = causal.fit_propensity(dataset, {"min_node_size": 50, "max_depth": 10},
-                             "score")
-out = causal.fit_outcome(dataset, {"min_node_size": 50, "max_depth": 10},
-                         "score")
-kept, _ = causal.positivity_screen(dataset, prop, 0.001)
-trees = [causal.fit_causal_tree(kept, r, {"min_node_size": 400, "max_depth": 3,
-                                          "honest": True}, "score", seed=1)
-         for r in dataset.resource_set[1:]]
-partition = causal.split_queues_by_group(
-    causal.intersect_partitions(trees, kept, "score"), kept, "race")
-tau, _ = causal.estimate_cate_dr(kept, partition, prop, out)
-instance = causal.arrival_rates(kept, partition,
-                                float(kept.arrival_time.max()), rho=0.99)
-groups = {}
-for q in instance.queues:
-    groups.setdefault(q.rsplit(":", 1)[-1], []).append(q)
+learned = causal.learn(dataset, seed=1, group_dimension="race")
+kept, instance, tau, groups = learned.kept, learned.instance, learned.tau, learned.groups
 print(f"{instance.n_queues} queues across groups {sorted(groups)}")
 
 
 labels = kept.groups["race"]
-queue_ids = partition.assign_dataset(kept)
 baseline_by_group = {
-    g: causal.dr_potential_mean(kept.subset(labels == g), out, prop,
-                                kept.baseline)
+    g: causal.dr_potential_mean(kept.subset(labels == g), learned.out,
+                                learned.prop, kept.baseline)
     for g in groups
 }
 
@@ -46,8 +31,8 @@ baseline_by_group = {
 def group_gains(result):
     """Per-group expected outcome gain over the baseline resource."""
     policy = core.policy_from_flows(result.flows, instance)
-    values = ope.per_group_values(kept, policy, queue_ids, instance, "DR",
-                                  "race", out=out, prop=prop)
+    values = ope.per_group_values(kept, policy, learned.queue_ids, instance, "DR",
+                                  "race", out=learned.out, prop=learned.prop)
     return {g: v - baseline_by_group[g] for g, v in values.items()}
 
 

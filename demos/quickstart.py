@@ -9,7 +9,7 @@ Run:  python3 demos/quickstart.py
 
 import numpy as np
 
-from fairmatch import causal, core, ope, optimizer, synth
+from fairmatch import causal, ope, optimizer, synth
 
 N = 10_000
 
@@ -18,25 +18,18 @@ dataset = synth.generate(synth.SynthParams(n=N, seed=0))
 print(f"{len(dataset)} records, resources {dataset.resource_set}, "
       f"baseline {dataset.baseline!r}")
 
-print("\n== 2. fit nuisance models and effect trees ==")
-prop = causal.fit_propensity(dataset, {"min_node_size": 50, "max_depth": 10},
-                             "score")
-out = causal.fit_outcome(dataset, {"min_node_size": 50, "max_depth": 10},
-                         "score")
-kept, dropped = causal.positivity_screen(dataset, prop, 0.001)
-print(f"positivity screen kept {len(kept)}, dropped {len(dropped)}")
-trees = [causal.fit_causal_tree(kept, r, {"min_node_size": 400, "max_depth": 3,
-                                          "honest": True}, "score", seed=0)
-         for r in dataset.resource_set[1:]]
-partition = causal.intersect_partitions(trees, kept, "score")
-print(f"{partition.n_queues} queues from intersecting "
-      f"{[t.resource for t in trees]} trees")
+print("\n== 2. learn effect trees, queues and rates ==")
+# nuisance models, positivity screen, one causal tree per non-baseline
+# resource, their intersection into queues, arrival rates; the settings are
+# causal.PIPELINE_DEFAULTS
+learned = causal.learn(dataset, seed=0)
+kept, instance, tau = learned.kept, learned.instance, learned.tau
+print(f"positivity screen kept {len(kept)}, dropped {learned.n_screened}")
+print(f"{learned.partition.n_queues} queues from intersecting "
+      f"{[t.resource for t in learned.trees]} trees")
 
-print("\n== 3. estimate effects and rates ==")
-tau, queues = causal.estimate_cate_dr(kept, partition, prop, out)
-window = float(kept.arrival_time.max())
-instance = causal.arrival_rates(kept, partition, window, rho=0.99)
-for q, lam, row in zip(queues, instance.lam, tau.tau):
+print("\n== 3. estimated effects and rates ==")
+for q, lam, row in zip(instance.queues, instance.lam, tau.tau):
     effects = ", ".join(f"{r}={v:+.3f}"
                         for r, v in zip(dataset.resource_set, row))
     print(f"  {q}: lambda={float(lam):.3f}/day, {effects}")
@@ -49,14 +42,11 @@ print(f"objective {result.objective:.4f}, policy value "
       f"{result.policy_value:.4f}")
 
 print("\n== 5. evaluate the learned policy ==")
-policy = core.policy_from_flows(result.flows, instance)
-queue_ids = partition.assign_dataset(kept)
-gt = ope.evaluate_gt(kept, policy, queue_ids, instance)
-dm = ope.evaluate_dm(kept, policy, queue_ids, out, instance)
-dr = ope.evaluate_dr(kept, policy, queue_ids, out, prop, instance)
+values = ope.evaluate_all(("DM", "DR", "GT"), kept, result.flows, learned.queue_ids,
+                          instance, tau, learned.out, learned.prop)
 historical = float(np.mean(kept.outcome))
 print(f"historical outcome mean: {historical:.4f}")
-for est in (dm, dr, gt):
-    print(f"{est.estimator:>3}: {est.value:.4f}")
+for name, value in values.items():
+    print(f"{name:>3}: {value:.4f}")
 print(f"\nthe optimized policy improves on the historical assignment by "
-      f"{gt.value - historical:+.4f} (ground truth)")
+      f"{values['GT'] - historical:+.4f} (ground truth)")

@@ -11,7 +11,7 @@ from .optimizer import (BigMConstants, FairnessSpec, InexactFlowError,
                         add_non_affirmative_links, build_mio, compute_bigM,
                         enumerate_oracle, solve, write_lp_text)
 from .desim import SimulationStats, simulate, simulate_replay, write_event_log
-from .ope import (ValueEstimate, evaluate_ct, evaluate_dm, evaluate_dr,
+from .ope import (ValueEstimate, evaluate_all, evaluate_dm, evaluate_dr,
                   evaluate_gt, evaluate_ipw, per_group_values,
                   reliability_bins, within_group_calibration)
 from .synth import (SynthParams, alpha_variant, generate, run_alpha_sweep,
@@ -26,7 +26,7 @@ __all__ = [
     "PoolingCutLimitError", "SolverLimitError",
     "add_non_affirmative_links", "build_mio", "compute_bigM", "enumerate_oracle",
     "solve", "write_lp_text", "SimulationStats", "simulate", "simulate_replay",
-    "write_event_log", "ValueEstimate", "evaluate_ct", "evaluate_dm",
+    "write_event_log", "ValueEstimate", "evaluate_all", "evaluate_dm",
     "evaluate_dr", "evaluate_gt", "evaluate_ipw", "per_group_values",
     "reliability_bins", "within_group_calibration", "SynthParams",
     "alpha_variant", "generate", "run_alpha_sweep", "run_pipeline",

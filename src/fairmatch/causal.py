@@ -3,6 +3,7 @@ positivity screening, and arrival-rate estimation."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -13,6 +14,7 @@ from .core import CATEMatrix, Dataset, MCMSInstance, rationalize
 
 LAPLACE_ALPHA = 0.5
 POSITIVITY_THRESHOLD = 0.001
+MIN_BASE_RATE = Fraction(1, 10**6)   # baseline resource rate when supply already covers demand
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +132,9 @@ class _Mse(_Cart):
 
 class _Effect:
     """Causal-tree rule on (outcome, arm) rows, arm 1 treated and 0 baseline:
-    the leaf value is the difference in arm means, and a split maximizes the
-    size-weighted squared effect of its children, each keeping at least
-    ``min_node_size`` rows of each arm."""
+    the leaf value is the difference in arm means (NaN when an arm is
+    empty), and a split maximizes the size-weighted squared effect of its
+    children, each keeping at least ``min_node_size`` rows of each arm."""
 
     min_gain = 1e-12
 
@@ -142,6 +144,8 @@ class _Effect:
     @staticmethod
     def value(yw):
         y, w = yw.T
+        if w.all() or not w.any():
+            return float("nan")
         return float(y[w == 1].mean() - y[w == 0].mean())
 
     def may_split(self, yw):
@@ -210,7 +214,7 @@ def _read_params(params: dict, defaults: dict) -> dict:
     """``defaults`` overridden by ``params``; a key outside ``defaults`` is an error."""
     unknown = set(params) - set(defaults)
     if unknown:
-        raise ValueError(f"unknown tree parameters: {sorted(unknown)}")
+        raise ValueError(f"unknown parameters: {sorted(unknown)}")
     return {**defaults, **params}
 
 
@@ -523,8 +527,7 @@ def positivity_screen(dataset: Dataset, prop: PropensityModel,
 
 
 def arrival_rates(dataset: Dataset, partition: PartitionFunction,
-                  observation_window_days: float, rho: float = 0.99,
-                  min_rate: Fraction = Fraction(1, 10**6)) -> MCMSInstance:
+                  observation_window_days: float, rho: float = 0.99) -> MCMSInstance:
     """Empirical per-queue and per-resource rates; the baseline resource rate
     is set so total supply is total demand divided by rho."""
     if observation_window_days <= 0:
@@ -546,12 +549,80 @@ def arrival_rates(dataset: Dataset, partition: PartitionFunction,
         else:
             mu.append(Fraction(int(np.sum(dataset.treatment == r))) / window)
     non_base = sum((x for x in mu if x is not None), Fraction(0))
-    base_rate = max(lam_total / rho_frac - non_base, Fraction(0))
-    if base_rate <= 0:
-        base_rate = min_rate
-    mu[resources.index(baseline)] = base_rate
+    base_rate = lam_total / rho_frac - non_base
+    mu[resources.index(baseline)] = base_rate if base_rate > 0 else MIN_BASE_RATE
     return MCMSInstance(tuple(queues), tuple(resources), tuple(lam), tuple(mu),
                         float(lam_total / sum(mu, Fraction(0))))
+
+
+# ---------------------------------------------------------------------------
+# The learning pipeline
+
+PIPELINE_DEFAULTS = {
+    "features": "score",
+    "tree_params": {"min_node_size": 400, "max_depth": 3, "honest": True},
+    "nuisance_params": {"min_node_size": 50, "max_depth": 10},
+    "positivity_threshold": POSITIVITY_THRESHOLD,
+    "rho": 0.99,
+}
+
+
+@dataclass
+class Learned:
+    """What ``learn`` produced: the models, the screened records, their queues
+    and the queueing instance."""
+
+    prop: PropensityModel
+    out: OutcomeModel
+    trees: list                   # CausalTree per non-baseline resource
+    kept: Dataset                 # records that passed the positivity screen
+    n_screened: int
+    partition: PartitionFunction
+    queue_ids: np.ndarray         # queue of each kept record
+    instance: MCMSInstance
+
+    @functools.cached_property
+    def tau(self) -> CATEMatrix:
+        """DR effects per queue of ``instance``, estimated on first read."""
+        return estimate_cate_dr(self.kept, self.partition, self.prop, self.out)[0]
+
+    @property
+    def groups(self) -> dict:
+        """Group label -> its queue ids in ``instance.queues`` order; empty
+        when the partition is not split by group."""
+        if self.partition.group_dimension is None:
+            return {}
+        label = {q: g for (_, g), q in self.partition.queue_table.items()}
+        groups = {}
+        for q in self.instance.queues:
+            groups.setdefault(label[q], []).append(q)
+        return groups
+
+
+def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
+          models: tuple | None = None, group_dimension: str | None = None) -> Learned:
+    """Nuisance models (unless ``models`` gives ``(prop, out, trees)``),
+    positivity screen, one causal tree per non-baseline resource (unless
+    given), queues from their intersection, split by ``group_dimension`` when
+    given, and arrival rates over the kept records' window. ``params``
+    overrides keys of ``PIPELINE_DEFAULTS``; ``seed`` drives the honest splits.
+    """
+    p = _read_params(params or {}, PIPELINE_DEFAULTS)
+    features = p["features"]
+    if models is None:
+        models = (fit_propensity(dataset, p["nuisance_params"], features),
+                  fit_outcome(dataset, p["nuisance_params"], features), None)
+    prop, out, trees = models
+    kept, screened = positivity_screen(dataset, prop, p["positivity_threshold"])
+    if trees is None:
+        trees = [fit_causal_tree(kept, r, p["tree_params"], features, seed)
+                 for r in dataset.resource_set[1:]]
+    partition = intersect_partitions(trees, kept, features)
+    if group_dimension:
+        partition = split_queues_by_group(partition, kept, group_dimension)
+    instance = arrival_rates(kept, partition, float(kept.arrival_time.max()), p["rho"])
+    return Learned(prop, out, trees, kept, len(screened), partition,
+                   partition.assign_dataset(kept), instance)
 
 
 # ---------------------------------------------------------------------------

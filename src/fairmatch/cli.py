@@ -33,18 +33,14 @@ DEFAULT_CONFIG = {
     "resources": ["SO", "RRH", "PSH"],
     "feature_names": ["score"],
     "group_dimensions": [],
-    "features": "score",
+    **causal.PIPELINE_DEFAULTS,
     "synth": {"n": 10000, "alpha": None, "group_probs": {}},
-    "tree_params": {"min_node_size": 400, "max_depth": 3, "honest": True},
-    "nuisance_params": {"min_node_size": 50, "max_depth": 10},
-    "positivity_threshold": 0.001,
-    "rho": 0.99,
     "fairness": {"kind": "none", "dimension": "", "bound": 0.0,
                  "baseline_value": None},
     "non_affirmative": False,
     "solver": {"time_limit_s": None, "node_limit": None},
     "simulate": {"horizon_days": 5000.0, "warmup_fraction": 0.2},
-    "estimators": ["CT", "DM", "DR", "IPW", "GT"],
+    "estimators": list(ope.ESTIMATORS),
     "sq_cuts": None,
     "experiment": {"alphas": list(synth.ALPHAS),
                    "min_node_sizes": [6000, 2000, 1000, 400, 150],
@@ -104,6 +100,10 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _pipeline_params(cfg) -> dict:
+    return {key: cfg[key] for key in causal.PIPELINE_DEFAULTS}
+
+
 def _load_dataset(cfg) -> core.Dataset:
     try:
         return core.Dataset.from_csv(cfg["dataset"], cfg["resources"],
@@ -137,67 +137,52 @@ def cmd_synth(cfg) -> int:
 
 def cmd_fit(cfg) -> int:
     dataset = _load_dataset(cfg)
-    prop = causal.fit_propensity(dataset, cfg["nuisance_params"], cfg["features"])
-    out_model = causal.fit_outcome(dataset, cfg["nuisance_params"], cfg["features"])
-    kept, dropped = causal.positivity_screen(dataset, prop,
-                                             cfg["positivity_threshold"])
-    trees = [causal.fit_causal_tree(kept, r, cfg["tree_params"], cfg["features"],
-                                    int(cfg["seed"]))
-             for r in dataset.resource_set[1:]]
-    partition = causal.intersect_partitions(trees, kept, cfg["features"])
-    window = float(kept.arrival_time.max())
-    instance = causal.arrival_rates(kept, partition, window, cfg["rho"])
+    learned = causal.learn(dataset, _pipeline_params(cfg), int(cfg["seed"]))
+    instance = learned.instance
     out = _out_dir(cfg)
-    causal.save_models(out / "models.json", prop, out_model, trees)
-    queue_ids = partition.assign_dataset(kept)
+    causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees)
     _write_json(out / "fit_report.json", {
-        "n_total": len(dataset), "n_kept": len(kept), "n_screened": len(dropped),
-        "window_days": window, "rho": cfg["rho"],
-        "queues": [{"queue": q, "count": int(np.sum(queue_ids == q)),
+        "n_total": len(dataset), "n_kept": len(learned.kept),
+        "n_screened": learned.n_screened,
+        "window_days": float(learned.kept.arrival_time.max()), "rho": cfg["rho"],
+        "queues": [{"queue": q, "count": int(np.sum(learned.queue_ids == q)),
                     "lambda": str(lam)}
                    for q, lam in zip(instance.queues, instance.lam)],
         "mu": {r: str(m) for r, m in zip(instance.resources, instance.mu)},
     })
-    print(f"wrote {out / 'models.json'} ({partition.n_queues} queues, "
-          f"{len(dropped)} screened)")
+    print(f"wrote {out / 'models.json'} ({learned.partition.n_queues} queues, "
+          f"{learned.n_screened} screened)")
     return 0
 
 
-def _rebuild(cfg):
-    """Dataset + saved models back to (kept, partition, queue ids of the kept
-    records, tau, instance, models)."""
+def _rebuild(cfg) -> causal.Learned:
+    """Dataset + saved models back through ``causal.learn``, split by the
+    fairness dimension for fairness and non-affirmative runs."""
     dataset = _load_dataset(cfg)
     try:
-        prop, out_model, trees = causal.load_models(Path(cfg["out_dir"]) / "models.json")
+        models = causal.load_models(Path(cfg["out_dir"]) / "models.json")
     except FileNotFoundError:
         raise ConfigError("models.json not found; run `fit` first")
-    kept, _ = causal.positivity_screen(dataset, prop, cfg["positivity_threshold"])
-    partition = causal.intersect_partitions(trees, kept, cfg["features"])
-    dim = cfg["fairness"]["dimension"]
+    dim = None
     if cfg["fairness"]["kind"] != "none" or cfg["non_affirmative"]:
+        dim = cfg["fairness"]["dimension"]
         if not dim:
             raise ConfigError("fairness and non-affirmative runs need a "
                               "group dimension")
-        partition = causal.split_queues_by_group(partition, kept, dim)
-    tau, _ = causal.estimate_cate_dr(kept, partition, prop, out_model)
-    window = float(kept.arrival_time.max())
-    instance = causal.arrival_rates(kept, partition, window, cfg["rho"])
-    queue_ids = partition.assign_dataset(kept)
-    return kept, partition, queue_ids, tau, instance, prop, out_model
+    return causal.learn(dataset, _pipeline_params(cfg), int(cfg["seed"]), models, dim)
 
 
-def _fairness_spec(cfg, instance) -> optimizer.FairnessSpec:
+def _fairness_spec(cfg, learned) -> optimizer.FairnessSpec:
     fair = cfg["fairness"]
     if fair["kind"] == "none":
         return optimizer.FairnessSpec.none()
-    groups = {}
-    for q in instance.queues:
-        label = q.rsplit(":", 1)[-1]
-        groups.setdefault(label, []).append(q)
+    if not learned.groups:
+        raise ValueError(f"fairness needs two or more {fair['dimension']} labels "
+                         "among the kept records")
     bound = float(fair["bound"])
     if fair["kind"].endswith("_outcome") and fair.get("baseline_value") is not None:
         bound -= float(fair["baseline_value"])
-    return optimizer.FairnessSpec(fair["kind"], bound, fair["dimension"], groups)
+    return optimizer.FairnessSpec(fair["kind"], bound, fair["dimension"], learned.groups)
 
 
 def _topology_payload(instance, result, tau):
@@ -238,17 +223,17 @@ def _write_eligibility(path, instance, result, queue_ids, kept):
 
 
 def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
-    kept, partition, queue_ids, tau, instance, *_ = _rebuild(cfg)
-    fairness = _fairness_spec(cfg, instance)
+    learned = _rebuild(cfg)
+    instance, tau = learned.instance, learned.tau
+    fairness = _fairness_spec(cfg, learned)
     if use_oracle_route:
         result = optimizer.enumerate_oracle(instance, tau, fairness)
     else:
         model = optimizer.build_mio(instance, tau, fairness)
         if cfg["non_affirmative"]:
-            cells = [c for c in partition.score_cells.values()
-                     if len([q for q in c if q in instance.queues]) > 1]
-            optimizer.add_non_affirmative_links(
-                model, [[q for q in c if q in instance.queues] for c in cells])
+            cells = [[q for q in c if q in instance.queues]
+                     for c in learned.partition.score_cells.values()]
+            optimizer.add_non_affirmative_links(model, [c for c in cells if len(c) > 1])
         result = optimizer.solve(model, time_limit_s=cfg["solver"]["time_limit_s"],
                                  node_limit=cfg["solver"]["node_limit"])
     out = _out_dir(cfg)
@@ -263,7 +248,8 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
                   file=sys.stderr)
             cross_check = False
     _write_json(out / "topology.json", payload)
-    _write_eligibility(out / "eligibility.txt", instance, result, queue_ids, kept)
+    _write_eligibility(out / "eligibility.txt", instance, result, learned.queue_ids,
+                       learned.kept)
     print(f"objective {result.objective:.6f}, policy value "
           f"{result.policy_value:.6f}, edges {len(payload['edges'])}")
     if cross_check and not use_oracle_route and not payload["oracle_match"]:
@@ -330,7 +316,8 @@ def _sq_topology(cfg, instance, queue_ids, kept):
 
 
 def cmd_evaluate(cfg) -> int:
-    kept, _, queue_ids, tau, instance, prop, out_model = _rebuild(cfg)
+    learned = _rebuild(cfg)
+    kept, queue_ids, instance = learned.kept, learned.queue_ids, learned.instance
     scopes = {"optimized": core.FlowMatrix(_load_topology(cfg)[2])}
     fcfs = core.MatchingTopology.fully_connected(instance.n_queues,
                                                  instance.n_resources)
@@ -348,18 +335,15 @@ def cmd_evaluate(cfg) -> int:
     rows = []
     dim = cfg["fairness"]["dimension"]
     for scope, flows in scopes.items():
-        policy = core.policy_from_flows(flows, instance)
-        for est in estimators:
-            if est == "CT":
-                value = core.policy_value(flows, tau, instance)
-            else:
-                value = ope.estimate(est, kept, policy, queue_ids, instance,
-                                     out_model, prop).value
+        values = ope.evaluate_all(estimators, kept, flows, queue_ids, instance,
+                                  learned.tau, learned.out, learned.prop)
+        for est, value in values.items():
             rows.append([est, scope, "", repr(value), len(kept)])
             if dim and est == "DR":
+                policy = core.policy_from_flows(flows, instance)
                 for g, v in ope.per_group_values(kept, policy, queue_ids, instance,
-                                                 est, dim, out=out_model,
-                                                 prop=prop).items():
+                                                 est, dim, out=learned.out,
+                                                 prop=learned.prop).items():
                     rows.append([est, scope, g, repr(v), ""])
     out = _out_dir(cfg)
     with open(out / "estimates.csv", "w", newline="") as fh:
@@ -374,10 +358,7 @@ def cmd_experiment(cfg, which: str) -> int:
     exp = cfg["experiment"]
     seeds = range(int(exp["n_seeds"]))
     out = _out_dir(cfg)
-    pipeline = {"tree_params": cfg["tree_params"],
-                "nuisance_params": cfg["nuisance_params"], "rho": cfg["rho"],
-                "features": cfg["features"],
-                "positivity_threshold": cfg["positivity_threshold"]}
+    pipeline = _pipeline_params(cfg)
     if which == "alpha":
         path = out / "alpha_sweep.csv"
         synth.run_alpha_sweep(exp["alphas"], int(exp["n"]), seeds, pipeline, path)

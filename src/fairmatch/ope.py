@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import Dataset, MCMSInstance, Policy, policy_value
+from .core import Dataset, MCMSInstance, Policy, policy_from_flows, policy_value
+
+ESTIMATORS = ("CT", "DM", "DR", "IPW", "GT")
 
 
 @dataclass(frozen=True)
 class ValueEstimate:
     estimator: str
     value: float
-    per_group_values: dict = field(default_factory=dict)
     n_effective: float = 0.0
 
 
@@ -90,11 +91,6 @@ def evaluate_gt(dataset: Dataset, policy: Policy, queue_ids,
                          n_effective=float(len(dataset)))
 
 
-def evaluate_ct(result, tau, instance: MCMSInstance) -> ValueEstimate:
-    """Optimization-side value: flow-weighted effects over total rate, plus C."""
-    return ValueEstimate("CT", policy_value(result.flows, tau, instance))
-
-
 _ESTIMATORS = {
     "DM": (evaluate_dm, ("out",)),
     "IPW": (evaluate_ipw, ("prop",)),
@@ -109,6 +105,19 @@ def estimate(name: str, dataset: Dataset, policy: Policy, queue_ids,
     fn, needs = _ESTIMATORS[name]
     models = {"out": out, "prop": prop}
     return fn(dataset, policy, queue_ids, *[models[k] for k in needs], instance)
+
+
+def evaluate_all(names, dataset: Dataset, flows, queue_ids, instance: MCMSInstance,
+                 tau, out, prop) -> dict:
+    """Value of the flows' policy under each named estimator of ``ESTIMATORS``.
+
+    "CT" is the optimization-side value, flow-weighted effects over the total
+    rate plus the baseline mean; the others run through ``estimate``.
+    """
+    policy = policy_from_flows(flows, instance)
+    return {name: policy_value(flows, tau, instance) if name == "CT"
+            else estimate(name, dataset, policy, queue_ids, instance, out, prop).value
+            for name in names}
 
 
 def per_group_values(dataset: Dataset, policy: Policy, queue_ids,

@@ -20,6 +20,8 @@ for at most ``MAX_CUT_ROUNDS`` rounds.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from scipy import optimize as sopt
 from scipy import sparse
 
 from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology
-from .queuing import FlowSolveError, check_admissible, crp_components, steady_state_flows
+from .queuing import FlowSolveError, crp_components, steady_state_flows
 
 MAX_ORACLE_CELLS = 16
 MAX_CUT_ROUNDS = 100             # solves per call before PoolingCutLimitError
@@ -375,14 +377,23 @@ def _milp(model, constraints, deadline, node_limit, rounds):
         options["time_limit"] = remaining
     if node_limit is not None:
         options["node_limit"] = node_limit
-    with warnings.catch_warnings():
-        # scipy passes HiGHS's own option names through, with this warning
-        warnings.filterwarnings("ignore", "Unrecognized options detected",
-                                RuntimeWarning)
-        res = sopt.milp(-model.objective, constraints=constraints,
-                        integrality=model.integrality,
-                        bounds=sopt.Bounds(model.lower, model.upper),
-                        options=options)
+    # HiGHS prints some diagnostics to fd 1 whatever its output options say;
+    # they go to stderr so the caller's stdout stays its own
+    sys.stdout.flush()
+    stdout = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        with warnings.catch_warnings():
+            # scipy passes HiGHS's own option names through, with this warning
+            warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                    RuntimeWarning)
+            res = sopt.milp(-model.objective, constraints=constraints,
+                            integrality=model.integrality,
+                            bounds=sopt.Bounds(model.lower, model.upper),
+                            options=options)
+    finally:
+        os.dup2(stdout, 1)
+        os.close(stdout)
     if res.status == 2:
         raise InfeasibleModelError("matching optimization is infeasible" if rounds == 1
                                    else "no single-component topology satisfies "
@@ -440,10 +451,8 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
     for bits in itertools.product((0, 1), repeat=n_q * n_r):
         m = np.array(bits, dtype=int).reshape(n_q, n_r)
         topology = MatchingTopology(m)
-        if not check_admissible(instance, topology):
-            continue
         try:
-            flows = steady_state_flows(instance, topology)
+            flows = steady_state_flows(instance, topology)   # checks admissibility
         except FlowSolveError:
             continue
         if crp_components(instance, topology, flows).count != 1:

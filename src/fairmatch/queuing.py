@@ -6,10 +6,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .core import FlowMatrix, MCMSInstance, MatchingTopology
 
 MAX_ENUM_RESOURCES = 12
+MAX_ACTIVE_SET_ITER = 500
 
 _MARGIN_REL_TOL = 1e-12
 _FLOW_EPS_REL = 1e-9
@@ -31,7 +34,9 @@ class CRPDecomposition:
 
 
 def check_admissible(instance: MCMSInstance, topology: MatchingTopology) -> bool:
-    """Steady-state test: every resource subset must out-pace the queues it traps.
+    """Steady-state test: every queue and resource has an edge (the balanced
+    flows must reach every resource), and every resource subset must
+    out-pace the queues it traps.
 
     For each nonempty subset R' of resources, the queues eligible only within
     R' must have strictly less cumulative arrival rate than R'. Enumerates all
@@ -42,7 +47,7 @@ def check_admissible(instance: MCMSInstance, topology: MatchingTopology) -> bool
     n_r = instance.n_resources
     if n_r > MAX_ENUM_RESOURCES:
         raise ValueError(f"subset enumeration limited to {MAX_ENUM_RESOURCES} resources")
-    if np.any(m.sum(axis=1) == 0):
+    if np.any(m.sum(axis=1) == 0) or np.any(m.sum(axis=0) == 0):
         return False
     lam = instance.lam_f
     mu = instance.mu_f
@@ -58,39 +63,17 @@ def check_admissible(instance: MCMSInstance, topology: MatchingTopology) -> bool
     return True
 
 
-def _support_components(n_q, n_r, edges):
-    """Connected components of the bipartite graph on the given edge set."""
-    adj_q = [[] for _ in range(n_q)]
-    adj_r = [[] for _ in range(n_r)]
-    for q, r in edges:
-        adj_q[q].append(r)
-        adj_r[r].append(q)
-    comp_q = [-1] * n_q
-    comp_r = [-1] * n_r
-    n_comp = 0
-    for q0 in range(n_q):
-        if comp_q[q0] >= 0:
-            continue
-        stack = [("q", q0)]
-        comp_q[q0] = n_comp
-        while stack:
-            side, i = stack.pop()
-            if side == "q":
-                for r in adj_q[i]:
-                    if comp_r[r] < 0:
-                        comp_r[r] = n_comp
-                        stack.append(("r", r))
-            else:
-                for q in adj_r[i]:
-                    if comp_q[q] < 0:
-                        comp_q[q] = n_comp
-                        stack.append(("q", q))
-        n_comp += 1
-    for r0 in range(n_r):
-        if comp_r[r0] < 0:
-            comp_r[r0] = n_comp
-            n_comp += 1
-    return comp_q, comp_r, n_comp
+def _support_components(support):
+    """Connected components of the bipartite graph whose edges are the True
+    cells of ``support``. Returns (queue labels, resource labels, count);
+    queues are numbered before resources, so components are labelled in order
+    of their first queue, then resource-only components in resource order."""
+    n_q, n_r = support.shape
+    q, r = np.nonzero(support)
+    graph = sparse.coo_matrix((np.ones(len(q)), (q, n_q + r)),
+                              shape=(n_q + n_r, n_q + n_r))
+    n_comp, labels = csgraph.connected_components(graph, directed=False)
+    return labels[:n_q], labels[n_q:], n_comp
 
 
 def _solve_support(lam, mu, support):
@@ -150,8 +133,7 @@ def _dual_shifts(n_comp, cross):
     return dist
 
 
-def steady_state_flows(instance: MCMSInstance, topology: MatchingTopology,
-                       max_iter: int = 500) -> FlowMatrix:
+def steady_state_flows(instance: MCMSInstance, topology: MatchingTopology) -> FlowMatrix:
     """Minimum of sum f^2/(lam mu) over balanced flows supported on the topology.
 
     Active-set refinement: solve the equality-constrained stationarity system
@@ -169,7 +151,7 @@ def steady_state_flows(instance: MCMSInstance, topology: MatchingTopology,
     tol = 1e-10 * max(1.0, mu.sum())
     support = m.copy()
     seen = set()
-    for _ in range(max_iter):
+    for _ in range(MAX_ACTIVE_SET_ITER):
         key = support.tobytes()
         f, theta, gamma, residual = _solve_support(lam, mu, support)
         if residual > 1e-6 * max(1.0, mu.sum()):
@@ -197,8 +179,7 @@ def steady_state_flows(instance: MCMSInstance, topology: MatchingTopology,
                     if m[q, r] and not support[q, r]]
         if not excluded:
             return FlowMatrix(np.clip(f, 0.0, None))
-        edges = [(q, r) for q in range(n_q) for r in range(n_r) if support[q, r]]
-        comp_q, comp_r, n_comp = _support_components(n_q, n_r, edges)
+        comp_q, comp_r, n_comp = _support_components(support)
         cross = []
         violated = None
         worst = tol
@@ -235,12 +216,7 @@ def crp_components(instance: MCMSInstance, topology: MatchingTopology,
     if flows is None:
         flows = steady_state_flows(instance, topology)
     eps = _FLOW_EPS_REL * float(instance.mu_total)
-    n_q, n_r = flows.f.shape
-    edges = [(q, r) for q in range(n_q) for r in range(n_r) if flows.f[q, r] > eps]
-    comp_q, comp_r, n_comp = _support_components(n_q, n_r, edges)
-    components = []
-    for c in range(n_comp):
-        qs = tuple(q for q in range(n_q) if comp_q[q] == c)
-        rs = tuple(r for r in range(n_r) if comp_r[r] == c)
-        components.append((qs, rs))
-    return CRPDecomposition(tuple(components))
+    comp_q, comp_r, n_comp = _support_components(flows.f > eps)
+    return CRPDecomposition(tuple(
+        (tuple(np.flatnonzero(comp_q == c).tolist()),
+         tuple(np.flatnonzero(comp_r == c).tolist())) for c in range(n_comp)))

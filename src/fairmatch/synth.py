@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import causal, ope, optimizer
 from .core import Dataset
 
 RESOURCES = ("SO", "RRH", "PSH")          # SO is the baseline
@@ -106,59 +107,22 @@ def generate(params: SynthParams) -> Dataset:
 # ---------------------------------------------------------------------------
 # Experiment harnesses
 
-def _default_pipeline_params():
-    return {
-        "tree_params": {"min_node_size": 400, "max_depth": 3, "honest": True},
-        "nuisance_params": {"min_node_size": 50, "max_depth": 10},
-        "rho": 0.99,
-        "features": "score",
-        "positivity_threshold": 0.001,
-    }
-
-
 def run_pipeline(dataset: Dataset, pipeline_params=None, seed: int = 0):
-    """Full learn-and-optimize pass over one dataset.
-
-    Fits nuisance models and per-resource causal trees, intersects the trees
-    into queues, screens positivity, estimates DR effects, and solves the
-    matching optimization without fairness constraints.
-    """
-    from . import causal, optimizer
-
-    p = {**_default_pipeline_params(), **(pipeline_params or {})}
-    prop = causal.fit_propensity(dataset, p["nuisance_params"], p["features"])
-    out = causal.fit_outcome(dataset, p["nuisance_params"], p["features"])
-    kept, _ = causal.positivity_screen(dataset, prop, p["positivity_threshold"])
-    trees = [causal.fit_causal_tree(kept, r, p["tree_params"], p["features"], seed)
-             for r in dataset.resource_set[1:]]
-    partition = causal.intersect_partitions(trees, kept, p["features"])
-    tau, queues = causal.estimate_cate_dr(kept, partition, prop, out)
-    window = float(kept.arrival_time.max())
-    instance = causal.arrival_rates(kept, partition, window, p["rho"])
-    model = optimizer.build_mio(instance, tau, optimizer.FairnessSpec.none())
-    result = optimizer.solve(model)
-    return {
-        "propensity": prop, "outcome": out, "trees": trees,
-        "partition": partition, "tau": tau, "instance": instance,
-        "result": result, "kept": kept,
-    }
+    """``causal.learn`` on one dataset, then the matching optimization without
+    fairness constraints. Returns (Learned, OptimizationResult)."""
+    learned = causal.learn(dataset, pipeline_params, seed)
+    return learned, optimizer.solve(optimizer.build_mio(learned.instance, learned.tau))
 
 
-def _evaluate_all(dataset, fitted, estimators=("CT", "DM", "DR", "IPW", "GT")):
-    from . import core, ope
-
-    result = fitted["result"]
-    instance = fitted["instance"]
-    policy = core.policy_from_flows(result.flows, instance)
-    queue_ids = fitted["partition"].assign_dataset(dataset)
-    values = {}
-    for est in estimators:
-        if est == "CT":
-            values[est] = ope.evaluate_ct(result, fitted["tau"], instance).value
-        else:
-            values[est] = ope.estimate(est, dataset, policy, queue_ids, instance,
-                                       fitted["outcome"], fitted["propensity"]).value
-    return values
+def _sweep_rows(sweep_param, seed, dataset, pipeline_params, min_propensity):
+    """One sweep point: learn, optimize, and one row per estimator."""
+    learned, result = run_pipeline(dataset, pipeline_params, seed)
+    values = ope.evaluate_all(ope.ESTIMATORS, learned.kept, result.flows,
+                              learned.queue_ids, learned.instance, learned.tau,
+                              learned.out, learned.prop)
+    return [{"sweep_param": sweep_param, "seed": seed, "estimator": est,
+             "value": value, "n_queues": learned.partition.n_queues,
+             "min_propensity": min_propensity} for est, value in values.items()]
 
 
 def run_alpha_sweep(alphas=ALPHAS, n: int = 10_000, seeds=range(10),
@@ -169,15 +133,8 @@ def run_alpha_sweep(alphas=ALPHAS, n: int = 10_000, seeds=range(10),
     for alpha in alphas:
         for seed in seeds:
             params = replace(alpha_variant(base, alpha), seed=seed)
-            dataset = generate(params)
-            fitted = run_pipeline(dataset, pipeline_params, seed)
-            values = _evaluate_all(fitted["kept"], fitted)
             min_prop = min(min(v) for v in params.propensity_table.values())
-            for est, value in values.items():
-                rows.append({"sweep_param": alpha, "seed": seed, "estimator": est,
-                             "value": value,
-                             "n_queues": fitted["partition"].n_queues,
-                             "min_propensity": min_prop})
+            rows += _sweep_rows(alpha, seed, generate(params), pipeline_params, min_prop)
     if out_path:
         _write_sweep_csv(out_path, rows)
     return rows
@@ -188,18 +145,12 @@ def run_queue_sweep(min_node_sizes=(6000, 2000, 1000, 400, 150), n: int = 10_000
     """Vary tree granularity (including the forced single-queue case) and
     track policy value against queue count."""
     rows = []
+    p = {**causal.PIPELINE_DEFAULTS, **(pipeline_params or {})}
     for mns in min_node_sizes:
+        params = {**p, "tree_params": {**p["tree_params"], "min_node_size": mns}}
         for seed in seeds:
-            dataset = generate(SynthParams(n=n, seed=seed))
-            p = {**_default_pipeline_params(), **(pipeline_params or {})}
-            p["tree_params"] = {**p["tree_params"], "min_node_size": mns}
-            fitted = run_pipeline(dataset, p, seed)
-            values = _evaluate_all(fitted["kept"], fitted)
-            for est, value in values.items():
-                rows.append({"sweep_param": mns, "seed": seed, "estimator": est,
-                             "value": value,
-                             "n_queues": fitted["partition"].n_queues,
-                             "min_propensity": ""})
+            rows += _sweep_rows(mns, seed, generate(SynthParams(n=n, seed=seed)),
+                                params, "")
     if out_path:
         _write_sweep_csv(out_path, rows)
     return rows

@@ -214,48 +214,30 @@ def test_criterion_07_wait_time_equalization():
 def _fairness_pipeline(seed=808):
     params = synth.SynthParams(n=10_000, seed=seed,
                                group_probs={"race": {"A": 0.5, "B": 0.5}})
-    ds = synth.generate(params)
-    prop = causal.fit_propensity(ds, {"min_node_size": 50, "max_depth": 10},
-                                 "score")
-    out = causal.fit_outcome(ds, {"min_node_size": 50, "max_depth": 10},
-                             "score")
-    kept, _ = causal.positivity_screen(ds, prop, 0.001)
-    trees = [causal.fit_causal_tree(kept, r, {"min_node_size": 400,
-                                              "max_depth": 3, "honest": True},
-                                    "score", seed)
-             for r in ds.resource_set[1:]]
-    base_part = causal.intersect_partitions(trees, kept, "score")
-    partition = causal.split_queues_by_group(base_part, kept, "race")
-    tau, _ = causal.estimate_cate_dr(kept, partition, prop, out)
-    window = float(kept.arrival_time.max())
-    instance = causal.arrival_rates(kept, partition, window, 0.99)
-    groups = {}
-    for q in instance.queues:
-        groups.setdefault(q.rsplit(":", 1)[-1], []).append(q)
-    return kept, partition, tau, instance, prop, out, groups
+    return causal.learn(synth.generate(params), seed=seed, group_dimension="race")
 
 
-def _group_dr_advantages(kept, partition, instance, result, prop, out, groups):
+def _group_dr_advantages(learned, result):
+    kept, instance = learned.kept, learned.instance
     policy = core.policy_from_flows(result.flows, instance)
     labels = kept.groups["race"]
-    queue_ids = partition.assign_dataset(kept)
     adv = {}
-    for g in groups:
+    for g in learned.groups:
         sub = kept.subset(labels == g)
-        value = ope.evaluate_dr(sub, policy, queue_ids[labels == g], out, prop,
-                                instance).value
-        base = causal.dr_potential_mean(sub, out, prop, kept.baseline)
+        value = ope.evaluate_dr(sub, policy, learned.queue_ids[labels == g],
+                                learned.out, learned.prop, instance).value
+        base = causal.dr_potential_mean(sub, learned.out, learned.prop, kept.baseline)
         adv[g] = value - base
     return adv
 
 
 def test_criterion_08_fairness_suite():
     start = time.perf_counter()
-    kept, partition, tau, instance, prop, out, groups = _fairness_pipeline()
+    learned = _fairness_pipeline()
+    instance, tau, groups = learned.instance, learned.tau, learned.groups
 
     free = optimizer.solve(optimizer.build_mio(instance, tau))
-    free_adv = _group_dr_advantages(kept, partition, instance, free, prop, out,
-                                    groups)
+    free_adv = _group_dr_advantages(learned, free)
     w_grid = np.linspace(0.0, min(free_adv.values()) + 0.03, 5)
     prev = np.inf
     monotone = True
@@ -271,13 +253,12 @@ def test_criterion_08_fairness_suite():
         feasible += 1
         monotone &= result.objective <= prev + 1e-7
         prev = result.objective
-        adv = _group_dr_advantages(kept, partition, instance, result, prop,
-                                   out, groups)
+        adv = _group_dr_advantages(learned, result)
         bounds_met &= all(v >= w - 0.01 for v in adv.values())
 
     model = optimizer.build_mio(instance, tau)
     cells = [[q for q in cell if q in instance.queues]
-             for cell in partition.score_cells.values()]
+             for cell in learned.partition.score_cells.values()]
     cells = [c for c in cells if len(c) > 1]
     optimizer.add_non_affirmative_links(model, cells)
     linked = optimizer.solve(model)

@@ -330,17 +330,18 @@ class TestCausalTree:
         with pytest.raises(ValueError):
             causal.fit_causal_tree(ds, "b", {"min_node_size": 1}, "score", 0)
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_halves_without_both_arms_stay_finite(self):
         # each honest half holds one record, so neither has both arms; the
-        # leaf takes the whole subset's effect instead of NaN
+        # leaf takes the whole subset's effect instead of NaN, and no numpy
+        # warning is raised on the way
         ds = make_dataset([0.1, 0.2], ["a", "b"], [0, 1])
         tree = causal.fit_causal_tree(ds, "b", {"min_node_size": 1}, "score", 0)
         assert tree.tree.predict(np.array([[0.1], [0.2]])).tolist() == [1.0, 1.0]
 
     @given(n=st.integers(2, 12), data=st.data())
     @settings(max_examples=100, deadline=None)
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_honest_leaves_finite(self, n, data):
         arms = data.draw(st.lists(st.sampled_from(["a", "b"]), min_size=n - 2, max_size=n - 2))
         scores = data.draw(st.lists(st.integers(0, 4).map(lambda k: k / 4),
@@ -669,6 +670,86 @@ class TestScreeningAndRates:
         inst = causal.arrival_rates(ds, _OneQueue(), 50.0, 1.0)
         # lam_total = 2, mu_b = 0.8 -> baseline 1.2
         assert inst.mu[0] == Fraction(6, 5)
+
+
+class TestLearn:
+    """``causal.learn`` against the stage functions called one by one."""
+
+    NUISANCE = {"min_node_size": 50, "max_depth": 10}
+    TREES = {"min_node_size": 300, "max_depth": 3, "honest": True}
+    PARAMS = {"tree_params": TREES, "nuisance_params": NUISANCE,
+              "positivity_threshold": 0.05}
+
+    def _data(self):
+        # PSH has propensity 0.02 in the mid stratum, so the screen drops it
+        return synth.generate(synth.alpha_variant(synth.SynthParams(
+            n=4_000, seed=17, group_probs={"race": {"A": 0.4, "B": 0.6}}), 0.02))
+
+    def _by_hand(self, ds, models, dim):
+        if models is None:
+            prop = causal.fit_propensity(ds, self.NUISANCE, "score")
+            out = causal.fit_outcome(ds, self.NUISANCE, "score")
+        else:
+            prop, out, trees = models
+        kept, dropped = causal.positivity_screen(ds, prop, 0.05)
+        if models is None:
+            trees = [causal.fit_causal_tree(kept, r, self.TREES, "score", 3)
+                     for r in ds.resource_set[1:]]
+        part = causal.intersect_partitions(trees, kept, "score")
+        if dim:
+            part = causal.split_queues_by_group(part, kept, dim)
+        tau, _ = causal.estimate_cate_dr(kept, part, prop, out)
+        inst = causal.arrival_rates(kept, part, float(kept.arrival_time.max()), 0.99)
+        return prop, out, trees, kept, len(dropped), part, inst, tau
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("dim", [None, "race"])
+    def test_matches_hand_wired_stages(self, tmp_path, loaded, dim):
+        ds = self._data()
+        models = None
+        if loaded:
+            fitted = causal.learn(ds, self.PARAMS, 3)
+            causal.save_models(tmp_path / "models.json", fitted.prop, fitted.out,
+                               fitted.trees)
+            models = causal.load_models(tmp_path / "models.json")
+        learned = causal.learn(ds, self.PARAMS, 3, models, dim)
+        prop, out, trees, kept, n_screened, part, inst, tau = self._by_hand(ds, models, dim)
+
+        assert _dumps(learned.prop.tree) == _dumps(prop.tree)
+        assert [_dumps(learned.out.trees[r]) for r in ds.resource_set] == \
+            [_dumps(out.trees[r]) for r in ds.resource_set]
+        assert [_dumps(t.tree) for t in learned.trees] == [_dumps(t.tree) for t in trees]
+        assert n_screened > 0
+        assert learned.n_screened == n_screened
+        assert np.array_equal(learned.kept.ids, kept.ids)
+        assert learned.partition.queue_table == part.queue_table
+        assert learned.partition.group_dimension == dim
+        assert np.array_equal(learned.queue_ids, part.assign_dataset(kept))
+        assert learned.instance == inst
+        assert np.array_equal(learned.tau.tau, tau.tau)
+        assert learned.tau.baseline_mean == tau.baseline_mean
+
+        expected = {}
+        if dim:
+            labels = kept.groups[dim]
+            for q in inst.queues:
+                (label,) = set(labels[learned.queue_ids == q].tolist())
+                expected.setdefault(label, []).append(q)
+        assert list(learned.groups.items()) == list(expected.items())
+
+    def test_effects_estimated_once_on_first_read(self, monkeypatch):
+        calls = []
+        estimate = causal.estimate_cate_dr
+        monkeypatch.setattr(causal, "estimate_cate_dr",
+                            lambda *args: calls.append(1) or estimate(*args))
+        learned = causal.learn(self._data(), self.PARAMS)
+        assert calls == []
+        assert learned.tau is learned.tau
+        assert calls == [1]
+
+    def test_unknown_params_rejected(self):
+        with pytest.raises(ValueError, match="unknown parameters"):
+            causal.learn(self._data(), {"tree_param": self.TREES})
 
 
 class TestSerialization:

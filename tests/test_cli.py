@@ -189,6 +189,22 @@ class TestExitCodes:
         assert cli.main(["optimize"] + base) == cli.EXIT_POSTSOLVE
         assert capsys.readouterr().err.splitlines() == ["post-solve check failed: planted"]
 
+    def test_fairness_over_one_label_is_data_error(self, tmp_path):
+        # with one observed label the queues are not split by group, so there
+        # are no groups to constrain
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "synth": {"n": 3000, "group_probs": {"race": {"A": 1.0}}},
+            "group_dimensions": ["race"],
+            "tree_params": {"min_node_size": 300, "max_depth": 2, "honest": True},
+        }))
+        base = ["--config", str(cfg_path), "--out", str(tmp_path),
+                "--dataset", str(tmp_path / "dataset.csv")]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["fit"] + base) == 0
+        assert cli.main(["optimize", "--fairness", "maximin_outcome:race:0"]
+                        + base) == cli.EXIT_DATA
+
     def test_infeasible_fairness_bound(self, workspace):
         _, base = workspace
         code = cli.main(["optimize", "--fairness", "maximin_outcome:race:10"]

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,11 +138,18 @@ class TestOptimizationSideValue:
                              rho=1.0)
         flows = core.FlowMatrix(np.array([[0.3, 0.2]]))
         tau = core.CATEMatrix(np.array([[0.0, 0.5]]), 0.1)
-        result = SimpleNamespace(objective=float(np.sum(flows.f * tau.tau)),
-                                 flows=flows)
-        est = ope.evaluate_ct(result, tau, inst)
-        assert est.value == pytest.approx(core.policy_value(flows, tau, inst),
-                                          abs=1e-12)
+        ds = make_dataset([0.0, 1.0], ["a", "b"], [1, 0],
+                          po={"a": np.array([1, 0]), "b": np.array([0, 1])})
+        out, prop = StubOut({"a": 0.2, "b": 0.6}), StubProp(0.5)
+        values = ope.evaluate_all(ope.ESTIMATORS, ds, flows, one_queue(ds), inst,
+                                  tau, out, prop)
+        assert list(values) == list(ope.ESTIMATORS)
+        assert values["CT"] == pytest.approx(core.policy_value(flows, tau, inst),
+                                             abs=1e-12)
+        policy = core.policy_from_flows(flows, inst)
+        for name in ("DM", "DR", "IPW", "GT"):
+            assert values[name] == ope.estimate(name, ds, policy, one_queue(ds),
+                                                inst, out, prop).value
 
 
 class TestPerGroup:

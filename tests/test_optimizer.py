@@ -1,4 +1,5 @@
 import itertools
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import random_instance, union_find_components
 from conftest import make_instance
-from fairmatch import core, optimizer, queuing, synth
+from fairmatch import causal, core, optimizer, queuing, synth
 
 
 def effects(rows):
@@ -181,9 +182,9 @@ class TestPostSolve:
         # integrality tolerance of 1e-6 these solves return flows 3e-4 to
         # 7e-3 away from the QP flows of their topology
         data = synth.generate(synth.SynthParams(n=20_000, seed=seed))
-        fit = synth.run_pipeline(data, {"tree_params": {"min_node_size": 150,
-                                                        "max_depth": 6}})
-        inst, result = fit["instance"], fit["result"]
+        learned, result = synth.run_pipeline(data, {"tree_params": {"min_node_size": 150,
+                                                                    "max_depth": 6}})
+        inst = learned.instance
         assert inst.n_queues >= 15
         assert result.solver_stats["flow_deviation"] <= 1e-9 * float(inst.lam_total)
         assert queuing.crp_components(inst, result.topology).count == 1
@@ -221,6 +222,40 @@ class TestPostSolve:
         inst, tau = planted_instance()
         with pytest.raises(optimizer.SolverLimitError):
             optimizer.solve(optimizer.build_mio(inst, tau), time_limit_s=0.0)
+
+    def test_solver_output_kept_off_stdout(self, capfd):
+        # on this 18-queue instance HiGHS prints a diagnostic line to fd 1
+        # although scipy runs it with its output off
+        data = synth.generate(synth.SynthParams(
+            n=20_000, seed=0, group_probs={"race": {"A": 0.5, "B": 0.5}}))
+        learned = causal.learn(data, group_dimension="race")
+        spec = optimizer.FairnessSpec("maximin_outcome", 0.38, "race", learned.groups)
+        model = optimizer.build_mio(learned.instance, learned.tau, spec)
+        capfd.readouterr()
+        optimizer.solve(model)
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_stdout_restored_after_solve(self, capfd, monkeypatch, fails):
+        milp = optimizer.sopt.milp
+
+        def noisy(*args, **kwargs):
+            os.write(1, b"solver noise\n")
+            if fails:
+                raise RuntimeError("solver failed")
+            return milp(*args, **kwargs)
+        monkeypatch.setattr(optimizer.sopt, "milp", noisy)
+        model = optimizer.build_mio(two_by_two_instance(),
+                                    effects([[0.0, 0.4], [0.0, -0.2]]))
+        if fails:
+            with pytest.raises(RuntimeError):
+                optimizer.solve(model)
+        else:
+            optimizer.solve(model)
+        os.write(1, b"caller output\n")
+        out, err = capfd.readouterr()
+        assert out == "caller output\n"
+        assert err == "solver noise\n"
 
     def test_no_option_warning_escapes(self, recwarn):
         optimizer.solve(optimizer.build_mio(two_by_two_instance(),

@@ -34,6 +34,14 @@ class TestAdmissibility:
                              [Fraction(1), Fraction(1)])
         assert not queuing.check_admissible(inst, topo([[0, 0], [1, 1]]))
 
+    def test_idle_resource_inadmissible(self):
+        # resource 0 alone out-paces the queue, but the balanced flows must
+        # reach resource 1 too
+        inst = make_instance([Fraction(1, 2)], [Fraction(1, 2), Fraction(3, 5)])
+        assert not queuing.check_admissible(inst, topo([[0, 1]]))
+        with pytest.raises(queuing.FlowSolveError, match="not admissible"):
+            queuing.steady_state_flows(inst, topo([[0, 1]]))
+
     def test_monotone_in_edges(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
