@@ -390,17 +390,25 @@ def _cell_keys(trees: list, X, labels=None):
     """Distinct cell keys among the rows of ``X`` and each row's index into them.
 
     A row's key is the tuple of its leaf ids across ``trees``; with group
-    labels it is (leaf tuple, ``str(label)``).
+    labels it is (leaf tuple, ``str(label)``). Keys come in lexicographic
+    order: each column in turn refines the rank of the columns before it. A
+    rank is below the row count, so a refined code stays below rows x (largest
+    column value + 1) and cannot overflow.
     """
     cols = [t.leaf_ids(X) for t in trees]
     if labels is not None:
         names, codes = np.unique(labels, return_inverse=True)
         cols.append(codes.reshape(-1))
-    rows, inverse = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
-    keys = [tuple(row) for row in rows.tolist()]
+    inverse = np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols:
+        _, inverse = np.unique(inverse * (col.max(initial=0) + 1) + col,
+                               return_inverse=True)
+    rep = np.empty(inverse.max(initial=-1) + 1, dtype=np.int64)   # a row of each key
+    rep[inverse] = np.arange(len(inverse))
+    keys = [tuple(row) for row in np.column_stack([c[rep] for c in cols]).tolist()]
     if labels is not None:
         keys = [(key[:-1], str(names[key[-1]])) for key in keys]
-    return keys, inverse.reshape(-1)
+    return keys, inverse
 
 
 @dataclass
@@ -463,14 +471,17 @@ def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
         raise ValueError(f"unknown group dimension: {group_dimension}")
     seen, _ = _cell_keys(partition.trees, dataset.design(partition.feature_mode),
                          dataset.groups[group_dimension])
+    unseen = sorted({tup for tup, _ in seen} - set(partition.queue_table))
+    if unseen:
+        raise ValueError(f"records fall in cells the partition never saw: {unseen}")
     if len({g for _, g in seen}) == 1:
         return partition
     table = {}
     cells = {}
     for tup, g in sorted(seen):
-        qid = f"{partition.queue_table.get(tup, 'q?')}:{g}"
+        qid = f"{partition.queue_table[tup]}:{g}"
         table[(tup, g)] = qid
-        cells.setdefault(partition.queue_table.get(tup), []).append(qid)
+        cells.setdefault(partition.queue_table[tup], []).append(qid)
     return PartitionFunction(partition.trees, table, list(table.values()),
                              partition.feature_mode, group_dimension, cells)
 

@@ -66,7 +66,9 @@ def load_config(path=None, overrides=None) -> dict:
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         for key, value in user.items():
-            if isinstance(cfg[key], dict) and isinstance(value, dict):
+            if isinstance(cfg[key], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key} must be an object")
                 unknown = set(value) - set(cfg[key])
                 if unknown:
                     raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")

@@ -1,14 +1,18 @@
 """Discrete-event simulation of the double-sided FCFS matching system.
 
 Individuals arrive to queues and resources arrive to type buffers as Poisson
-streams; each side waits for the other. A resource serves the earliest-arrived
-waiting individual across all eligible queues; an individual takes the
-earliest-arrived waiting resource among eligible types. Ties on identical
-timestamps break toward the lower queue/resource index.
+streams; each side waits for the other (Caldentey, Kaplan & Weiss 2009). The
+two sides are symmetric, so the simulator sees one bipartite graph: queue q is
+node q, resource r is node ``n_queues + r``, and an edge of the topology joins
+them. An arrival takes the earliest-arrived waiting partner among its
+neighbours, or waits at its own node. Arrivals at the same time are handled
+in node order, so individuals come before resources, and a tie between
+waiting partners' arrival times goes to the lower node.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,81 +45,47 @@ def _poisson_stream(rng, rate: float, horizon: float) -> np.ndarray:
 
 
 def _merged_events(streams_q, streams_r):
-    """Single time-ordered event list; individuals sort before resources on ties,
-    lower index first."""
-    times, kinds, idxs = [], [], []
-    for q, t in enumerate(streams_q):
-        times.append(t)
-        kinds.append(np.zeros(t.size, dtype=int))
-        idxs.append(np.full(t.size, q))
-    for r, t in enumerate(streams_r):
-        times.append(t)
-        kinds.append(np.ones(t.size, dtype=int))
-        idxs.append(np.full(t.size, r))
-    times = np.concatenate(times)
-    kinds = np.concatenate(kinds)
-    idxs = np.concatenate(idxs)
-    order = np.lexsort((idxs, kinds, times))
-    return times[order], kinds[order], idxs[order]
+    """Every arrival as (time, node) in time order, ties toward the lower node.
 
-
-def _run_matching(times, kinds, idxs, eligible_r_per_q, eligible_q_per_r,
-                  n_q, n_r, warmup_end, horizon, audit=False):
-    wait_q = [[] for _ in range(n_q)]     # waiting individual arrival times per queue
-    head_q = [0] * n_q
-    wait_r = [[] for _ in range(n_r)]     # waiting resource arrival times per type
-    head_r = [0] * n_r
-    counts = np.zeros((n_q, n_r), dtype=np.int64)
-    wait_sum = np.zeros(n_q)
-    wait_n = np.zeros(n_q, dtype=np.int64)
-    log = []
-    for t, kind, i in zip(times.tolist(), kinds.tolist(), idxs.tolist()):
-        if kind == 0:
-            best_r, best_t = -1, None
-            for r in eligible_r_per_q[i]:
-                if head_r[r] < len(wait_r[r]):
-                    rt = wait_r[r][head_r[r]]
-                    if best_t is None or rt < best_t:
-                        best_r, best_t = r, rt
-            if best_r < 0:
-                wait_q[i].append(t)
-            else:
-                head_r[best_r] += 1
-                if t >= warmup_end:
-                    counts[i, best_r] += 1
-                    wait_n[i] += 1
-                if audit:
-                    log.append((t, "match", i, best_r, 0.0))
-        else:
-            best_q, best_t = -1, None
-            for q in eligible_q_per_r[i]:
-                if head_q[q] < len(wait_q[q]):
-                    qt = wait_q[q][head_q[q]]
-                    if best_t is None or qt < best_t:
-                        best_q, best_t = q, qt
-            if best_q < 0:
-                wait_r[i].append(t)
-            else:
-                head_q[best_q] += 1
-                if t >= warmup_end:
-                    counts[best_q, i] += 1
-                    wait_sum[best_q] += t - best_t
-                    wait_n[best_q] += 1
-                if audit:
-                    log.append((t, "match", best_q, i, t - best_t))
-    expired = sum(len(w) - h for w, h in zip(wait_q, head_q))
-    return counts, wait_sum, wait_n, expired, log
+    Queue q is node q and resource r is node ``len(streams_q) + r``, so on a
+    tie individuals come before resources, lower index first.
+    """
+    streams = list(streams_q) + list(streams_r)
+    times = np.concatenate(streams)
+    nodes = np.repeat(np.arange(len(streams)), [t.size for t in streams])
+    order = np.lexsort((nodes, times))
+    return times[order], nodes[order]
 
 
 def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, audit):
     """FCFS matching of the arrival streams on the topology, and its statistics."""
-    times, kinds, idxs = _merged_events(streams_q, streams_r)
+    times, nodes = _merged_events(streams_q, streams_r)
     m = topology.m
     n_q, n_r = m.shape
-    elig_r = [list(np.flatnonzero(m[q])) for q in range(n_q)]
-    elig_q = [list(np.flatnonzero(m[:, r])) for r in range(n_r)]
-    counts, wait_sum, wait_n, expired, log = _run_matching(
-        times, kinds, idxs, elig_r, elig_q, n_q, n_r, warmup_end, horizon, audit)
+    neighbours = ([(n_q + np.flatnonzero(row)).tolist() for row in m]
+                  + [np.flatnonzero(col).tolist() for col in m.T])
+    waiting = [deque() for _ in neighbours]      # arrival times, earliest first
+    counts = [[0] * n_r for _ in range(n_q)]     # lists: cheaper per match than numpy
+    wait_sum = [0.0] * n_q
+    log = []
+    for t, i in zip(times.tolist(), nodes.tolist()):
+        best, best_t = -1, None
+        for j in neighbours[i]:
+            if waiting[j] and (best_t is None or waiting[j][0] < best_t):
+                best, best_t = j, waiting[j][0]
+        if best < 0:
+            waiting[i].append(t)
+            continue
+        waiting[best].popleft()
+        q, r = min(i, best), max(i, best) - n_q
+        wait = t - best_t if best < n_q else 0.0     # only individuals' waits count
+        if t >= warmup_end:
+            counts[q][r] += 1
+            wait_sum[q] += wait
+        if audit:
+            log.append((t, "match", q, r, wait))
+    counts, wait_sum = np.array(counts, dtype=np.int64), np.array(wait_sum)
+    wait_n = counts.sum(axis=1)
     measured = horizon - warmup_end
     with np.errstate(invalid="ignore"):
         avg_wait = np.where(wait_n > 0, wait_sum / np.maximum(wait_n, 1), np.nan)
@@ -126,7 +96,7 @@ def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, au
         avg_wait_per_queue=avg_wait,
         overall_avg_wait=overall,
         matched_count=total,
-        expired_horizon_count=int(expired),
+        expired_horizon_count=sum(len(w) for w in waiting[:n_q]),
         horizon=float(measured),
         seed=seed,
         event_log=tuple(log),

@@ -11,6 +11,12 @@ growers unchanged, so that a test can require the shared grower in
 ``fairmatch.causal`` to produce bit-identical trees: the same splits,
 thresholds, counts and leaf values. Fitted trees feed every later stage, and
 the pipeline's outputs are required to stay byte-identical.
+
+The simulator's matching loop is kept the same way: ``reference_match_streams``
+runs the earlier matcher, which writes the FCFS rule out once for arriving
+individuals and once for arriving resources, so that a test can require the
+single node loop in ``fairmatch.desim`` to give identical statistics and
+event logs.
 """
 
 from fractions import Fraction
@@ -20,6 +26,7 @@ import numpy as np
 
 from fairmatch.causal import (LAPLACE_ALPHA, CausalTree, DecisionTree, TreeNode,
                               _honest_reestimate)
+from fairmatch.desim import SimulationStats
 
 
 def brute_force_flows(instance, topology):
@@ -286,6 +293,100 @@ def reference_fit_causal_tree(dataset, resource, params=None, features="all", se
         root = _grow_effect_tree(X, y, w, params, 0)
     tree = DecisionTree(root, "binary-regression", X.shape[1])
     return CausalTree(tree, resource, baseline, params["honest"], mns, features)
+
+
+def _merged_events(streams_q, streams_r):
+    """Single time-ordered event list; individuals sort before resources on ties,
+    lower index first."""
+    times, kinds, idxs = [], [], []
+    for q, t in enumerate(streams_q):
+        times.append(t)
+        kinds.append(np.zeros(t.size, dtype=int))
+        idxs.append(np.full(t.size, q))
+    for r, t in enumerate(streams_r):
+        times.append(t)
+        kinds.append(np.ones(t.size, dtype=int))
+        idxs.append(np.full(t.size, r))
+    times = np.concatenate(times)
+    kinds = np.concatenate(kinds)
+    idxs = np.concatenate(idxs)
+    order = np.lexsort((idxs, kinds, times))
+    return times[order], kinds[order], idxs[order]
+
+
+def _run_matching(times, kinds, idxs, eligible_r_per_q, eligible_q_per_r,
+                  n_q, n_r, warmup_end, horizon, audit=False):
+    wait_q = [[] for _ in range(n_q)]     # waiting individual arrival times per queue
+    head_q = [0] * n_q
+    wait_r = [[] for _ in range(n_r)]     # waiting resource arrival times per type
+    head_r = [0] * n_r
+    counts = np.zeros((n_q, n_r), dtype=np.int64)
+    wait_sum = np.zeros(n_q)
+    wait_n = np.zeros(n_q, dtype=np.int64)
+    log = []
+    for t, kind, i in zip(times.tolist(), kinds.tolist(), idxs.tolist()):
+        if kind == 0:
+            best_r, best_t = -1, None
+            for r in eligible_r_per_q[i]:
+                if head_r[r] < len(wait_r[r]):
+                    rt = wait_r[r][head_r[r]]
+                    if best_t is None or rt < best_t:
+                        best_r, best_t = r, rt
+            if best_r < 0:
+                wait_q[i].append(t)
+            else:
+                head_r[best_r] += 1
+                if t >= warmup_end:
+                    counts[i, best_r] += 1
+                    wait_n[i] += 1
+                if audit:
+                    log.append((t, "match", i, best_r, 0.0))
+        else:
+            best_q, best_t = -1, None
+            for q in eligible_q_per_r[i]:
+                if head_q[q] < len(wait_q[q]):
+                    qt = wait_q[q][head_q[q]]
+                    if best_t is None or qt < best_t:
+                        best_q, best_t = q, qt
+            if best_q < 0:
+                wait_r[i].append(t)
+            else:
+                head_q[best_q] += 1
+                if t >= warmup_end:
+                    counts[best_q, i] += 1
+                    wait_sum[best_q] += t - best_t
+                    wait_n[best_q] += 1
+                if audit:
+                    log.append((t, "match", best_q, i, t - best_t))
+    expired = sum(len(w) - h for w, h in zip(wait_q, head_q))
+    return counts, wait_sum, wait_n, expired, log
+
+
+def reference_match_streams(streams_q, streams_r, topology, warmup_end, horizon,
+                            seed, audit):
+    """FCFS matching of the arrival streams on the topology, and its statistics."""
+    times, kinds, idxs = _merged_events(streams_q, streams_r)
+    m = topology.m
+    n_q, n_r = m.shape
+    elig_r = [list(np.flatnonzero(m[q])) for q in range(n_q)]
+    elig_q = [list(np.flatnonzero(m[:, r])) for r in range(n_r)]
+    counts, wait_sum, wait_n, expired, log = _run_matching(
+        times, kinds, idxs, elig_r, elig_q, n_q, n_r, warmup_end, horizon, audit)
+    measured = horizon - warmup_end
+    with np.errstate(invalid="ignore"):
+        avg_wait = np.where(wait_n > 0, wait_sum / np.maximum(wait_n, 1), np.nan)
+    total = int(wait_n.sum())
+    overall = float(wait_sum.sum() / total) if total else float("nan")
+    return SimulationStats(
+        empirical_flows=counts / measured,
+        avg_wait_per_queue=avg_wait,
+        overall_avg_wait=overall,
+        matched_count=total,
+        expired_horizon_count=int(expired),
+        horizon=float(measured),
+        seed=seed,
+        event_log=tuple(log),
+    )
 
 
 def binomial_3sigma(p, n):

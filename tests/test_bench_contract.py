@@ -2,6 +2,7 @@
 wraps, and its fairness-sweep set-up passes the benchmark's learning checks."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,30 @@ def test_tree_lookups_do_not_call_each_other(monkeypatch, called):
         assert tree.n_leaves == 4
     else:
         assert len(getattr(tree, called)(X)) == len(X)
+
+
+def test_event_count_sees_every_arrival(monkeypatch):
+    """The trace counts `desim.events` as the length of the first array that
+    a wrapped `desim._merged_events` returns; it must see every arrival."""
+    generated, seen = [], []
+    stream, merged = desim._poisson_stream, desim._merged_events
+
+    def counted_stream(*args):
+        times = stream(*args)
+        generated.append(times.size)
+        return times
+
+    def merged_events(streams_q, streams_r):
+        out = merged(streams_q, streams_r)
+        seen.append(len(out[0]))
+        return out
+    monkeypatch.setattr(desim, "_poisson_stream", counted_stream)
+    monkeypatch.setattr(desim, "_merged_events", merged_events)
+    inst = core.MCMSInstance(("q0", "q1"), ("r0", "r1"), (Fraction(1), Fraction(1)),
+                             (Fraction(101, 100), Fraction(101, 100)), 0.99)
+    desim.simulate(inst, core.MatchingTopology.fully_connected(2, 2), 200.0, seed=0)
+    assert len(generated) == 4 and sum(generated) > 0
+    assert seen == [sum(generated)]
 
 
 def test_fairness_sweep_setup_passes_learning_checks(tmp_path):

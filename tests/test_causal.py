@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -434,6 +435,18 @@ class TestPartitions:
         assert refined.n_queues == 12
         assert len(refined.score_cells) == 4
 
+    def test_group_split_rejects_cells_the_partition_never_saw(self):
+        rng = np.random.default_rng(4)
+        n = 400
+        scores = rng.uniform(0, 1, n)
+        ds = make_dataset(scores, rng.choice(["a", "b"], n), rng.integers(0, 2, n),
+                          groups={"race": rng.choice(["A", "B"], n)})
+        base = causal.intersect_partitions(
+            [stub_causal_tree([0.25, 0.5, 0.75])], ds.subset(scores < 0.3), "score")
+        assert base.n_queues == 2
+        with pytest.raises(ValueError, match="never saw"):
+            causal.split_queues_by_group(base, ds, "race")
+
     def test_group_split_constant_group_unchanged(self):
         scores = np.linspace(0, 1, 20)
         ds = make_dataset(scores, ["a", "b"] * 10, [0, 1] * 10,
@@ -490,6 +503,21 @@ class TestAssignDataset:
             part = causal.split_queues_by_group(part, train, "g")
             assert part.group_dimension == "g"
         assert list(part.assign_dataset(ds)) == _brute_force_queues(part, ds)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cell_keys_match_row_unique(self, data):
+        """Keys, their order and each row's index into them are those of a
+        row-wise unique over the leaf-id columns, huge leaf ids included."""
+        n = data.draw(st.integers(0, 40))
+        ids = st.lists(st.sampled_from([0, 1, 2, 7, 2**40]), min_size=n, max_size=n)
+        cols = [np.array(data.draw(ids), dtype=np.int64)
+                for _ in range(data.draw(st.integers(1, 3)))]
+        trees = [SimpleNamespace(leaf_ids=lambda X, c=c: c) for c in cols]
+        rows, inverse = np.unique(np.column_stack(cols), axis=0, return_inverse=True)
+        keys, got = causal._cell_keys(trees, None)
+        assert keys == [tuple(row) for row in rows.tolist()]
+        assert np.array_equal(got, inverse.reshape(-1))
 
     def test_integer_labels_reach_their_own_queues(self):
         scores = np.linspace(0, 1, 40)

@@ -149,6 +149,16 @@ class TestExitCodes:
             cli.load_config(bad)
         assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", [None, 5])
+    @pytest.mark.parametrize("section", ["tree_params", "nuisance_params", "fairness",
+                                         "solver", "simulate", "synth", "experiment"])
+    def test_config_section_not_an_object(self, tmp_path, section, value):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({section: value}))
+        with pytest.raises(cli.ConfigError, match=f"{section} must be an object"):
+            cli.load_config(bad)
+        assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
+
     def test_group_probs_contents_are_free_form(self, tmp_path):
         path = tmp_path / "cfg.json"
         probs = {"race": {"A": 0.3, "B": 0.7}}

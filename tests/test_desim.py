@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import binomial_3sigma
+from _oracles import binomial_3sigma, random_instance, reference_match_streams
 from conftest import make_dataset, make_instance
 from fairmatch import core, desim, queuing
 
@@ -65,36 +67,94 @@ class TestSimulate:
         assert stats.overall_avg_wait == pytest.approx(weighted, rel=1e-6)
 
 
+def _match(streams_q, streams_r, rows, horizon):
+    """Counts, expired count and event log of FCFS matching from t=0."""
+    stats = desim._match_streams([np.array(t) for t in streams_q],
+                                 [np.array(t) for t in streams_r],
+                                 topo(rows), 0.0, horizon, 0, True)
+    counts = np.rint(stats.empirical_flows * stats.horizon).astype(int)
+    return counts, stats.expired_horizon_count, stats.event_log
+
+
 class TestMatchingDiscipline:
     def test_global_fcfs_hand_scenario(self):
         # two queues share one resource type; individuals arrive at t=1 (q1)
         # and t=2 (q0); resources at t=3 and t=4 must serve in arrival order
-        times = np.array([1.0, 2.0, 3.0, 4.0])
-        kinds = np.array([0, 0, 1, 1])
-        idxs = np.array([1, 0, 0, 0])
-        counts, wait_sum, wait_n, expired, log = desim._run_matching(
-            times, kinds, idxs, [[0], [0]], [[0, 1]], 2, 1, 0.0, 5.0, audit=True)
+        counts, expired, log = _match([[2.0], [1.0]], [[3.0, 4.0]], [[1], [1]], 5.0)
         assert counts[1, 0] == 1 and counts[0, 0] == 1
         assert expired == 0
         assert [entry[2] for entry in log] == [1, 0]
         assert [entry[4] for entry in log] == [2.0, 2.0]
 
     def test_tie_breaks_toward_lower_queue(self):
-        times = np.array([1.0, 1.0, 2.0])
-        kinds = np.array([0, 0, 1])
-        idxs = np.array([0, 1, 0])
-        counts, *_ , log = desim._run_matching(
-            times, kinds, idxs, [[0], [0]], [[0, 1]], 2, 1, 0.0, 3.0, audit=True)
+        counts, _, log = _match([[1.0], [1.0]], [[2.0]], [[1], [1]], 3.0)
         assert log[0][2] == 0
 
     def test_individual_takes_earliest_waiting_resource(self):
         # resources of both types wait; the earlier-arrived type must be used
-        times = np.array([1.0, 2.0, 3.0])
-        kinds = np.array([1, 1, 0])
-        idxs = np.array([1, 0, 0])
-        counts, *_rest, log = desim._run_matching(
-            times, kinds, idxs, [[0, 1]], [[0], [0]], 1, 2, 0.0, 4.0, audit=True)
+        counts, *_ = _match([[3.0]], [[2.0], [1.0]], [[1, 1]], 4.0)
         assert counts[0, 1] == 1 and counts[0, 0] == 0
+
+
+def _same_stats(a, b):
+    assert np.array_equal(a.empirical_flows, b.empirical_flows)
+    assert np.array_equal(a.avg_wait_per_queue, b.avg_wait_per_queue, equal_nan=True)
+    assert np.array_equal(a.overall_avg_wait, b.overall_avg_wait, equal_nan=True)
+    assert (a.matched_count, a.expired_horizon_count, a.horizon, a.seed) == \
+        (b.matched_count, b.expired_horizon_count, b.horizon, b.seed)
+    assert a.event_log == b.event_log
+
+
+@st.composite
+def _grid_streams(draw):
+    """A random topology, empty rows and columns allowed, and arrival streams
+    on a coarse grid, so that queue-queue, resource-resource and
+    queue-resource ties are all common."""
+    n_q, n_r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_r, max_size=n_r),
+                         min_size=n_q, max_size=n_q))
+    grid = st.lists(st.integers(0, 12).map(lambda k: k / 3), max_size=8)
+    streams_q = [np.sort(np.array(draw(grid), dtype=float)) for _ in range(n_q)]
+    streams_r = [np.sort(np.array(draw(grid), dtype=float)) for _ in range(n_r)]
+    warmup_end = draw(st.integers(0, 12)) / 3
+    return streams_q, streams_r, topo(rows), warmup_end
+
+
+class TestAgainstReference:
+    """The node loop gives the statistics and event log of the earlier
+    matcher, which handled the two sides in mirrored branches."""
+
+    @given(case=_grid_streams(), audit=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_grid_streams(self, case, audit):
+        streams_q, streams_r, m, warmup_end = case
+        args = (streams_q, streams_r, m, warmup_end, 13 / 3, 7, audit)
+        _same_stats(desim._match_streams(*args), reference_match_streams(*args))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_simulate(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n_q, n_r = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        lam, mu = random_instance(rng, n_q, n_r)
+        inst = make_instance(lam, mu)
+        m = core.MatchingTopology.fully_connected(n_q, n_r)
+        got = desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True)
+        monkeypatch.setattr(desim, "_match_streams", reference_match_streams)
+        _same_stats(got, desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True))
+
+    def test_replay_with_tied_arrivals(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n = 600
+        scores = rng.uniform(-1, 1, n)
+        arrivals = np.sort(rng.integers(0, 200, n)).astype(float)
+        ds = make_dataset(scores, ["a"] * n, [0] * n, resources=("a", "b"),
+                          arrival=arrivals)
+        queue_ids = np.where(ds.score < 0, "q0", "q1")
+        inst = make_instance([2, 1], [Fraction(3, 2), Fraction(2)])
+        m = topo([[1, 1], [0, 1]])
+        got = desim.simulate_replay(ds, queue_ids, inst, m, seed=1, audit=True)
+        monkeypatch.setattr(desim, "_match_streams", reference_match_streams)
+        _same_stats(got, desim.simulate_replay(ds, queue_ids, inst, m, seed=1, audit=True))
 
 
 class TestReplay:
