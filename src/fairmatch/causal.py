@@ -511,7 +511,8 @@ def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
     """
     assignments = np.array(partition.assign_dataset(dataset))
     terms = _dr_terms(dataset, out, prop)
-    kept = [q for q in partition.queues if np.any(assignments == q)]
+    present = set(np.unique(assignments).tolist())
+    kept = [q for q in partition.queues if q in present]
     tau = np.zeros((len(kept), len(dataset.resource_set)))
     for qi, q in enumerate(kept):
         mask = assignments == q
@@ -545,10 +546,12 @@ def arrival_rates(dataset: Dataset, partition: PartitionFunction,
         raise ValueError("observation window must be positive")
     window = rationalize(observation_window_days)
     assignments = np.array(partition.assign_dataset(dataset))
-    queues = [q for q in partition.queues if np.any(assignments == q)]
+    names, sizes = np.unique(assignments, return_counts=True)
+    size = dict(zip(names.tolist(), sizes.tolist()))
+    queues = [q for q in partition.queues if q in size]
     if not queues:
         raise ValueError("no populated queues")
-    lam = [Fraction(int(np.sum(assignments == q))) / window for q in queues]
+    lam = [Fraction(size[q]) / window for q in queues]
     rho_frac = rationalize(rho)
     lam_total = sum(lam, Fraction(0))
     resources = list(dataset.resource_set)

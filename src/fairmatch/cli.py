@@ -62,6 +62,8 @@ def load_config(path=None, overrides=None) -> dict:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(user) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")

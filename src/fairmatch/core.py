@@ -88,8 +88,10 @@ class Dataset:
 
     def treatment_index(self) -> np.ndarray:
         """Each record's treatment as its position in ``resource_set``."""
-        index = {r: i for i, r in enumerate(self.resource_set)}
-        return np.array([index[t] for t in self.treatment], dtype=int)
+        index = np.zeros(len(self.treatment), dtype=int)
+        for i, r in enumerate(self.resource_set):
+            index[self.treatment == r] = i
+        return index
 
     def subset(self, mask) -> "Dataset":
         mask = np.asarray(mask)

@@ -8,6 +8,14 @@ them. An arrival takes the earliest-arrived waiting partner among its
 neighbours, or waits at its own node. Arrivals at the same time are handled
 in node order, so individuals come before resources, and a tie between
 waiting partners' arrival times goes to the lower node.
+
+Which nodes have someone waiting is kept in one integer, an occupancy mask
+whose bit j is set while someone waits at node j. An arrival ands it with its
+own neighbour mask: with no bit left it waits at its own node without looking
+at any neighbour, with one bit left that neighbour holds its partner, and only
+with two or more does it scan its neighbours for the earliest-arrived head, in
+node order and with the same tie rule. Python integers are unbounded, so the
+mask serves any number of nodes.
 """
 
 from __future__ import annotations
@@ -48,12 +56,13 @@ def _merged_events(streams_q, streams_r):
     """Every arrival as (time, node) in time order, ties toward the lower node.
 
     Queue q is node q and resource r is node ``len(streams_q) + r``, so on a
-    tie individuals come before resources, lower index first.
+    tie individuals come before resources, lower index first. The streams are
+    concatenated in node order, so a stable sort on time alone keeps that order.
     """
     streams = list(streams_q) + list(streams_r)
     times = np.concatenate(streams)
     nodes = np.repeat(np.arange(len(streams)), [t.size for t in streams])
-    order = np.lexsort((nodes, times))
+    order = np.argsort(times, kind="stable")
     return times[order], nodes[order]
 
 
@@ -64,21 +73,36 @@ def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, au
     n_q, n_r = m.shape
     neighbours = ([(n_q + np.flatnonzero(row)).tolist() for row in m]
                   + [np.flatnonzero(col).tolist() for col in m.T])
+    bits = [1 << j for j in range(len(neighbours))]
+    masks = [sum(bits[j] for j in nb) for nb in neighbours]
+    node_of = {b: j for j, b in enumerate(bits)}
     waiting = [deque() for _ in neighbours]      # arrival times, earliest first
+    busy = 0                                     # bit j set while waiting[j] is non-empty
     counts = [[0] * n_r for _ in range(n_q)]     # lists: cheaper per match than numpy
     wait_sum = [0.0] * n_q
     log = []
     for t, i in zip(times.tolist(), nodes.tolist()):
-        best, best_t = -1, None
-        for j in neighbours[i]:
-            if waiting[j] and (best_t is None or waiting[j][0] < best_t):
-                best, best_t = j, waiting[j][0]
-        if best < 0:
+        live = busy & masks[i]
+        if not live:
+            if not waiting[i]:
+                busy ^= bits[i]
             waiting[i].append(t)
             continue
-        waiting[best].popleft()
-        q, r = min(i, best), max(i, best) - n_q
-        wait = t - best_t if best < n_q else 0.0     # only individuals' waits count
+        if not live & (live - 1):                    # one neighbour has someone waiting
+            best = node_of[live]
+        else:
+            best_t = None
+            for j in neighbours[i]:
+                if waiting[j] and (best_t is None or waiting[j][0] < best_t):
+                    best, best_t = j, waiting[j][0]
+        line = waiting[best]
+        best_t = line.popleft()
+        if not line:
+            busy ^= bits[best]
+        if best < n_q:                               # only individuals' waits count
+            q, r, wait = best, i - n_q, t - best_t
+        else:
+            q, r, wait = i, best - n_q, 0.0
         if t >= warmup_end:
             counts[q][r] += 1
             wait_sum[q] += wait

@@ -22,11 +22,12 @@ class ValueEstimate:
 def _policy_rows(policy: Policy, queue_ids, instance: MCMSInstance):
     """Per-record policy rows pi(. | queue of record)."""
     queue_index = {q: i for i, q in enumerate(instance.queues)}
+    names, inverse = np.unique(np.asarray(queue_ids), return_inverse=True)
     try:
-        rows = np.array([queue_index[q] for q in queue_ids], dtype=int)
+        rows = np.array([queue_index[q] for q in names.tolist()], dtype=int)
     except KeyError as exc:
         raise ValueError(f"record mapped to queue absent from instance: {exc}")
-    return policy.probs[rows]
+    return policy.probs[rows[inverse]]
 
 
 def _predictions(dataset: Dataset, out):

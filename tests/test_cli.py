@@ -159,6 +159,14 @@ class TestExitCodes:
             cli.load_config(bad)
         assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("top", [None, 5, "x", [], ["rho"]])
+    def test_config_not_an_object(self, tmp_path, top):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(top))
+        with pytest.raises(cli.ConfigError, match="config must be a JSON object"):
+            cli.load_config(bad)
+        assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
+
     def test_group_probs_contents_are_free_form(self, tmp_path):
         path = tmp_path / "cfg.json"
         probs = {"race": {"A": 0.3, "B": 0.7}}

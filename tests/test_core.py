@@ -219,6 +219,12 @@ class TestDataset:
                          np.array([0, 1]), np.array([0.0, 1.0]),
                          ["x", "y"], ["score"])
 
+    def test_treatment_index(self):
+        ds = core.Dataset(np.zeros((4, 1)), np.zeros(4), {},
+                          np.array(["y", "x", "z", "y"], dtype=object),
+                          np.zeros(4, dtype=int), np.zeros(4), ["z", "x", "y"], ["score"])
+        assert np.array_equal(ds.treatment_index(), [2, 1, 0, 2])
+
     def test_subset_preserves_alignment(self):
         scores = np.array([1.0, 2.0, 3.0])
         ds = core.Dataset(scores[:, None], scores, {},

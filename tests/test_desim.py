@@ -120,16 +120,62 @@ def _grid_streams(draw):
     return streams_q, streams_r, topo(rows), warmup_end
 
 
+@st.composite
+def _refill_streams(draw):
+    """Grid streams plus one edge whose ends take turns: a burst at one end,
+    then as many arrivals at the other, so that the first end's waiting line
+    empties and refills again and again."""
+    streams_q, streams_r, m, warmup_end = draw(_grid_streams())
+    q = draw(st.integers(0, len(streams_q) - 1))
+    r = draw(st.integers(0, len(streams_r) - 1))
+    rows = m.m.copy()
+    rows[q, r] = 1
+    bursts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    first = np.repeat(np.arange(len(bursts)) / 3, bursts)
+    second = first + 1 / 6
+    if draw(st.booleans()):
+        first, second = second, first
+    streams_q[q] = np.sort(np.concatenate([streams_q[q], first]))
+    streams_r[r] = np.sort(np.concatenate([streams_r[r], second]))
+    return streams_q, streams_r, topo(rows), warmup_end
+
+
 class TestAgainstReference:
     """The node loop gives the statistics and event log of the earlier
     matcher, which handled the two sides in mirrored branches."""
 
-    @given(case=_grid_streams(), audit=st.booleans())
-    @settings(max_examples=400, deadline=None)
+    @given(case=_grid_streams() | _refill_streams(), audit=st.booleans())
+    @settings(max_examples=600, deadline=None)
     def test_grid_streams(self, case, audit):
         streams_q, streams_r, m, warmup_end = case
         args = (streams_q, streams_r, m, warmup_end, 13 / 3, 7, audit)
         _same_stats(desim._match_streams(*args), reference_match_streams(*args))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_more_nodes_than_a_machine_word(self, seed):
+        # 73 nodes: resources are nodes 70-72, past bit 63 of the occupancy mask
+        rng = np.random.default_rng(seed)
+        n_q, n_r = 70, 3
+        rows = (rng.random((n_q, n_r)) < 0.3).astype(int)
+        rows[np.arange(n_q), rng.integers(0, n_r, n_q)] = 1
+        grid = lambda n: np.sort(rng.integers(0, 60, n)) / 3
+        streams_q = [grid(rng.integers(0, 6)) for _ in range(n_q)]
+        streams_r = [grid(60) for _ in range(n_r)]
+        args = (streams_q, streams_r, topo(rows), 5.0, 20.0, seed, True)
+        got = desim._match_streams(*args)
+        _same_stats(got, reference_match_streams(*args))
+        assert {q for _, _, q, _, _ in got.event_log} & set(range(64, n_q))
+
+    @given(case=_grid_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_merge_order_on_ties(self, case):
+        streams = case[0] + case[1]
+        times = np.concatenate(streams)
+        nodes = np.repeat(np.arange(len(streams)), [t.size for t in streams])
+        order = np.lexsort((nodes, times))
+        got_times, got_nodes = desim._merged_events(case[0], case[1])
+        assert np.array_equal(got_times, times[order])
+        assert np.array_equal(got_nodes, nodes[order])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_simulate(self, monkeypatch, seed):

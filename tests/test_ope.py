@@ -40,6 +40,27 @@ def uniform_policy():
     return core.Policy(np.array([[0.5, 0.5]]))
 
 
+class TestPolicyRows:
+    def instance(self):
+        return make_instance([1, 1, 1], [Fraction(2), Fraction(1)], rho=1.0)
+
+    def policy(self):
+        return core.Policy(np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]]))
+
+    def test_plain_list_of_queue_ids(self):
+        queue_ids = ["q2", "q0", "q2", "q1"]
+        rows = ope._policy_rows(self.policy(), queue_ids, self.instance())
+        assert np.array_equal(rows, self.policy().probs[[2, 0, 2, 1]])
+
+    def test_unknown_queue_rejected(self):
+        with pytest.raises(ValueError, match="absent from instance"):
+            ope._policy_rows(self.policy(), ["q0", "q7"], self.instance())
+
+    def test_zero_records(self):
+        rows = ope._policy_rows(self.policy(), [], self.instance())
+        assert rows.shape == (0, 2)
+
+
 class TestDirectMethod:
     def test_single_record_mixture(self):
         ds = make_dataset([0.0], ["a"], [1])
