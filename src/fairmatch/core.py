@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,36 +126,70 @@ class Dataset:
                    + [map(str, self.treatment.tolist()), self.outcome.tolist(),
                       self.arrival_time.tolist()]
                    + [v.tolist() for v in po.values()])
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(zip(*columns))
 
     @classmethod
     def from_csv(cls, path, resource_set, feature_names, group_dimensions=()):
-        with open(path, newline="") as fh:
-            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
-        if not rows:
+        """Read a dataset file as ``to_csv`` writes it.
+
+        The file is UTF-8, with or without a byte-order mark, and quoted as
+        RFC 4180 describes: a field holding a comma, a quote or a line break
+        is wrapped in double quotes, and a quote inside one is doubled. The
+        first row names the columns. ``id``, ``score``, ``treatment``,
+        ``outcome``, ``arrival_time``, each of ``feature_names`` and each of
+        ``group_dimensions`` must be present, in any order. Features, score
+        and arrival time are floats; outcome and every ``po_<resource>``
+        column (potential outcomes, optional) are integers; ids, treatments
+        and group labels are strings, kept as written: ``#`` is data and
+        spaces are not trimmed. Other columns are ignored. Blank lines are
+        skipped. An empty required field, a row whose field count differs
+        from the header's, or a number that does not parse raises
+        ``ValueError``.
+        """
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next((row for row in csv.reader(fh) if row), None)
+            if header is None:
+                raise ValueError(f"empty dataset file: {path}")
+            _check_unique(header)
+            required = ["id"] + list(feature_names) + ["score", "treatment",
+                                                      "outcome", "arrival_time"]
+            for col in required + list(group_dimensions):
+                if col not in header:
+                    raise ValueError(f"missing column: {col}")
+            # A column wanted as two kinds is parsed as the stricter one and
+            # cast for the other: text before int before float.
+            strings = {"id", "treatment", *group_dimensions}
+            ints = {"outcome", *(c for c in header if c.startswith("po_"))}
+            floats = {"score", "arrival_time", *feature_names}
+            kinds = [object if c in strings else np.int64 if c in ints
+                     else float if c in floats else object for c in header]
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file: reported as empty below.
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(
+                        fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                        dtype=[(f"f{i}", kind) for i, kind in enumerate(kinds)])
+            except ValueError:
+                message = _row_error(path, header, required)
+                if message is None:
+                    raise
+                raise ValueError(message) from None
+        if not len(table):
             raise ValueError(f"empty dataset file: {path}")
-        _check_unique(header)
-        for i, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"data row {i} has {len(row)} fields, "
-                                 f"the header has {len(header)}")
-        cols = dict(zip(header, zip(*rows)))
-        required = ["id"] + list(feature_names) + ["score", "treatment",
-                                                  "outcome", "arrival_time"]
-        for col in required + list(group_dimensions):
-            if col not in cols:
-                raise ValueError(f"missing column: {col}")
+        cols = dict(zip(header, (table[name] for name in table.dtype.names)))
+        # A numeric column rejects an empty field as it parses; a text one not.
         for col in required:
-            if "" in cols[col]:
+            if cols[col].dtype == object and np.any(cols[col] == ""):
                 raise ValueError(f"missing value in column {col}")
 
         def column(col, kind=str):
-            return np.array(list(map(kind, cols[col])))
+            return cols[col].astype(kind)
 
-        features = np.column_stack([np.empty((len(rows), 0))]
+        features = np.column_stack([np.empty((len(table), 0))]
                                    + [column(c, float) for c in feature_names])
         po = {c[3:]: column(c, int) for c in cols if c.startswith("po_")}
         return cls(features, column("score", float),
@@ -162,6 +197,22 @@ class Dataset:
                    column("outcome", int), column("arrival_time", float),
                    resource_set, feature_names, ids=column("id"),
                    potential_outcomes=po or None)
+
+
+def _row_error(path, header, required):
+    """The message for a body that numpy rejected, when a data row's field
+    count differs from the header's or a required field is empty; None for
+    any other fault. Rows are counted with blank lines skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            return f"data row {i} has {len(row)} fields, the header has {len(header)}"
+    for col in required:
+        j = header.index(col)
+        if any(row[j] == "" for row in rows):
+            return f"missing value in column {col}"
+    return None
 
 
 def _check_unique(header):

@@ -17,8 +17,14 @@ runs the earlier matcher, which writes the FCFS rule out once for arriving
 individuals and once for arriving resources, so that a test can require the
 single node loop in ``fairmatch.desim`` to give identical statistics and
 event logs.
+
+``reference_from_csv`` is the earlier dataset reader, which parses with the
+csv module one row at a time and converts each field with ``float`` or
+``int``, so that a test can require ``Dataset.from_csv`` to return the same
+arrays with the same dtypes.
 """
 
+import csv
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +32,7 @@ import numpy as np
 
 from fairmatch.causal import (LAPLACE_ALPHA, CausalTree, DecisionTree, TreeNode,
                               _honest_reestimate)
+from fairmatch.core import Dataset, _check_unique
 from fairmatch.desim import SimulationStats
 
 
@@ -406,3 +413,38 @@ def random_instance(rng, n_q, n_r, grid=20, slack=Fraction(21, 20)):
         factor = slack * lam_total / mu_total
         mu = [Fraction(int(np.ceil(m * factor * grid)), grid) for m in mu]
     return lam, tuple(mu)
+
+
+def reference_from_csv(path, resource_set, feature_names, group_dimensions=()):
+    """The row-by-row dataset reader, as ``Dataset.from_csv`` was before it
+    parsed with ``np.loadtxt``."""
+    with open(path, newline="") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    if not rows:
+        raise ValueError(f"empty dataset file: {path}")
+    _check_unique(header)
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"data row {i} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+    cols = dict(zip(header, zip(*rows)))
+    required = ["id"] + list(feature_names) + ["score", "treatment",
+                                              "outcome", "arrival_time"]
+    for col in required + list(group_dimensions):
+        if col not in cols:
+            raise ValueError(f"missing column: {col}")
+    for col in required:
+        if "" in cols[col]:
+            raise ValueError(f"missing value in column {col}")
+
+    def column(col, kind=str):
+        return np.array(list(map(kind, cols[col])))
+
+    features = np.column_stack([np.empty((len(rows), 0))]
+                               + [column(c, float) for c in feature_names])
+    po = {c[3:]: column(c, int) for c in cols if c.startswith("po_")}
+    return Dataset(features, column("score", float),
+                   {g: column(g) for g in group_dimensions}, column("treatment"),
+                   column("outcome", int), column("arrival_time", float),
+                   resource_set, feature_names, ids=column("id"),
+                   potential_outcomes=po or None)

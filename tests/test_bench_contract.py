@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fairmatch
-from fairmatch import causal, core, desim, ope
+from fairmatch import causal, cli, core, desim, ope
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -79,3 +79,25 @@ def test_event_count_sees_every_arrival(monkeypatch):
 def test_fairness_sweep_setup_passes_learning_checks(tmp_path):
     workload = workloads.FairnessSweep(0, tmp_path, spans.NullTracer())
     workload._check_learning()
+
+
+def test_each_verb_parses_the_dataset_once(tmp_path, monkeypatch):
+    """`core.from_csv_s` times `Dataset.from_csv` wrapped on its class, as
+    perfbench/spans.py wraps it; each verb that reads the dataset must parse
+    it there, once."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"synth": {"n": 3000}, '
+                   '"tree_params": {"min_node_size": 300, "max_depth": 2}}')
+    base = ["--config", str(cfg), "--out", str(tmp_path),
+            "--dataset", str(tmp_path / "dataset.csv")]
+    assert cli.main(["synth"] + base) == 0
+    calls = []
+    from_csv = core.Dataset.__dict__["from_csv"].__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(verb)
+        return from_csv(cls, *args, **kwargs)
+    monkeypatch.setattr(core.Dataset, "from_csv", classmethod(counted))
+    for verb in ("fit", "optimize", "evaluate"):
+        assert cli.main([verb] + base) == 0
+    assert calls == ["fit", "optimize", "evaluate"]

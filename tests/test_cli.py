@@ -191,6 +191,12 @@ class TestExitCodes:
         assert cli.main(["fit", "--dataset", str(path),
                          "--out", str(tmp_path)]) == cli.EXIT_DATA
 
+    def test_non_numeric_score_is_data_error(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text("id,score,treatment,outcome,arrival_time\n0,high,PSH,1,0.5\n")
+        assert cli.main(["fit", "--dataset", str(path),
+                         "--out", str(tmp_path)]) == cli.EXIT_DATA
+
     def test_bad_fairness_flag(self, tmp_path):
         assert cli.main(["optimize", "--fairness", "maximin_outcome",
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG

@@ -1,12 +1,104 @@
+import csv
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_from_csv
 from conftest import make_instance
 from fairmatch import core
+
+_LABELS = st.text(st.sampled_from(list('ab ,"#\n') + ["\u00e9", "\u4e2d"]),
+                  max_size=5)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([5e-324, 1e-310, -0.0, 1e308, -1e308,
+                                     0.1 + 0.2, 1 / 3]))
+
+
+@st.composite
+def _dataset_files(draw):
+    """A dataset file as text plus the reader's arguments. Columns come in
+    any order with one the reader does not ask for; blank lines may sit
+    anywhere; at most one row is made malformed."""
+    n = draw(st.integers(1, 6))
+    resources = draw(st.lists(_LABELS.filter(bool), min_size=1, max_size=3, unique=True))
+    features = [f"f{j}" for j in range(draw(st.integers(0, 2)))]
+    groups = [f"g{j}" for j in range(draw(st.integers(0, 2)))]
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+    cols = {"id": column(_LABELS.filter(bool)), "score": column(_FLOATS),
+            "treatment": column(st.sampled_from(resources)),
+            "outcome": column(st.integers(0, 1)),
+            "arrival_time": column(_FLOATS.map(abs)), "note": column(_LABELS)}
+    cols.update({f: column(_FLOATS) for f in features})
+    cols.update({g: column(_LABELS) for g in groups})
+    if draw(st.booleans()):
+        cols.update({f"po_{r}": column(st.integers(-2**63, 2**63 - 1))
+                     for r in resources})
+    header = draw(st.permutations(list(cols)))
+    number = draw(st.sampled_from([repr, "{:.17g}".format]))
+    rows = [[number(v) if isinstance(v, float) else str(v) for v in row]
+            for row in zip(*(cols[c] for c in header))]
+    fault = draw(st.sampled_from([None, None, None, "long", "short", "empty",
+                                  "1.0", "abc"]))
+    row = rows[draw(st.integers(0, n - 1))]
+    if fault == "long":
+        row.append("1")
+    elif fault == "short":
+        row.pop()
+    elif fault == "empty":
+        required = ["id", "score", "treatment", "outcome", "arrival_time"]
+        row[header.index(draw(st.sampled_from(required + features)))] = ""
+    elif fault == "1.0":
+        row[header.index("outcome")] = "1.0"
+    elif fault == "abc":
+        row[header.index(draw(st.sampled_from(["score"] + features)))] = "abc"
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=newline)
+    for line in [header] + rows:
+        out.write(newline * draw(st.integers(0, 2)))
+        writer.writerow(line)
+    return out.getvalue(), (resources, features, groups), fault
+
+
+def _arrays(ds):
+    out = {"features": ds.features, "score": ds.score, "treatment": ds.treatment,
+           "outcome": ds.outcome, "arrival_time": ds.arrival_time, "ids": ds.ids}
+    out.update({f"group {g}": v for g, v in ds.groups.items()})
+    out.update({f"po {r}": v for r, v in (ds.potential_outcomes or {}).items()})
+    return out
+
+
+def _assert_same_dataset(got, want):
+    """Same arrays, dtypes and bytes (so -0.0 differs from 0.0)."""
+    got, want = _arrays(got), _arrays(want)
+    assert list(got) == list(want)
+    for name in want:
+        assert (got[name].dtype, got[name].shape, got[name].tobytes()) == \
+            (want[name].dtype, want[name].shape, want[name].tobytes()), name
+
+
+def _reads_like_reference(path, *args):
+    """Require ``from_csv`` to return what the row-by-row reader returns or,
+    where that reader rejects the file, to reject it too, naming the same
+    row or column. True if the file was read."""
+    try:
+        want = reference_from_csv(path, *args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            core.Dataset.from_csv(path, *args)
+        if str(exc).startswith(("data row", "missing value")):
+            assert str(got.value) == str(exc)
+        return False
+    _assert_same_dataset(core.Dataset.from_csv(path, *args), want)
+    return True
 
 
 class TestRationalize:
@@ -176,22 +268,73 @@ class TestDataset:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text, message", [
         ("", "empty"),
         ("id,score,treatment,outcome,arrival_time\n", "empty"),
+        ("\nid,score,treatment,outcome,arrival_time\n\n\n", "empty"),
         ("id,treatment,outcome,arrival_time\n0,x,1,0.5\n", "missing column: score"),
         ("id,score,treatment,outcome,arrival_time\n0,,x,1,0.5\n", "missing value"),
+        ("id,score,treatment,outcome,arrival_time\n0,0.1,x,,0.5\n",
+         "missing value in column outcome"),
+        ("id,score,treatment,outcome,arrival_time\n,0.1,x,1,0.5\n",
+         "missing value in column id"),
+        ("id,score,treatment,outcome,arrival_time\n0,0.1,,1,0.5\n",
+         "missing value in column treatment"),
         ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1,0.5,9\n", "data row 1"),
         ("id,score,score,treatment,outcome,arrival_time\n0,0.1,0.2,x,1,0.5\n",
          "repeated column names: \\['score'\\]"),
         ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1,0.5\n1,0.2,y,0\n",
          "data row 2"),
+        ("id,score,treatment,outcome,arrival_time\n\n0,0.1,x,1,0.5\n\n\n1,0.2,y\n",
+         "data row 2 has 3 fields, the header has 5"),
+        ("id,score,treatment,outcome,arrival_time\n0,abc,x,1,0.5\n", "abc"),
+        ("id,score,treatment,outcome,arrival_time\n0,0.1,x,1.0,0.5\n", "1\\.0"),
     ])
     def test_csv_errors(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             core.Dataset.from_csv(path, ["x", "y"], ["score"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dataset_files())
+    def test_csv_matches_reference_reader(self, case):
+        text, args, fault = case
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _reads_like_reference(path, *args) or fault is not None
+
+    @pytest.mark.parametrize("name, features, groups", [
+        ("po_x", ["po_x"], []),       # read as int, cast for the feature
+        ("level", ["level"], ["level"]),
+        ("po_x", ["po_x"], ["po_x"]),
+    ])
+    def test_csv_column_read_as_two_kinds(self, tmp_path, name, features, groups):
+        """A column asked for as text, int or float in two roles reads as the
+        row-by-row reader read it, empty field and non-integer included."""
+        path = tmp_path / "d.csv"
+        read = []
+        for b in ["-2", "2.5", ""]:
+            path.write_text(f"id,{name},score,treatment,outcome,arrival_time\n"
+                            f"0,1,0.5,x,1,0.5\n1,{b},0.5,y,0,1.5\n")
+            read.append(_reads_like_reference(path, ["x", "y"], features, groups))
+        assert read[0] and not read[2]
+
+    def test_csv_byte_order_mark_and_non_ascii_labels(self, tmp_path):
+        labels = np.array(["\u00e9t\u00e9", "\u4e2d", "A", "\u00e9t\u00e9"])
+        ds = core.Dataset(np.zeros((4, 1)), np.zeros(4), {"r\u00e9gion": labels},
+                          np.array(["x", "y", "x", "y"]), np.array([0, 1, 1, 0]),
+                          np.arange(4.0), ["x", "y"], ["score"],
+                          ids=np.array(["a", "\u00df", "c", "d"]))
+        path = tmp_path / "d.csv"
+        ds.to_csv(path)
+        body = path.read_bytes()
+        assert "r\u00e9gion".encode("utf-8") in body
+        path.write_bytes(b"\xef\xbb\xbf" + body)
+        back = core.Dataset.from_csv(path, ["x", "y"], ["score"], ["r\u00e9gion"])
+        _assert_same_dataset(back, ds)
 
     def test_score_feature_written_once(self, tmp_path):
         scores = np.array([0.25, -1.5, 3.0])
