@@ -12,8 +12,7 @@ from .optimizer import (BigMConstants, FairnessSpec, InexactFlowError,
                         enumerate_oracle, solve, write_lp_text)
 from .desim import SimulationStats, simulate, simulate_replay, write_event_log
 from .ope import (ValueEstimate, evaluate_all, evaluate_dm, evaluate_dr,
-                  evaluate_gt, evaluate_ipw, per_group_values,
-                  reliability_bins, within_group_calibration)
+                  evaluate_gt, evaluate_ipw, per_group_values)
 from .synth import (SynthParams, alpha_variant, generate, run_alpha_sweep,
                     run_pipeline, run_queue_sweep)
 
@@ -27,8 +26,7 @@ __all__ = [
     "add_non_affirmative_links", "build_mio", "compute_bigM", "enumerate_oracle",
     "solve", "write_lp_text", "SimulationStats", "simulate", "simulate_replay",
     "write_event_log", "ValueEstimate", "evaluate_all", "evaluate_dm",
-    "evaluate_dr", "evaluate_gt", "evaluate_ipw", "per_group_values",
-    "reliability_bins", "within_group_calibration", "SynthParams",
+    "evaluate_dr", "evaluate_gt", "evaluate_ipw", "per_group_values", "SynthParams",
     "alpha_variant", "generate", "run_alpha_sweep", "run_pipeline",
     "run_queue_sweep",
 ]

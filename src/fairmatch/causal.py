@@ -397,8 +397,13 @@ def _cell_keys(trees: list, X, labels=None):
     """
     cols = [t.leaf_ids(X) for t in trees]
     if labels is not None:
-        names, codes = np.unique(labels, return_inverse=True)
-        cols.append(codes.reshape(-1))
+        # sorts the distinct labels only; np.unique would sort every row's,
+        # by Python comparisons when the labels are objects
+        labels = np.asarray(labels).tolist()
+        names = sorted(set(labels))
+        code = {name: i for i, name in enumerate(names)}
+        cols.append(np.fromiter(map(code.__getitem__, labels), dtype=np.int64,
+                                count=len(labels)))
     inverse = np.zeros(len(cols[0]), dtype=np.int64)
     for col in cols:
         _, inverse = np.unique(inverse * (col.max(initial=0) + 1) + col,

@@ -1,11 +1,10 @@
-"""Off-policy value estimators and calibration diagnostics."""
+"""Off-policy value estimators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import Dataset, MCMSInstance, Policy, policy_from_flows, policy_value
 
@@ -137,57 +136,3 @@ def per_group_values(dataset: Dataset, policy: Policy, queue_ids,
         values[str(g)] = estimate(estimator, dataset.subset(mask), policy,
                                   queue_ids[mask], instance, out, prop).value
     return values
-
-
-def reliability_bins(predicted, observed, n_bins: int = 10):
-    """Equal-width calibration bins on [0, 1]; empty bins are omitted."""
-    predicted = np.asarray(predicted, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    if len(predicted) != len(observed):
-        raise ValueError("predicted and observed must have equal length")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    which = np.clip(np.digitize(predicted, edges[1:-1]), 0, n_bins - 1)
-    rows = []
-    for b in range(n_bins):
-        mask = which == b
-        if not mask.any():
-            continue
-        rows.append((0.5 * (edges[b] + edges[b + 1]),
-                     float(predicted[mask].mean()),
-                     float(observed[mask].mean()),
-                     int(mask.sum())))
-    return rows
-
-
-def within_group_calibration(predicted, observed, group_labels):
-    """OLS of observed on [intercept, predicted, group dummies] with normal p-values.
-
-    A calibrated, group-fair model yields a prediction coefficient near 1 and
-    insignificant group coefficients.
-    """
-    predicted = np.asarray(predicted, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    labels = np.asarray(group_labels)
-    groups = sorted(set(labels.tolist()))
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
-    cols = [np.ones(len(predicted)), predicted]
-    names = ["intercept", "predicted"]
-    for g in groups[1:]:
-        cols.append((labels == g).astype(float))
-        names.append(f"group={g}")
-    design = np.column_stack(cols)
-    rank = np.linalg.matrix_rank(design)
-    if rank < design.shape[1]:
-        raise ValueError("rank-deficient design matrix")
-    beta, *_ = np.linalg.lstsq(design, observed, rcond=None)
-    resid = observed - design @ beta
-    dof = max(len(observed) - design.shape[1], 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, np.inf)
-    p = 2 * ndtr(-np.abs(z))
-    return [{"name": n, "coefficient": float(b), "stderr": float(s),
-             "p_value": float(pv)} for n, b, s, pv in zip(names, beta, se, p)]

@@ -15,6 +15,9 @@ whose QP flows split into more than one resource-pooling component is cut
 off, with one cut per component (some topology edge must join it to the rest)
 and one canonical no-good cut on the binaries, and the model is solved again,
 for at most ``MAX_CUT_ROUNDS`` rounds.
+
+scipy, whose ``milp`` runs HiGHS, is imported by the first ``solve``, not
+with this module, so the verbs and functions that solve no MIO never load it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize as sopt
-from scipy import sparse
 
 from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology
 from .queuing import FlowSolveError, crp_components, steady_state_flows
@@ -41,6 +42,14 @@ FLOW_REL_TOL = 1e-9              # MIO vs QP flows, relative to the total arriva
 
 FAIRNESS_KINDS = ("none", "maximin_allocation", "parity_allocation",
                   "maximin_outcome", "parity_outcome")
+
+
+def __getattr__(name):
+    # scipy.optimize as ``optimizer.sopt``, loaded on first use
+    if name == "sopt":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InfeasibleModelError(RuntimeError):
@@ -323,6 +332,8 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
     ``time_limit_s`` bounds all rounds together, ``node_limit`` each round.
     Flows and objective are those of the QP flows of the returned topology.
     """
+    from scipy import optimize as sopt
+
     constraints = []
     if model.a_eq:
         b = np.array([rhs for _, rhs, _ in model.a_eq])
@@ -364,11 +375,15 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
 
 
 def _stack(rows):
+    from scipy import sparse
+
     return sparse.csr_matrix(np.array([r for r, _, _ in rows]))
 
 
 def _milp(model, constraints, deadline, node_limit, rounds):
     """One HiGHS solve; raises when it yields no incumbent."""
+    from scipy import optimize as sopt
+
     options = {"mip_rel_gap": 0.0, "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL}
     if deadline is not None:
         remaining = deadline - time.perf_counter()

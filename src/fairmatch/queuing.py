@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .core import FlowMatrix, MCMSInstance, MatchingTopology
 
@@ -65,14 +63,31 @@ def check_admissible(instance: MCMSInstance, topology: MatchingTopology) -> bool
 
 def _support_components(support):
     """Connected components of the bipartite graph whose edges are the True
-    cells of ``support``. Returns (queue labels, resource labels, count);
-    queues are numbered before resources, so components are labelled in order
-    of their first queue, then resource-only components in resource order."""
+    cells of ``support``. Returns (queue labels, resource labels, count).
+    Nodes are the queues, then the resources; each component is labelled in
+    order of its lowest node, so components holding a queue come first, in
+    order of their first queue, then resource-only components in resource
+    order."""
     n_q, n_r = support.shape
+    neighbours = [[] for _ in range(n_q + n_r)]
     q, r = np.nonzero(support)
-    graph = sparse.coo_matrix((np.ones(len(q)), (q, n_q + r)),
-                              shape=(n_q + n_r, n_q + n_r))
-    n_comp, labels = csgraph.connected_components(graph, directed=False)
+    for a, b in zip(q.tolist(), (r + n_q).tolist()):
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    labels = [-1] * (n_q + n_r)
+    n_comp = 0
+    for start in range(n_q + n_r):
+        if labels[start] >= 0:
+            continue
+        labels[start] = n_comp
+        stack = [start]
+        while stack:
+            for node in neighbours[stack.pop()]:
+                if labels[node] < 0:
+                    labels[node] = n_comp
+                    stack.append(node)
+        n_comp += 1
+    labels = np.array(labels, dtype=np.int32)
     return labels[:n_q], labels[n_q:], n_comp
 
 

@@ -22,6 +22,12 @@ event logs.
 csv module one row at a time and converts each field with ``float`` or
 ``int``, so that a test can require ``Dataset.from_csv`` to return the same
 arrays with the same dtypes.
+
+``reference_support_components`` labels support components with scipy's
+``csgraph.connected_components``, as ``fairmatch.queuing`` did before it
+stopped importing scipy, and ``reference_cell_keys`` factorises group labels
+with ``np.unique``, as ``fairmatch.causal._cell_keys`` did; tests require the
+library's replacements to return identical labels and keys.
 """
 
 import csv
@@ -29,6 +35,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from fairmatch.causal import (LAPLACE_ALPHA, CausalTree, DecisionTree, TreeNode,
                               _honest_reestimate)
@@ -394,6 +402,34 @@ def reference_match_streams(streams_q, streams_r, topology, warmup_end, horizon,
         seed=seed,
         event_log=tuple(log),
     )
+
+
+def reference_support_components(support):
+    """The csgraph component labelling of ``queuing._support_components``."""
+    n_q, n_r = support.shape
+    q, r = np.nonzero(support)
+    graph = sparse.coo_matrix((np.ones(len(q)), (q, n_q + r)),
+                              shape=(n_q + n_r, n_q + n_r))
+    n_comp, labels = csgraph.connected_components(graph, directed=False)
+    return labels[:n_q], labels[n_q:], n_comp
+
+
+def reference_cell_keys(trees, X, labels=None):
+    """``causal._cell_keys`` as it was when it factorised labels with ``np.unique``."""
+    cols = [t.leaf_ids(X) for t in trees]
+    if labels is not None:
+        names, codes = np.unique(labels, return_inverse=True)
+        cols.append(codes.reshape(-1))
+    inverse = np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols:
+        _, inverse = np.unique(inverse * (col.max(initial=0) + 1) + col,
+                               return_inverse=True)
+    rep = np.empty(inverse.max(initial=-1) + 1, dtype=np.int64)
+    rep[inverse] = np.arange(len(inverse))
+    keys = [tuple(row) for row in np.column_stack([c[rep] for c in cols]).tolist()]
+    if labels is not None:
+        keys = [(key[:-1], str(names[key[-1]])) for key in keys]
+    return keys, inverse
 
 
 def binomial_3sigma(p, n):

@@ -1,3 +1,4 @@
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fairmatch import core
+
+
+def subprocess_env():
+    """os.environ with the tested fairmatch's source directory first on
+    PYTHONPATH, for tests that run Python in a fresh interpreter."""
+    src = str(Path(core.__file__).resolve().parents[1])
+    path = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src] + path)}
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (binomial_3sigma, reference_fit_cart, reference_fit_causal_tree,
-                      tree_leaf, tree_leaves)
+from _oracles import (binomial_3sigma, reference_cell_keys, reference_fit_cart,
+                      reference_fit_causal_tree, tree_leaf, tree_leaves)
 from conftest import make_dataset
 from fairmatch import causal, core, ope, synth
 
@@ -518,6 +518,33 @@ class TestAssignDataset:
         keys, got = causal._cell_keys(trees, None)
         assert keys == [tuple(row) for row in rows.tolist()]
         assert np.array_equal(got, inverse.reshape(-1))
+
+    @given(data=st.data(), kind=st.sampled_from(["str", "object", "int"]))
+    @settings(max_examples=200, deadline=None)
+    def test_cell_keys_with_labels_match_reference(self, data, kind):
+        """Grouped keys, their order and each row's index into them are those
+        of the np.unique factorisation, for text and integer labels; 9 and 10
+        sort as numbers, not as text."""
+        n = data.draw(st.integers(0, 40))
+        cols = [np.array(data.draw(st.lists(st.sampled_from([0, 1, 5]),
+                                            min_size=n, max_size=n)), dtype=np.int64)
+                for _ in range(data.draw(st.integers(1, 2)))]
+        trees = [SimpleNamespace(leaf_ids=lambda X, c=c: c) for c in cols]
+        pool = [9, 10, 0, 2] if kind == "int" else ["B", "A", "10", "9", "é", ""]
+        raw = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        labels = np.array(raw, dtype={"str": str, "object": object, "int": np.int64}[kind])
+        keys, inverse = causal._cell_keys(trees, None, labels)
+        ref_keys, ref_inverse = reference_cell_keys(trees, None, labels)
+        assert keys == ref_keys
+        assert np.array_equal(inverse, ref_inverse)
+
+    def test_cell_keys_order_integer_labels_numerically(self):
+        trees = [SimpleNamespace(leaf_ids=lambda X: np.array([3, 3, 3]))]
+        keys, inverse = causal._cell_keys(trees, None, np.array([10, 9, 10]))
+        assert keys == [((3,), "9"), ((3,), "10")]
+        assert inverse.tolist() == [1, 0, 1]
+        keys, _ = causal._cell_keys(trees, None, np.array(["10", "9", "10"], dtype=object))
+        assert keys == [((3,), "10"), ((3,), "9")]
 
     def test_integer_labels_reach_their_own_queues(self):
         scores = np.linspace(0, 1, 40)

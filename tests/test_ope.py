@@ -196,49 +196,3 @@ class TestPerGroup:
         with pytest.raises(ValueError):
             ope.per_group_values(ds, uniform_policy(), one_queue(ds),
                                  one_queue_instance(), "GT", "race")
-
-
-class TestDiagnostics:
-    def test_reliability_bins_exact(self):
-        predicted = [0.05, 0.05, 0.95, 0.95]
-        observed = [0, 1, 1, 1]
-        rows = ope.reliability_bins(predicted, observed, n_bins=10)
-        assert len(rows) == 2
-        center, mean_pred, mean_obs, count = rows[0]
-        assert center == pytest.approx(0.05)
-        assert mean_pred == pytest.approx(0.05)
-        assert mean_obs == pytest.approx(0.5)
-        assert count == 2
-        assert rows[1][2] == pytest.approx(1.0)
-
-    def test_reliability_empty_bins_omitted(self):
-        rows = ope.reliability_bins([0.5] * 4, [1, 0, 1, 0], n_bins=10)
-        assert len(rows) == 1
-        assert rows[0][3] == 4
-
-    def test_calibrated_model_coefficient_one(self):
-        rng = np.random.default_rng(3)
-        n = 5000
-        p = rng.uniform(0.1, 0.9, n)
-        y = (rng.random(n) < p).astype(float)
-        labels = rng.choice(["A", "B"], n)
-        rows = ope.within_group_calibration(p, y, labels)
-        by_name = {r["name"]: r for r in rows}
-        assert abs(by_name["predicted"]["coefficient"] - 1.0) < 0.1
-        assert by_name["group=B"]["p_value"] > 0.01
-
-    def test_planted_group_bias_detected(self):
-        rng = np.random.default_rng(4)
-        n = 5000
-        p = rng.uniform(0.2, 0.6, n)
-        labels = rng.choice(["A", "B"], n)
-        truth = np.clip(p + 0.2 * (labels == "B"), 0, 1)
-        y = (rng.random(n) < truth).astype(float)
-        rows = ope.within_group_calibration(p, y, labels)
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["group=B"]["coefficient"] == pytest.approx(0.2, abs=0.05)
-        assert by_name["group=B"]["p_value"] < 1e-6
-
-    def test_single_group_rejected(self):
-        with pytest.raises(ValueError):
-            ope.within_group_calibration([0.5, 0.5], [0, 1], ["A", "A"])

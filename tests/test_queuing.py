@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import brute_force_flows, random_instance, union_find_components
+from _oracles import (brute_force_flows, random_instance, reference_support_components,
+                      union_find_components)
 from conftest import make_instance
 from fairmatch import core, queuing
 
@@ -190,3 +193,32 @@ class TestCRPComponents:
             edges = [(q, r) for q in range(4) for r in range(3)
                      if f.f[q, r] > eps]
             assert dec.count == union_find_components(4, 3, edges)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_support_components_match_csgraph(self, data):
+        """Same labels, label order and count as scipy's connected_components,
+        on supports with empty rows, empty columns and several components."""
+        n_q = data.draw(st.integers(0, 9))
+        n_r = data.draw(st.integers(0, 6))
+        density = data.draw(st.sampled_from([0.0, 0.15, 0.4, 1.0]))
+        cells = data.draw(st.lists(st.floats(0, 1), min_size=n_q * n_r,
+                                   max_size=n_q * n_r))
+        support = np.array(cells, dtype=float).reshape(n_q, n_r) < density
+        comp_q, comp_r, n_comp = queuing._support_components(support)
+        ref_q, ref_r, ref_n = reference_support_components(support)
+        assert comp_q.dtype == ref_q.dtype and comp_r.dtype == ref_r.dtype
+        assert np.array_equal(comp_q, ref_q) and np.array_equal(comp_r, ref_r)
+        assert n_comp == ref_n
+        edges = list(zip(*np.nonzero(support)))
+        isolated = int((~support.any(axis=1)).sum() + (~support.any(axis=0)).sum())
+        assert n_comp == union_find_components(n_q, n_r, edges) + isolated
+
+    def test_support_components_isolated_resources_last(self):
+        support = np.array([[False, False, True, False],
+                            [False, False, False, False],
+                            [True, False, False, False]])
+        comp_q, comp_r, n_comp = queuing._support_components(support)
+        assert comp_q.tolist() == [0, 1, 2]
+        assert comp_r.tolist() == [2, 3, 0, 4]
+        assert n_comp == 5
