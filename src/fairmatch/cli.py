@@ -4,10 +4,10 @@ All commands read one JSON configuration file (flags override file values) and
 write their outputs under the configured output directory. Given identical
 inputs and seeds, outputs are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 optimization
-infeasible, 5 solver limit reached without a proven optimum, 6 post-solve
-check failed (inexact MIO flows, or no single pooled component within the
-cut rounds).
+Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
+the MIO, 2 configuration error, 3 data error, 4 optimization infeasible, 5
+solver limit reached without a proven optimum, 6 post-solve check failed
+(inexact MIO flows, or no single pooled component within the cut rounds).
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ DEFAULT_CONFIG = {
     "group_dimensions": [],
     **causal.PIPELINE_DEFAULTS,
     "synth": {"n": 10000, "alpha": None, "group_probs": {}},
-    "fairness": {"kind": "none", "dimension": "", "bound": 0.0,
-                 "baseline_value": None},
+    "fairness": {"kind": "none", "dimension": "", "bound": 0.0},
     "non_affirmative": False,
     "solver": {"time_limit_s": None, "node_limit": None},
     "simulate": {"horizon_days": 5000.0, "warmup_fraction": 0.2},
-    "estimators": list(ope.ESTIMATORS),
     "sq_cuts": None,
     "experiment": {"alphas": list(synth.ALPHAS),
                    "min_node_sizes": [6000, 2000, 1000, 400, 150],
@@ -171,8 +169,9 @@ def _rebuild(cfg) -> causal.Learned:
     if cfg["fairness"]["kind"] != "none" or cfg["non_affirmative"]:
         dim = cfg["fairness"]["dimension"]
         if not dim:
-            raise ConfigError("fairness and non-affirmative runs need a "
-                              "group dimension")
+            raise ConfigError("fairness and non-affirmative runs need "
+                              "fairness.dimension (set it in the config, or "
+                              "with --fairness KIND:DIMENSION:BOUND)")
     return causal.learn(dataset, _pipeline_params(cfg), int(cfg["seed"]), models, dim)
 
 
@@ -183,10 +182,8 @@ def _fairness_spec(cfg, learned) -> optimizer.FairnessSpec:
     if not learned.groups:
         raise ValueError(f"fairness needs two or more {fair['dimension']} labels "
                          "among the kept records")
-    bound = float(fair["bound"])
-    if fair["kind"].endswith("_outcome") and fair.get("baseline_value") is not None:
-        bound -= float(fair["baseline_value"])
-    return optimizer.FairnessSpec(fair["kind"], bound, fair["dimension"], learned.groups)
+    return optimizer.FairnessSpec(fair["kind"], float(fair["bound"]), fair["dimension"],
+                                  learned.groups)
 
 
 def _topology_payload(instance, result, tau):
@@ -333,9 +330,8 @@ def cmd_evaluate(cfg) -> int:
         except queuing.FlowSolveError:
             print("status-quo topology has no steady-state flow; skipped",
                   file=sys.stderr)
-    estimators = cfg["estimators"]
-    if kept.potential_outcomes is None:
-        estimators = [e for e in estimators if e != "GT"]
+    estimators = [e for e in ope.ESTIMATORS
+                  if e != "GT" or kept.potential_outcomes is not None]
     rows = []
     dim = cfg["fairness"]["dimension"]
     for scope, flows in scopes.items():

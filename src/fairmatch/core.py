@@ -366,30 +366,3 @@ def policy_value(flows: FlowMatrix, tau: CATEMatrix, instance: MCMSInstance) -> 
     if lam_total == 0:
         raise ZeroDivisionError("total arrival rate is zero")
     return float(np.sum(f * tau.tau)) / lam_total + tau.baseline_mean
-
-
-def validate_instance(instance: MCMSInstance) -> dict:
-    """Report-only diagnostics: rate positivity, rho consistency, denominators."""
-    lam_ok = all(x > 0 for x in instance.lam)
-    mu_ok = all(x > 0 for x in instance.mu)
-    lam_total = instance.lam_total
-    mu_total = instance.mu_total
-    rho_frac = rationalize(instance.rho)
-    rho_consistent = (lam_total == rho_frac * mu_total)
-    rho_gap = float(lam_total - rho_frac * mu_total)
-    denominators = {
-        "lam": [x.denominator for x in instance.lam],
-        "mu": [x.denominator for x in instance.mu],
-    }
-    max_den = max(denominators["lam"] + denominators["mu"])
-    return {
-        "lam_positive": lam_ok,
-        "mu_positive": mu_ok,
-        "zero_rate_queues": [q for q, x in zip(instance.queues, instance.lam) if x <= 0],
-        "zero_rate_resources": [r for r, x in zip(instance.resources, instance.mu) if x <= 0],
-        "rho_consistent": rho_consistent,
-        "rho_gap": rho_gap,
-        "denominators": denominators,
-        "max_denominator": max_den,
-        "denominator_cap": DENOMINATOR_CAP,
-    }

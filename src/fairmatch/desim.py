@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, MCMSInstance, MatchingTopology
+from .core import MCMSInstance, MatchingTopology
 from .queuing import check_admissible
 
 
@@ -142,33 +142,3 @@ def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: f
     streams_r = [_poisson_stream(rng, float(x), horizon_days) for x in instance.mu]
     return _match_streams(streams_q, streams_r, topology,
                           warmup_fraction * horizon_days, horizon_days, seed, audit)
-
-
-def simulate_replay(dataset: Dataset, queue_ids, instance: MCMSInstance,
-                    topology: MatchingTopology, seed: int = 0,
-                    audit: bool = False) -> SimulationStats:
-    """Replay individual arrivals from dataset timestamps into the records'
-    queues; resource arrivals remain synthetic Poisson."""
-    topology.check_shape(instance)
-    if len(dataset) == 0:
-        return SimulationStats(
-            empirical_flows=np.zeros((instance.n_queues, instance.n_resources)),
-            avg_wait_per_queue=np.full(instance.n_queues, np.nan),
-            overall_avg_wait=float("nan"), matched_count=0,
-            expired_horizon_count=0, horizon=0.0, seed=seed)
-    queue_ids = np.asarray(queue_ids)
-    unknown = set(queue_ids.tolist()) - set(instance.queues)
-    if unknown:
-        raise ValueError(f"records mapped to unknown queues {sorted(unknown)}")
-    streams_q = [np.sort(dataset.arrival_time[queue_ids == q]) for q in instance.queues]
-    horizon = float(dataset.arrival_time.max()) + 1.0
-    rng = np.random.default_rng(seed)
-    streams_r = [_poisson_stream(rng, float(x), horizon) for x in instance.mu]
-    return _match_streams(streams_q, streams_r, topology, 0.0, horizon, seed, audit)
-
-
-def write_event_log(stats: SimulationStats, path):
-    """Line-delimited audit records: time, event type, queue, resource, wait."""
-    with open(path, "w") as fh:
-        for t, kind, q, r, wait in stats.event_log:
-            fh.write(f"{t!r},{kind},{q},{r},{wait!r}\n")

@@ -510,31 +510,3 @@ def _fairness_ok(f, fairness, groups, tau, lam, tol=1e-7):
         if abs(v1 - v2) > bound + tol:
             return False
     return True
-
-
-def write_lp_text(model: MIOModel, path):
-    """Plain-text LP dump: objective, constraints, bounds, binaries."""
-    def term(coef, name):
-        sign = "+" if coef >= 0 else "-"
-        return f"{sign} {abs(coef):.12g} {name}"
-
-    with open(path, "w") as fh:
-        fh.write("Maximize\n obj: ")
-        fh.write(" ".join(term(c, n) for c, n in
-                          zip(model.objective, model.var_names) if c != 0.0))
-        fh.write("\nSubject To\n")
-        for rr, rhs, label in model.a_eq:
-            body = " ".join(term(c, n) for c, n in zip(rr, model.var_names) if c != 0.0)
-            fh.write(f" {label}: {body} = {rhs:.12g}\n")
-        for rr, rhs, label in model.a_ub:
-            body = " ".join(term(c, n) for c, n in zip(rr, model.var_names) if c != 0.0)
-            fh.write(f" {label}: {body} <= {rhs:.12g}\n")
-        fh.write("Bounds\n")
-        for lo, hi, name in zip(model.lower, model.upper, model.var_names):
-            lo_s = "-inf" if np.isneginf(lo) else f"{lo:.12g}"
-            hi_s = "+inf" if np.isposinf(hi) else f"{hi:.12g}"
-            fh.write(f" {lo_s} <= {name} <= {hi_s}\n")
-        fh.write("Binaries\n ")
-        fh.write(" ".join(model.var_names[i]
-                          for i in np.flatnonzero(model.integrality)))
-        fh.write("\nEnd\n")

@@ -1,10 +1,13 @@
+import csv
 import json
+import shutil
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fairmatch import causal, cli, optimizer
+from fairmatch import causal, cli, ope, optimizer
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +26,23 @@ def workspace(tmp_path_factory):
     assert cli.main(["fit"] + base) == 0
     assert cli.main(["optimize", "--oracle"] + base) == 0
     return root, base
+
+
+def workspace_copy(workspace, tmp_path, **config):
+    """The workspace's files in a fresh directory, its config updated with
+    ``config``, so that a test's outputs leave the shared workspace as it is."""
+    root, _ = workspace
+    copy = tmp_path / "ws"
+    shutil.copytree(root, copy)
+    cfg = {**json.loads((root / "config.json").read_text()), **config}
+    (copy / "config.json").write_text(json.dumps(cfg))
+    return copy, ["--config", str(copy / "config.json"), "--out", str(copy),
+                  "--dataset", str(copy / "dataset.csv")]
+
+
+def read_estimates(root):
+    with open(root / "estimates.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestSynth:
@@ -116,6 +136,50 @@ class TestSimulateAndEvaluate:
         assert {"CT", "DM", "DR", "IPW", "GT"} <= estimators
 
 
+class TestNonAffirmative:
+    def test_score_cells_share_eligibility_rows(self, workspace, tmp_path):
+        root, base = workspace_copy(workspace, tmp_path, fairness={"dimension": "race"})
+        assert cli.main(["optimize", "--non-affirmative"] + base) == 0
+        payload = json.loads((root / "topology.json").read_text())
+        rows = {q: set() for q in payload["queues"]}
+        for q, r in payload["edges"]:
+            rows[q].add(r)
+        cells = {}
+        for q in payload["queues"]:
+            cells.setdefault(q.rsplit(":", 1)[0], []).append(rows[q])
+        shared = [c for c in cells.values() if len(c) > 1]
+        assert shared
+        assert all(row == cell[0] for cell in shared for row in cell)
+        assert cli.main(["evaluate", "--non-affirmative"] + base) == 0
+        assert {"A", "B"} <= {row["group"] for row in read_estimates(root)}
+
+    @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
+    def test_missing_dimension_names_the_key(self, workspace, capsys, verb):
+        _, base = workspace
+        capsys.readouterr()
+        assert cli.main([verb, "--non-affirmative"] + base) == cli.EXIT_CONFIG
+        assert "fairness.dimension" in capsys.readouterr().err
+
+
+class TestStatusQuo:
+    def test_admissible_cuts_add_one_row_per_estimator(self, workspace, tmp_path):
+        root, base = workspace_copy(workspace, tmp_path, sq_cuts={
+            "SO": [-1, 1], "RRH": [-1, 1], "PSH": [0.2, 1]})
+        assert cli.main(["evaluate"] + base) == 0
+        sq = Counter(row["estimator"] for row in read_estimates(root)
+                     if row["scope"] == "sq")
+        assert sq == Counter(ope.ESTIMATORS)
+
+    def test_inadmissible_cuts_are_skipped(self, workspace, tmp_path, capsys):
+        root, base = workspace_copy(workspace, tmp_path, sq_cuts={
+            "SO": [-1, 0], "RRH": [0, 0.5], "PSH": [0.5, 1]})
+        capsys.readouterr()
+        assert cli.main(["evaluate"] + base) == 0
+        assert ("status-quo topology has no steady-state flow; skipped"
+                in capsys.readouterr().err)
+        assert all(row["scope"] != "sq" for row in read_estimates(root))
+
+
 class TestExperiment:
     def test_alpha_sweep_csv(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -135,9 +199,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
 
-    def test_unknown_config_key(self, tmp_path):
+    @pytest.mark.parametrize("config, key", [
+        ({"mystery_knob": 1}, "mystery_knob"),
+        ({"estimators": ["DR"]}, "estimators"),
+        ({"fairness": {"baseline_value": 0.3}}, "baseline_value"),
+    ], ids=["mystery_knob", "estimators", "baseline_value"])
+    def test_unknown_config_key(self, tmp_path, config, key):
         bad = tmp_path / "cfg.json"
-        bad.write_text(json.dumps({"mystery_knob": 1}))
+        bad.write_text(json.dumps(config))
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_config(bad)
         assert cli.main(["fit", "--config", str(bad)]) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("section", ["tree_params", "nuisance_params", "fairness",
@@ -212,6 +283,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["optimize"] + base) == cli.EXIT_POSTSOLVE
         assert capsys.readouterr().err.splitlines() == ["post-solve check failed: planted"]
+
+    def test_solver_limit(self, workspace, tmp_path, capsys):
+        _, base = workspace_copy(workspace, tmp_path, solver={"time_limit_s": 0})
+        capsys.readouterr()
+        assert cli.main(["optimize"] + base) == cli.EXIT_LIMITS
+        assert capsys.readouterr().err.startswith("solver limit:")
 
     def test_fairness_over_one_label_is_data_error(self, tmp_path):
         # with one observed label the queues are not split by group, so there

@@ -201,27 +201,6 @@ class TestPolicyValue:
         assert abs(value - float(expectation)) < 1e-9
 
 
-class TestValidateInstance:
-    def test_consistent(self):
-        inst = make_instance([Fraction(1, 2)],
-                             [Fraction(1, 2), Fraction(1, 2)], rho=0.5)
-        report = core.validate_instance(inst)
-        assert report["rho_consistent"]
-        assert report["lam_positive"] and report["mu_positive"]
-
-    def test_zero_rate_flagged(self):
-        inst = make_instance([Fraction(0)], [Fraction(1)], rho=0.0)
-        report = core.validate_instance(inst)
-        assert not report["lam_positive"]
-        assert report["zero_rate_queues"] == ["q0"]
-
-    def test_denominators_reported(self):
-        inst = make_instance([core.rationalize(0.123)],
-                             [core.rationalize(0.456)], rho=0.27)
-        report = core.validate_instance(inst)
-        assert report["max_denominator"] <= 10 ** 6
-
-
 class TestDataset:
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

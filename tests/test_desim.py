@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import binomial_3sigma, random_instance, reference_match_streams
-from conftest import make_dataset, make_instance
+from _oracles import random_instance, reference_match_streams
+from conftest import make_instance
 from fairmatch import core, desim, queuing
 
 
@@ -187,58 +187,3 @@ class TestAgainstReference:
         got = desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True)
         monkeypatch.setattr(desim, "_match_streams", reference_match_streams)
         _same_stats(got, desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True))
-
-    def test_replay_with_tied_arrivals(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        n = 600
-        scores = rng.uniform(-1, 1, n)
-        arrivals = np.sort(rng.integers(0, 200, n)).astype(float)
-        ds = make_dataset(scores, ["a"] * n, [0] * n, resources=("a", "b"),
-                          arrival=arrivals)
-        queue_ids = np.where(ds.score < 0, "q0", "q1")
-        inst = make_instance([2, 1], [Fraction(3, 2), Fraction(2)])
-        m = topo([[1, 1], [0, 1]])
-        got = desim.simulate_replay(ds, queue_ids, inst, m, seed=1, audit=True)
-        monkeypatch.setattr(desim, "_match_streams", reference_match_streams)
-        _same_stats(got, desim.simulate_replay(ds, queue_ids, inst, m, seed=1, audit=True))
-
-
-class TestReplay:
-    def test_empty_dataset(self):
-        inst = make_instance([1], [Fraction(11, 10)])
-        ds = make_dataset([], [], [], resources=("a",))
-        stats = desim.simulate_replay(ds, [], inst, topo([[1]]), seed=0)
-        assert stats.matched_count == 0
-        assert np.all(stats.empirical_flows == 0)
-
-    def test_single_record_matches_once(self):
-        inst = make_instance([1], [Fraction(5)])
-        ds = make_dataset([0.0], ["a"], [1], resources=("a",), arrival=[1.0])
-        stats = desim.simulate_replay(ds, ["q0"] * len(ds), inst, topo([[1]]), seed=0)
-        assert stats.matched_count == 1
-        assert stats.expired_horizon_count == 0
-
-    def test_match_shares_follow_arrivals(self):
-        rng = np.random.default_rng(12)
-        n = 4000
-        scores = rng.uniform(-1, 1, n)
-        arrivals = np.sort(rng.uniform(0, 1000.0, n))
-        ds = make_dataset(scores, ["a"] * n, [0] * n, resources=("a",),
-                          arrival=arrivals)
-        queue_ids = ["q0" if s < 0 else "q1" for s in ds.score]
-        inst = make_instance([2, 2], [Fraction(9, 2)])
-        stats = desim.simulate_replay(ds, queue_ids, inst, topo([[1], [1]]), seed=0)
-        share = stats.empirical_flows[0, 0] / stats.empirical_flows.sum()
-        assert abs(share - 0.5) < binomial_3sigma(0.5, n)
-
-
-class TestEventLog:
-    def test_log_written(self, tmp_path):
-        inst = make_instance([1], [Fraction(11, 10)])
-        stats = desim.simulate(inst, topo([[1]]), 200.0, 0.0, seed=0, audit=True)
-        path = tmp_path / "events.log"
-        desim.write_event_log(stats, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(stats.event_log) > 0
-        first = lines[0].split(",")
-        assert first[1] == "match"

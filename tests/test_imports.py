@@ -1,10 +1,12 @@
-"""scipy is loaded by the first MIO solve, not by ``import fairmatch``: the
-verbs that solve no MIO run without it."""
+"""What ``import fairmatch`` gives and loads. Every exported name resolves.
+scipy is loaded by the first MIO solve, not by the import: the verbs that
+solve no MIO run without it."""
 
 import json
 import subprocess
 import sys
 
+import fairmatch
 from conftest import subprocess_env
 
 RUN_VERBS = """
@@ -25,6 +27,12 @@ def scipy_modules_after(*argvs, cwd):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exports_resolve_once():
+    assert len(set(fairmatch.__all__)) == len(fairmatch.__all__)
+    missing = [name for name in fairmatch.__all__ if not hasattr(fairmatch, name)]
+    assert missing == []
 
 
 def test_import_loads_no_scipy(tmp_path):

@@ -448,14 +448,3 @@ class TestOracle:
         block_obj = float(np.sum(
             tau.tau * queuing.steady_state_flows(inst, block).f))
         assert result.objective < block_obj
-
-
-class TestLpDump:
-    def test_smoke(self, tmp_path, one_queue_instance):
-        model = optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]))
-        path = tmp_path / "model.lp"
-        optimizer.write_lp_text(model, path)
-        text = path.read_text()
-        assert text.startswith("Maximize")
-        assert "Binaries" in text
-        assert "kkt_upper[0,1]" in text
