@@ -16,23 +16,23 @@ params = synth.SynthParams(n=10_000, seed=1,
                            group_probs={"race": {"A": 0.5, "B": 0.5}})
 dataset = synth.generate(params)
 learned = causal.learn(dataset, seed=1, group_dimension="race")
-kept, instance, tau, groups = learned.kept, learned.instance, learned.tau, learned.groups
+instance, tau, groups = learned.instance, learned.tau, learned.groups
 print(f"{instance.n_queues} queues across groups {sorted(groups)}")
 
 
-labels = kept.groups["race"]
-baseline_by_group = {
-    g: causal.dr_potential_mean(kept.subset(labels == g), learned.out,
-                                learned.prop, kept.baseline)
-    for g in groups
-}
+# one table of per-record scores serves every per-group value; a group's
+# baseline is its value under the policy that sends everyone to the baseline
+# resource
+baseline = np.zeros((instance.n_queues, instance.n_resources))
+baseline[:, 0] = 1.0
+baseline_by_group = ope.per_group_values(learned.scores, core.Policy(baseline),
+                                         "DR", "race")
 
 
 def group_gains(result):
     """Per-group expected outcome gain over the baseline resource."""
     policy = core.policy_from_flows(result.flows, instance)
-    values = ope.per_group_values(kept, policy, learned.queue_ids, instance, "DR",
-                                  "race", out=learned.out, prop=learned.prop)
+    values = ope.per_group_values(learned.scores, policy, "DR", "race")
     return {g: v - baseline_by_group[g] for g, v in values.items()}
 
 

@@ -42,8 +42,11 @@ print(f"objective {result.objective:.4f}, policy value "
       f"{result.policy_value:.4f}")
 
 print("\n== 5. evaluate the learned policy ==")
-values = ope.evaluate_all(("DM", "DR", "GT"), kept, result.flows, learned.queue_ids,
-                          instance, tau, learned.out, learned.prop)
+# learned.scores holds each record's scores under every estimator, built once;
+# a policy's value is their mean weighted by the policy's row for the
+# record's queue
+values = ope.evaluate_all(("DM", "DR", "GT"), learned.scores, result.flows,
+                          instance, tau)
 historical = float(np.mean(kept.outcome))
 print(f"historical outcome mean: {historical:.4f}")
 for name, value in values.items():

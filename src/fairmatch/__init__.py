@@ -11,7 +11,7 @@ from .optimizer import (BigMConstants, FairnessSpec, InexactFlowError,
                         enumerate_oracle, solve)
 from .desim import SimulationStats, simulate
 from .ope import (ValueEstimate, evaluate_all, evaluate_dm, evaluate_dr,
-                  evaluate_gt, evaluate_ipw, per_group_values)
+                  evaluate_gt, evaluate_ipw, per_group_values, score_table)
 from .synth import (SynthParams, alpha_variant, generate, run_alpha_sweep,
                     run_pipeline, run_queue_sweep)
 
@@ -25,6 +25,6 @@ __all__ = [
     "add_non_affirmative_links", "build_mio", "compute_bigM", "enumerate_oracle",
     "solve", "SimulationStats", "simulate", "ValueEstimate", "evaluate_all",
     "evaluate_dm", "evaluate_dr", "evaluate_gt", "evaluate_ipw", "per_group_values",
-    "SynthParams", "alpha_variant", "generate", "run_alpha_sweep", "run_pipeline",
-    "run_queue_sweep",
+    "score_table", "SynthParams", "alpha_variant", "generate", "run_alpha_sweep",
+    "run_pipeline", "run_queue_sweep",
 ]

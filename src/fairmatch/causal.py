@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ope
 from .core import CATEMatrix, Dataset, MCMSInstance, rationalize
 
 LAPLACE_ALPHA = 0.5
@@ -256,12 +257,6 @@ class PropensityModel:
                 out[:, i] = p[:, self.tree.classes.index(r)]
         return out / out.sum(axis=1, keepdims=True)
 
-    def prob_of(self, X, treatments):
-        proba = self.predict_proba(X)
-        kinds, inverse = np.unique(np.asarray(treatments), return_inverse=True)
-        cols = np.array([self.resources.index(t) for t in kinds.tolist()], dtype=int)
-        return proba[np.arange(len(inverse)), cols[inverse.reshape(-1)]]
-
 
 @dataclass
 class OutcomeModel:
@@ -494,18 +489,14 @@ def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # Doubly-robust CATE, screening, risk scores, arrival rates
 
-def _dr_terms(dataset: Dataset, out: OutcomeModel, prop: PropensityModel):
-    """Per-record DR pseudo-outcomes, one row per resource of ``resource_set``.
-
-    Each model predicts once, on the design it was fit on.
-    """
-    yhat = np.array([out.predict(dataset.design(out.feature_mode), r)
-                     for r in dataset.resource_set])
-    t_idx = dataset.treatment_index()
-    yhat_obs = yhat[t_idx, np.arange(len(dataset))]
-    pbar = prop.prob_of(dataset.design(prop.feature_mode), dataset.treatment)
-    treated = t_idx == np.arange(len(dataset.resource_set))[:, None]
-    return yhat + (dataset.outcome - yhat_obs) * treated / pbar
+def _effects(table, n_queues: int) -> CATEMatrix:
+    """Per-queue means of the table's DR scores less the baseline column's,
+    and that column's mean over every record. Each mean reduces one column of
+    one queue as a 1-D array in record order."""
+    dr, rows = table.scores["DR"], table.rows
+    means = np.array([[dr[rows == q, r].mean() for r in range(dr.shape[1])]
+                      for q in range(n_queues)]).reshape(n_queues, dr.shape[1])
+    return CATEMatrix(means - means[:, :1], float(dr[:, 0].mean()))
 
 
 def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
@@ -514,25 +505,11 @@ def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
 
     Returns (CATEMatrix, kept queue ids); queues with no records are dropped.
     """
-    assignments = np.array(partition.assign_dataset(dataset))
-    terms = _dr_terms(dataset, out, prop)
+    assignments = np.asarray(partition.assign_dataset(dataset))
     present = set(np.unique(assignments).tolist())
     kept = [q for q in partition.queues if q in present]
-    tau = np.zeros((len(kept), len(dataset.resource_set)))
-    for qi, q in enumerate(kept):
-        mask = assignments == q
-        t_base = terms[0][mask].mean()       # resource_set[0] is the baseline
-        for ri in range(1, len(terms)):
-            tau[qi, ri] = terms[ri][mask].mean() - t_base
-    c = float(terms[0].mean())
-    return CATEMatrix(tau, c), kept
-
-
-def dr_potential_mean(dataset: Dataset, out: OutcomeModel, prop: PropensityModel,
-                      resource: str) -> float:
-    """DR estimate of the mean potential outcome under one resource."""
-    terms = _dr_terms(dataset, out, prop)
-    return float(terms[dataset.resource_set.index(resource)].mean())
+    table = ope.score_table(dataset, assignments, kept, out, prop, ["DR"])
+    return _effects(table, len(kept)), kept
 
 
 def positivity_screen(dataset: Dataset, prop: PropensityModel,
@@ -601,9 +578,15 @@ class Learned:
     instance: MCMSInstance
 
     @functools.cached_property
+    def scores(self) -> ope.ScoreTable:
+        """Per-record scores of ``kept`` for every estimator, built on first read."""
+        return ope.score_table(self.kept, self.queue_ids, self.instance.queues,
+                               self.out, self.prop)
+
+    @functools.cached_property
     def tau(self) -> CATEMatrix:
-        """DR effects per queue of ``instance``, estimated on first read."""
-        return estimate_cate_dr(self.kept, self.partition, self.prop, self.out)[0]
+        """DR effects per queue of ``instance``, from the DR scores."""
+        return _effects(self.scores, self.instance.n_queues)
 
     @property
     def groups(self) -> dict:

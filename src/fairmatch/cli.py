@@ -206,18 +206,15 @@ def _topology_payload(instance, result, tau):
 def _write_eligibility(path, instance, result, queue_ids, kept):
     """Human-readable view: per resource, the eligible queues with their
     score ranges."""
-    ranges = {}
-    for q in instance.queues:
-        mask = queue_ids == q
-        if mask.any():
-            ranges[q] = (float(kept.score[mask].min()), float(kept.score[mask].max()))
+    ranges = {q: (kept.score[queue_ids == q].min(), kept.score[queue_ids == q].max())
+              for q in instance.queues}
     with open(path, "w") as fh:
         for r, name in enumerate(instance.resources):
             eligible = [instance.queues[q]
                         for q in np.flatnonzero(result.topology.m[:, r])]
             fh.write(f"{name}:\n")
             for q in eligible:
-                lo, hi = ranges.get(q, (float("nan"), float("nan")))
+                lo, hi = ranges[q]
                 fh.write(f"  {q}  score in [{lo:.3f}, {hi:.3f}]\n")
             if not eligible:
                 fh.write("  (no eligible queues)\n")
@@ -304,25 +301,34 @@ def cmd_simulate(cfg) -> int:
 
 
 def _sq_topology(cfg, instance, queue_ids, kept):
-    """Status-quo eligibility from configured score cut ranges per resource."""
+    """Status-quo eligibility from configured score cut ranges per resource;
+    a resource the cuts leave out is open to every queue."""
     cuts = cfg["sq_cuts"]
-    m = np.zeros((instance.n_queues, instance.n_resources), dtype=int)
-    for q, qn in enumerate(instance.queues):
-        mask = queue_ids == qn
-        mean_score = float(kept.score[mask].mean())
-        for r, rn in enumerate(instance.resources):
-            lo, hi = cuts.get(rn, (-np.inf, np.inf))
-            m[q, r] = int(lo <= mean_score <= hi)
-    return core.MatchingTopology(m)
+    if not isinstance(cuts, dict):
+        raise ConfigError("sq_cuts must map resource names to [lo, hi] pairs")
+    for rn, cut in cuts.items():
+        if rn not in instance.resources:
+            raise ConfigError(f"sq_cuts names an unknown resource {rn!r}; "
+                              f"resources are {list(instance.resources)}")
+        if not (isinstance(cut, list) and len(cut) == 2
+                and all(type(x) in (int, float) for x in cut)):
+            raise ConfigError(f"sq_cuts[{rn!r}] must be a [lo, hi] pair of numbers")
+    means = np.array([[kept.score[queue_ids == q].mean()] for q in instance.queues])
+    lo, hi = np.array([cuts.get(r, (-np.inf, np.inf)) for r in instance.resources]).T
+    return core.MatchingTopology(((lo <= means) & (means <= hi)).astype(int))
 
 
 def cmd_evaluate(cfg) -> int:
     learned = _rebuild(cfg)
     kept, queue_ids, instance = learned.kept, learned.queue_ids, learned.instance
-    scopes = {"optimized": core.FlowMatrix(_load_topology(cfg)[2])}
-    fcfs = core.MatchingTopology.fully_connected(instance.n_queues,
-                                                 instance.n_resources)
-    scopes["fcfs"] = queuing.steady_state_flows(instance, fcfs)
+    _, _, flows, payload = _load_topology(cfg)
+    if payload["queues"] != list(instance.queues):
+        raise ConfigError("topology.json was solved on other queues; evaluate needs "
+                          "the fairness.dimension and non_affirmative settings "
+                          "that optimize used")
+    fcfs = core.MatchingTopology.fully_connected(instance.n_queues, instance.n_resources)
+    scopes = {"optimized": core.FlowMatrix(flows),
+              "fcfs": queuing.steady_state_flows(instance, fcfs)}
     if cfg["sq_cuts"]:
         sq = _sq_topology(cfg, instance, queue_ids, kept)
         try:
@@ -330,20 +336,17 @@ def cmd_evaluate(cfg) -> int:
         except queuing.FlowSolveError:
             print("status-quo topology has no steady-state flow; skipped",
                   file=sys.stderr)
-    estimators = [e for e in ope.ESTIMATORS
-                  if e != "GT" or kept.potential_outcomes is not None]
+    table = learned.scores
+    estimators = [e for e in ope.ESTIMATORS if e == "CT" or e in table.scores]
     rows = []
     dim = cfg["fairness"]["dimension"]
     for scope, flows in scopes.items():
-        values = ope.evaluate_all(estimators, kept, flows, queue_ids, instance,
-                                  learned.tau, learned.out, learned.prop)
+        values = ope.evaluate_all(estimators, table, flows, instance, learned.tau)
         for est, value in values.items():
             rows.append([est, scope, "", repr(value), len(kept)])
             if dim and est == "DR":
                 policy = core.policy_from_flows(flows, instance)
-                for g, v in ope.per_group_values(kept, policy, queue_ids, instance,
-                                                 est, dim, out=learned.out,
-                                                 prop=learned.prop).items():
+                for g, v in ope.per_group_values(table, policy, est, dim).items():
                     rows.append([est, scope, g, repr(v), ""])
     out = _out_dir(cfg)
     with open(out / "estimates.csv", "w", newline="") as fh:

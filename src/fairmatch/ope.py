@@ -1,4 +1,9 @@
-"""Off-policy value estimators."""
+"""Off-policy value estimators.
+
+Every estimator but CT is the mean over records of sum_r pi(r | queue of
+record) * S[record, r] for its own per-record score matrix S (Dudík, Langford
+& Li 2011); ``score_table`` builds the matrices of one record set once.
+"""
 
 from __future__ import annotations
 
@@ -15,124 +20,133 @@ ESTIMATORS = ("CT", "DM", "DR", "IPW", "GT")
 class ValueEstimate:
     estimator: str
     value: float
-    n_effective: float = 0.0
 
 
-def _policy_rows(policy: Policy, queue_ids, instance: MCMSInstance):
-    """Per-record policy rows pi(. | queue of record)."""
-    queue_index = {q: i for i, q in enumerate(instance.queues)}
+# Scores from (records, observed-resource mask, ŷ, p̂ of the observed resource).
+def _dm(ds, treated, yhat, pbar):
+    return yhat
+
+
+def _ipw(ds, treated, yhat, pbar):
+    return treated * (ds.outcome / pbar)[:, None]
+
+
+def _dr(ds, treated, yhat, pbar):
+    return yhat + treated * ((ds.outcome - yhat[treated]) / pbar)[:, None]
+
+
+def _gt(ds, treated, yhat, pbar):
+    missing = set(ds.resource_set) - set(ds.potential_outcomes or ())
+    if missing:
+        raise ValueError(f"potential outcomes missing for {sorted(missing)}")
+    return np.column_stack([ds.potential_outcomes[r] for r in ds.resource_set])
+
+
+# name -> (score function, models it reads)
+_ESTIMATORS = {
+    "DM": (_dm, ("out",)),
+    "IPW": (_ipw, ("prop",)),
+    "DR": (_dr, ("out", "prop")),
+    "GT": (_gt, ()),
+}
+
+
+def _queue_rows(queue_ids, queues) -> np.ndarray:
+    """Each record's row in ``queues``, looked up once per distinct queue id."""
+    index = {q: i for i, q in enumerate(queues)}
     names, inverse = np.unique(np.asarray(queue_ids), return_inverse=True)
     try:
-        rows = np.array([queue_index[q] for q in names.tolist()], dtype=int)
+        rows = np.array([index[q] for q in names.tolist()], dtype=int)
     except KeyError as exc:
         raise ValueError(f"record mapped to queue absent from instance: {exc}")
-    return policy.probs[rows[inverse]]
+    return rows[inverse.reshape(-1)]
 
 
-def _predictions(dataset: Dataset, out):
-    """Outcome predictions, one column per resource."""
-    X = dataset.design(out.feature_mode)
-    return np.column_stack([out.predict(X, r) for r in dataset.resource_set])
+@dataclass(frozen=True)
+class ScoreTable:
+    """Per-record score matrices of one record set; ``rows`` holds each
+    record's row in the queue list the table was built over."""
+
+    dataset: Dataset
+    rows: np.ndarray
+    scores: dict                  # estimator name -> records x resources
+
+    def value(self, name: str, policy: Policy, mask=slice(None)) -> float:
+        """Mean over the (masked) records of sum_r pi(r | queue) * S[record, r]."""
+        pi = policy.probs[self.rows[mask]]
+        return float(np.mean(np.sum(pi * self.scores[name][mask], axis=1)))
 
 
-def _observed(dataset: Dataset, pi, prop):
-    """Index, policy probability and propensity of each record's observed resource."""
-    t_idx = dataset.treatment_index()
-    pbar = prop.prob_of(dataset.design(prop.feature_mode), dataset.treatment)
-    if np.any(pbar <= 0):
-        raise ValueError("zero propensity encountered; screen the dataset first")
-    return t_idx, pi[np.arange(len(t_idx)), t_idx], pbar
+def score_table(dataset: Dataset, queue_ids, queues, out=None, prop=None,
+                names=None) -> ScoreTable:
+    """Score matrices of the named estimators (by default all, GT when the
+    records carry potential outcomes) over ``dataset``, whose records sit in
+    ``queue_ids`` among ``queues``. Each model predicts once, on the design it
+    was fit on."""
+    if names is None:
+        names = [n for n in _ESTIMATORS
+                 if n != "GT" or dataset.potential_outcomes is not None]
+    needs = {k for name in names for k in _ESTIMATORS[name][1]}
+    treated = dataset.treatment_index()[:, None] == np.arange(len(dataset.resource_set))
+    yhat = pbar = None
+    if "out" in needs:
+        X = dataset.design(out.feature_mode)
+        yhat = np.column_stack([out.predict(X, r) for r in dataset.resource_set])
+    if "prop" in needs:
+        cols = [prop.resources.index(r) for r in dataset.resource_set]
+        pbar = prop.predict_proba(dataset.design(prop.feature_mode))[:, cols][treated]
+        if np.any(pbar <= 0):
+            raise ValueError("zero propensity encountered; screen the dataset first")
+    return ScoreTable(dataset, _queue_rows(queue_ids, queues),
+                      {n: _ESTIMATORS[n][0](dataset, treated, yhat, pbar) for n in names})
+
+
+def _estimate(name, dataset, policy, queue_ids, instance, out=None, prop=None):
+    table = score_table(dataset, queue_ids, instance.queues, out, prop, [name])
+    return ValueEstimate(name, table.value(name, policy))
 
 
 def evaluate_dm(dataset: Dataset, policy: Policy, queue_ids, out,
                 instance: MCMSInstance) -> ValueEstimate:
     """Direct method: model-predicted outcomes averaged under the policy."""
-    pi = _policy_rows(policy, queue_ids, instance)
-    yhat = _predictions(dataset, out)
-    return ValueEstimate("DM", float(np.mean(np.sum(pi * yhat, axis=1))),
-                         n_effective=float(len(dataset)))
+    return _estimate("DM", dataset, policy, queue_ids, instance, out=out)
 
 
 def evaluate_ipw(dataset: Dataset, policy: Policy, queue_ids, prop,
                  instance: MCMSInstance) -> ValueEstimate:
     """Inverse propensity weighting of the observed outcomes."""
-    pi = _policy_rows(policy, queue_ids, instance)
-    _, pi_obs, pbar = _observed(dataset, pi, prop)
-    weights = pi_obs / pbar
-    return ValueEstimate("IPW", float(np.mean(weights * dataset.outcome)),
-                         n_effective=float(weights.sum()))
+    return _estimate("IPW", dataset, policy, queue_ids, instance, prop=prop)
 
 
 def evaluate_dr(dataset: Dataset, policy: Policy, queue_ids, out, prop,
                 instance: MCMSInstance) -> ValueEstimate:
     """Doubly robust: direct method plus an importance-weighted residual correction."""
-    pi = _policy_rows(policy, queue_ids, instance)
-    yhat = _predictions(dataset, out)
-    dm = float(np.mean(np.sum(pi * yhat, axis=1)))
-    t_idx, pi_obs, pbar = _observed(dataset, pi, prop)
-    yhat_obs = yhat[np.arange(len(t_idx)), t_idx]
-    correction = np.mean((dataset.outcome - yhat_obs) * pi_obs / pbar)
-    return ValueEstimate("DR", dm + float(correction),
-                         n_effective=float(len(dataset)))
+    return _estimate("DR", dataset, policy, queue_ids, instance, out, prop)
 
 
 def evaluate_gt(dataset: Dataset, policy: Policy, queue_ids,
                 instance: MCMSInstance) -> ValueEstimate:
     """Ground truth from stored potential outcomes."""
-    if dataset.potential_outcomes is None:
-        raise ValueError("dataset has no potential outcomes")
-    missing = set(dataset.resource_set) - set(dataset.potential_outcomes)
-    if missing:
-        raise ValueError(f"potential outcomes missing for {missing}")
-    pi = _policy_rows(policy, queue_ids, instance)
-    po = np.column_stack([dataset.potential_outcomes[r]
-                          for r in dataset.resource_set])
-    return ValueEstimate("GT", float(np.mean(np.sum(pi * po, axis=1))),
-                         n_effective=float(len(dataset)))
+    return _estimate("GT", dataset, policy, queue_ids, instance)
 
 
-_ESTIMATORS = {
-    "DM": (evaluate_dm, ("out",)),
-    "IPW": (evaluate_ipw, ("prop",)),
-    "DR": (evaluate_dr, ("out", "prop")),
-    "GT": (evaluate_gt, ()),
-}
-
-
-def estimate(name: str, dataset: Dataset, policy: Policy, queue_ids,
-             instance: MCMSInstance, out=None, prop=None) -> ValueEstimate:
-    """Run the estimator registered under ``name`` with the models it needs."""
-    fn, needs = _ESTIMATORS[name]
-    models = {"out": out, "prop": prop}
-    return fn(dataset, policy, queue_ids, *[models[k] for k in needs], instance)
-
-
-def evaluate_all(names, dataset: Dataset, flows, queue_ids, instance: MCMSInstance,
-                 tau, out, prop) -> dict:
-    """Value of the flows' policy under each named estimator of ``ESTIMATORS``.
-
+def evaluate_all(names, table: ScoreTable, flows, instance: MCMSInstance,
+                 tau) -> dict:
+    """Value of the flows' policy under each named estimator of ``ESTIMATORS``:
     "CT" is the optimization-side value, flow-weighted effects over the total
-    rate plus the baseline mean; the others run through ``estimate``.
-    """
+    rate plus the baseline mean; the others read ``table``, built over
+    ``instance.queues``."""
     policy = policy_from_flows(flows, instance)
     return {name: policy_value(flows, tau, instance) if name == "CT"
-            else estimate(name, dataset, policy, queue_ids, instance, out, prop).value
-            for name in names}
+            else table.value(name, policy) for name in names}
 
 
-def per_group_values(dataset: Dataset, policy: Policy, queue_ids,
-                     instance: MCMSInstance, estimator: str, group_dimension: str,
-                     out=None, prop=None) -> dict:
-    """Estimator restricted to each group's records."""
-    if group_dimension not in dataset.groups:
+def per_group_values(table: ScoreTable, policy: Policy, estimator: str,
+                     group_dimension: str) -> dict:
+    """Estimator restricted to each group's records, by sorted label."""
+    groups = table.dataset.groups
+    if group_dimension not in groups:
         raise ValueError(f"unknown group dimension: {group_dimension}")
-    labels = dataset.groups[group_dimension]
-    queue_ids = np.asarray(queue_ids)
-    values = {}
-    for g in sorted(set(labels.tolist())):
-        mask = labels == g
-        if not mask.any():
-            raise ValueError(f"empty group: {g}")
-        values[str(g)] = estimate(estimator, dataset.subset(mask), policy,
-                                  queue_ids[mask], instance, out, prop).value
-    return values
+    labels = groups[group_dimension]
+    return {str(g): table.value(estimator, policy, labels == g)
+            for g in sorted(set(labels.tolist()))}

@@ -117,9 +117,8 @@ def run_pipeline(dataset: Dataset, pipeline_params=None, seed: int = 0):
 def _sweep_rows(sweep_param, seed, dataset, pipeline_params, min_propensity):
     """One sweep point: learn, optimize, and one row per estimator."""
     learned, result = run_pipeline(dataset, pipeline_params, seed)
-    values = ope.evaluate_all(ope.ESTIMATORS, learned.kept, result.flows,
-                              learned.queue_ids, learned.instance, learned.tau,
-                              learned.out, learned.prop)
+    values = ope.evaluate_all(ope.ESTIMATORS, learned.scores, result.flows,
+                              learned.instance, learned.tau)
     return [{"sweep_param": sweep_param, "seed": seed, "estimator": est,
              "value": value, "n_queues": learned.partition.n_queues,
              "min_propensity": min_propensity} for est, value in values.items()]

@@ -28,6 +28,14 @@ arrays with the same dtypes.
 stopped importing scipy, and ``reference_cell_keys`` factorises group labels
 with ``np.unique``, as ``fairmatch.causal._cell_keys`` did; tests require the
 library's replacements to return identical labels and keys.
+
+``reference_evaluate_dm``/``_ipw``/``_dr``/``_gt`` and ``reference_dr_terms``
+are the off-policy estimators and DR pseudo-outcomes as they were before
+``fairmatch.ope`` scored each record once: each estimator maps records to
+policy rows and re-predicts its models itself, and DR adds its correction to
+the direct method's mean. ``reference_cate_dr`` averages those pseudo-outcomes
+per queue as ``causal.estimate_cate_dr`` did, so that a test can require the
+effects to stay bit-identical.
 """
 
 import csv
@@ -40,7 +48,7 @@ from scipy.sparse import csgraph
 
 from fairmatch.causal import (LAPLACE_ALPHA, CausalTree, DecisionTree, TreeNode,
                               _honest_reestimate)
-from fairmatch.core import Dataset, _check_unique
+from fairmatch.core import CATEMatrix, Dataset, _check_unique
 from fairmatch.desim import SimulationStats
 
 
@@ -484,3 +492,91 @@ def reference_from_csv(path, resource_set, feature_names, group_dimensions=()):
                    column("outcome", int), column("arrival_time", float),
                    resource_set, feature_names, ids=column("id"),
                    potential_outcomes=po or None)
+
+
+def _reference_policy_rows(policy, queue_ids, instance):
+    queue_index = {q: i for i, q in enumerate(instance.queues)}
+    names, inverse = np.unique(np.asarray(queue_ids), return_inverse=True)
+    try:
+        rows = np.array([queue_index[q] for q in names.tolist()], dtype=int)
+    except KeyError as exc:
+        raise ValueError(f"record mapped to queue absent from instance: {exc}")
+    return policy.probs[rows[inverse]]
+
+
+def _reference_prob_of(prop, dataset):
+    """Propensity of each record's observed resource, by the model's resources."""
+    proba = prop.predict_proba(dataset.design(prop.feature_mode))
+    kinds, inverse = np.unique(np.asarray(dataset.treatment), return_inverse=True)
+    cols = np.array([prop.resources.index(t) for t in kinds.tolist()], dtype=int)
+    return proba[np.arange(len(inverse)), cols[inverse.reshape(-1)]]
+
+
+def _reference_predictions(dataset, out):
+    X = dataset.design(out.feature_mode)
+    return np.column_stack([out.predict(X, r) for r in dataset.resource_set])
+
+
+def _reference_observed(dataset, pi, prop):
+    t_idx = dataset.treatment_index()
+    pbar = _reference_prob_of(prop, dataset)
+    if np.any(pbar <= 0):
+        raise ValueError("zero propensity encountered; screen the dataset first")
+    return t_idx, pi[np.arange(len(t_idx)), t_idx], pbar
+
+
+def reference_evaluate_dm(dataset, policy, queue_ids, out, instance):
+    pi = _reference_policy_rows(policy, queue_ids, instance)
+    yhat = _reference_predictions(dataset, out)
+    return float(np.mean(np.sum(pi * yhat, axis=1)))
+
+
+def reference_evaluate_ipw(dataset, policy, queue_ids, prop, instance):
+    pi = _reference_policy_rows(policy, queue_ids, instance)
+    _, pi_obs, pbar = _reference_observed(dataset, pi, prop)
+    weights = pi_obs / pbar
+    return float(np.mean(weights * dataset.outcome))
+
+
+def reference_evaluate_dr(dataset, policy, queue_ids, out, prop, instance):
+    pi = _reference_policy_rows(policy, queue_ids, instance)
+    yhat = _reference_predictions(dataset, out)
+    dm = float(np.mean(np.sum(pi * yhat, axis=1)))
+    t_idx, pi_obs, pbar = _reference_observed(dataset, pi, prop)
+    yhat_obs = yhat[np.arange(len(t_idx)), t_idx]
+    correction = np.mean((dataset.outcome - yhat_obs) * pi_obs / pbar)
+    return dm + float(correction)
+
+
+def reference_evaluate_gt(dataset, policy, queue_ids, instance):
+    if dataset.potential_outcomes is None:
+        raise ValueError("dataset has no potential outcomes")
+    pi = _reference_policy_rows(policy, queue_ids, instance)
+    po = np.column_stack([dataset.potential_outcomes[r]
+                          for r in dataset.resource_set])
+    return float(np.mean(np.sum(pi * po, axis=1)))
+
+
+def reference_dr_terms(dataset, out, prop):
+    """Per-record DR pseudo-outcomes, one row per resource of ``resource_set``."""
+    yhat = np.array([out.predict(dataset.design(out.feature_mode), r)
+                     for r in dataset.resource_set])
+    t_idx = dataset.treatment_index()
+    yhat_obs = yhat[t_idx, np.arange(len(dataset))]
+    pbar = _reference_prob_of(prop, dataset)
+    treated = t_idx == np.arange(len(dataset.resource_set))[:, None]
+    return yhat + (dataset.outcome - yhat_obs) * treated / pbar
+
+
+def reference_cate_dr(dataset, queue_ids, queues, out, prop):
+    """DR effects per queue of ``queues`` (each holding a record) and the
+    baseline mean, from ``reference_dr_terms``."""
+    assignments = np.asarray(queue_ids)
+    terms = reference_dr_terms(dataset, out, prop)
+    tau = np.zeros((len(queues), len(dataset.resource_set)))
+    for qi, q in enumerate(queues):
+        mask = assignments == q
+        t_base = terms[0][mask].mean()
+        for ri in range(1, len(terms)):
+            tau[qi, ri] = terms[ri][mask].mean() - t_base
+    return CATEMatrix(tau, float(terms[0].mean()))

@@ -218,17 +218,15 @@ def _fairness_pipeline(seed=808):
 
 
 def _group_dr_advantages(learned, result):
-    kept, instance = learned.kept, learned.instance
+    """Each group's DR value of the flows' policy less that of sending
+    everyone to the baseline resource."""
+    instance = learned.instance
     policy = core.policy_from_flows(result.flows, instance)
-    labels = kept.groups["race"]
-    adv = {}
-    for g in learned.groups:
-        sub = kept.subset(labels == g)
-        value = ope.evaluate_dr(sub, policy, learned.queue_ids[labels == g],
-                                learned.out, learned.prop, instance).value
-        base = causal.dr_potential_mean(sub, learned.out, learned.prop, kept.baseline)
-        adv[g] = value - base
-    return adv
+    baseline = np.zeros((instance.n_queues, instance.n_resources))
+    baseline[:, 0] = 1.0
+    value = ope.per_group_values(learned.scores, policy, "DR", "race")
+    base = ope.per_group_values(learned.scores, core.Policy(baseline), "DR", "race")
+    return {g: value[g] - base[g] for g in learned.groups}
 
 
 def test_criterion_08_fairness_suite():
@@ -296,16 +294,10 @@ class RegionPartition:
 
 class TruthProp:
     feature_mode = "score"
-    _index = {r: i for i, r in enumerate(synth.RESOURCES)}
+    resources = list(synth.RESOURCES)
 
     def predict_proba(self, X):
         return synth.true_propensity(np.atleast_2d(X)[:, 0])
-
-    def prob_of(self, X, treatments):
-        proba = self.predict_proba(X)
-        idx = np.fromiter((self._index[t] for t in treatments), int,
-                          len(treatments))
-        return proba[np.arange(len(idx)), idx]
 
 
 class SkewedProp(TruthProp):

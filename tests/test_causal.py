@@ -229,14 +229,7 @@ class TestNuisanceModels:
         out = causal.fit_outcome(ds, {"min_node_size": 2}, "score")
         empty = np.zeros((0, 1))
         assert prop.predict_proba(empty).shape == (0, 2)
-        assert prop.prob_of(empty, []).shape == (0,)
         assert out.predict(empty, "a").shape == (0,)
-
-    def test_prob_of_rejects_unknown_treatment(self):
-        ds = make_dataset([0.1, 0.2, 0.3, 0.4] * 5, ["a", "b"] * 10, [0, 1] * 10)
-        prop = causal.fit_propensity(ds, {"min_node_size": 2}, "score")
-        with pytest.raises(ValueError):
-            prop.prob_of(ds.features[:2], ["a", "z"])
 
     def test_propensity_recovers_generator_table(self):
         ds = synth.generate(synth.SynthParams(n=30_000, seed=0))
@@ -604,23 +597,21 @@ class TestFeatureMode:
         instance = causal.arrival_rates(plain, part, float(plain.arrival_time.max()))
         policy = core.Policy(np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
         queue_ids = part.assign_dataset(plain)
+        tables = [ope.score_table(ds, queue_ids, instance.queues, out, prop)
+                  for ds in (_with_noise(plain), plain)]
         for name in ("DM", "IPW", "DR"):
-            assert (ope.estimate(name, _with_noise(plain), policy, queue_ids, instance,
-                                 out, prop)
-                    == ope.estimate(name, plain, policy, queue_ids, instance, out, prop))
+            assert tables[0].value(name, policy) == tables[1].value(name, policy)
 
 
 class _StubProp:
     feature_mode = "score"
+    resources = ["a", "b"]
 
     def __init__(self, value=0.5):
         self.value = value
 
     def predict_proba(self, X):
         return np.full((len(np.atleast_2d(X)), 2), self.value)
-
-    def prob_of(self, X, treatments):
-        return np.full(len(treatments), self.value)
 
 
 class _StubOut:
@@ -794,9 +785,9 @@ class TestLearn:
 
     def test_effects_estimated_once_on_first_read(self, monkeypatch):
         calls = []
-        estimate = causal.estimate_cate_dr
-        monkeypatch.setattr(causal, "estimate_cate_dr",
-                            lambda *args: calls.append(1) or estimate(*args))
+        score_table = ope.score_table
+        monkeypatch.setattr(ope, "score_table",
+                            lambda *args: calls.append(1) or score_table(*args))
         learned = causal.learn(self._data(), self.PARAMS)
         assert calls == []
         assert learned.tau is learned.tau

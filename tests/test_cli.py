@@ -136,6 +136,42 @@ class TestSimulateAndEvaluate:
         assert {"CT", "DM", "DR", "IPW", "GT"} <= estimators
 
 
+    def test_estimator_rows_in_table_order(self, workspace, tmp_path):
+        root, base = workspace_copy(workspace, tmp_path, sq_cuts={
+            "SO": [-1, 1], "RRH": [-1, 1], "PSH": [0.2, 1]},
+            fairness={"dimension": "race"})
+        assert cli.main(["evaluate"] + base) == 0
+        rows = read_estimates(root)
+        scopes = list(dict.fromkeys(row["scope"] for row in rows))
+        assert scopes == ["optimized", "fcfs", "sq"]
+        for scope in scopes:
+            overall = [row["estimator"] for row in rows
+                       if row["scope"] == scope and not row["group"]]
+            assert overall == list(ope.ESTIMATORS)
+
+    @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
+    def test_each_model_predicts_once(self, workspace, tmp_path, monkeypatch, verb):
+        """One propensity predict for the screen, then one per outcome tree and
+        one propensity predict for the per-record scores."""
+        _, base = workspace_copy(workspace, tmp_path)
+        calls = []
+        predict = causal.DecisionTree.predict
+        monkeypatch.setattr(causal.DecisionTree, "predict",
+                            lambda self, X: calls.append(1) or predict(self, X))
+        assert cli.main([verb] + base) == 0
+        assert len(calls) == len(cli.DEFAULT_CONFIG["resources"]) + 2
+
+    def test_evaluate_after_grouped_optimize_names_the_settings(
+            self, workspace, tmp_path, capsys):
+        _, base = workspace_copy(workspace, tmp_path)
+        assert cli.main(["optimize", "--fairness", "maximin_outcome:race:0.0"]
+                        + base) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate"] + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fairness.dimension" in err and "non_affirmative" in err
+
+
 class TestNonAffirmative:
     def test_score_cells_share_eligibility_rows(self, workspace, tmp_path):
         root, base = workspace_copy(workspace, tmp_path, fairness={"dimension": "race"})
@@ -178,6 +214,27 @@ class TestStatusQuo:
         assert ("status-quo topology has no steady-state flow; skipped"
                 in capsys.readouterr().err)
         assert all(row["scope"] != "sq" for row in read_estimates(root))
+
+    def test_unknown_resource_is_config_error(self, workspace, tmp_path, capsys):
+        _, base = workspace_copy(workspace, tmp_path, sq_cuts={"PHS": [0.5, 1]})
+        capsys.readouterr()
+        assert cli.main(["evaluate"] + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'PHS'" in err and "['SO', 'RRH', 'PSH']" in err
+
+    def test_cuts_not_an_object_is_config_error(self, workspace, tmp_path, capsys):
+        _, base = workspace_copy(workspace, tmp_path, sq_cuts=[["PSH", [0.5, 1]]])
+        capsys.readouterr()
+        assert cli.main(["evaluate"] + base) == cli.EXIT_CONFIG
+        assert "sq_cuts must map resource names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [[0.5], [0.5, 1, 2], ["0", 1], [True, 1], 0.5,
+                                     {"lo": 0, "hi": 1}])
+    def test_cut_not_a_pair_is_config_error(self, workspace, tmp_path, capsys, cut):
+        _, base = workspace_copy(workspace, tmp_path, sq_cuts={"PSH": cut})
+        capsys.readouterr()
+        assert cli.main(["evaluate"] + base) == cli.EXIT_CONFIG
+        assert "sq_cuts['PSH'] must be a [lo, hi] pair" in capsys.readouterr().err
 
 
 class TestExperiment:

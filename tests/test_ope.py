@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import (reference_cate_dr, reference_evaluate_dm, reference_evaluate_dr,
+                      reference_evaluate_gt, reference_evaluate_ipw)
 from conftest import make_dataset, make_instance
-from fairmatch import core, ope
+from fairmatch import causal, core, ope
 
 
 def one_queue(ds):
@@ -13,12 +17,13 @@ def one_queue(ds):
 
 class StubProp:
     feature_mode = "score"
+    resources = ["a", "b"]
 
     def __init__(self, value=0.5):
         self.value = value
 
-    def prob_of(self, X, treatments):
-        return np.full(len(treatments), self.value)
+    def predict_proba(self, X):
+        return np.full((len(np.atleast_2d(X)), 2), self.value)
 
 
 class StubOut:
@@ -49,16 +54,17 @@ class TestPolicyRows:
 
     def test_plain_list_of_queue_ids(self):
         queue_ids = ["q2", "q0", "q2", "q1"]
-        rows = ope._policy_rows(self.policy(), queue_ids, self.instance())
-        assert np.array_equal(rows, self.policy().probs[[2, 0, 2, 1]])
+        rows = ope._queue_rows(queue_ids, self.instance().queues)
+        assert np.array_equal(self.policy().probs[rows],
+                              self.policy().probs[[2, 0, 2, 1]])
 
     def test_unknown_queue_rejected(self):
         with pytest.raises(ValueError, match="absent from instance"):
-            ope._policy_rows(self.policy(), ["q0", "q7"], self.instance())
+            ope._queue_rows(["q0", "q7"], self.instance().queues)
 
     def test_zero_records(self):
-        rows = ope._policy_rows(self.policy(), [], self.instance())
-        assert rows.shape == (0, 2)
+        rows = ope._queue_rows([], self.instance().queues)
+        assert self.policy().probs[rows].shape == (0, 2)
 
 
 class TestDirectMethod:
@@ -100,7 +106,19 @@ class TestIPW:
         est = ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds), StubProp(0.5),
                                one_queue_instance())
         assert est.value == pytest.approx(float(y.mean()), abs=1e-12)
-        assert est.n_effective == pytest.approx(n, abs=1e-9)
+
+    def test_propensity_read_by_resource_name(self):
+        # the model lists its resources in another order than the dataset
+        class Reordered:
+            feature_mode = "score"
+            resources = ["b", "a"]
+
+            def predict_proba(self, X):
+                return np.tile([0.8, 0.2], (len(np.atleast_2d(X)), 1))
+        ds = make_dataset([0.0, 1.0], ["a", "b"], [1, 0])
+        est = ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds), Reordered(),
+                               one_queue_instance())
+        assert est.value == pytest.approx(0.5 / 0.2 / 2, abs=1e-12)
 
     def test_zero_propensity_rejected(self):
         ds = make_dataset([0.0], ["a"], [1])
@@ -162,15 +180,19 @@ class TestOptimizationSideValue:
         ds = make_dataset([0.0, 1.0], ["a", "b"], [1, 0],
                           po={"a": np.array([1, 0]), "b": np.array([0, 1])})
         out, prop = StubOut({"a": 0.2, "b": 0.6}), StubProp(0.5)
-        values = ope.evaluate_all(ope.ESTIMATORS, ds, flows, one_queue(ds), inst,
-                                  tau, out, prop)
+        table = ope.score_table(ds, one_queue(ds), inst.queues, out, prop)
+        values = ope.evaluate_all(ope.ESTIMATORS, table, flows, inst, tau)
         assert list(values) == list(ope.ESTIMATORS)
         assert values["CT"] == pytest.approx(core.policy_value(flows, tau, inst),
                                              abs=1e-12)
         policy = core.policy_from_flows(flows, inst)
-        for name in ("DM", "DR", "IPW", "GT"):
-            assert values[name] == ope.estimate(name, ds, policy, one_queue(ds),
-                                                inst, out, prop).value
+        q = one_queue(ds)
+        single = {"DM": ope.evaluate_dm(ds, policy, q, out, inst),
+                  "DR": ope.evaluate_dr(ds, policy, q, out, prop, inst),
+                  "IPW": ope.evaluate_ipw(ds, policy, q, prop, inst),
+                  "GT": ope.evaluate_gt(ds, policy, q, inst)}
+        for name, est in single.items():
+            assert (est.estimator, values[name]) == (name, est.value)
 
 
 class TestPerGroup:
@@ -182,9 +204,9 @@ class TestPerGroup:
         y = rng.integers(0, 2, n)
         ds = make_dataset(rng.uniform(0, 1, n), treat, y,
                           groups={"race": labels.astype(object)})
-        values = ope.per_group_values(ds, uniform_policy(), one_queue(ds),
-                                      one_queue_instance(), "IPW", "race",
-                                      prop=StubProp(0.5))
+        table = ope.score_table(ds, one_queue(ds), one_queue_instance().queues,
+                                prop=StubProp(0.5), names=["IPW"])
+        values = ope.per_group_values(table, uniform_policy(), "IPW", "race")
         overall = ope.evaluate_ipw(ds, uniform_policy(), one_queue(ds),
                                    StubProp(0.5), one_queue_instance()).value
         n_a = int((labels == "A").sum())
@@ -193,6 +215,122 @@ class TestPerGroup:
 
     def test_single_group_rejected_dimension(self):
         ds = make_dataset([0.0], ["a"], [1])
+        table = ope.score_table(ds, one_queue(ds), ["q0"],
+                                StubOut({"a": 0.2, "b": 0.6}), names=["DM"])
         with pytest.raises(ValueError):
-            ope.per_group_values(ds, uniform_policy(), one_queue(ds),
-                                 one_queue_instance(), "GT", "race")
+            ope.per_group_values(table, uniform_policy(), "DM", "race")
+
+
+def test_score_table_covers_every_estimator_but_ct():
+    assert set(ope._ESTIMATORS) == set(ope.ESTIMATORS) - {"CT"}
+
+
+class TableProp:
+    """Stub propensities, one row per record; the design's score is the
+    record's index."""
+
+    feature_mode = "score"
+
+    def __init__(self, table, resources):
+        self.table, self.resources = table, resources
+
+    def predict_proba(self, X):
+        return self.table[np.atleast_2d(X)[:, 0].astype(int)]
+
+
+class TableOut:
+    feature_mode = "score"
+
+    def __init__(self, table, resources):
+        self.table, self.resources = table, resources
+
+    def predict(self, X, resource):
+        return self.table[np.atleast_2d(X)[:, 0].astype(int),
+                          self.resources.index(resource)]
+
+
+class TestScoreTableMatchesOracle:
+    """The score table against the estimators as they were written before it:
+    several queues of unequal size in shuffled record order, group labels,
+    propensities in [0.01, 1], and a queue whose records all sit in one arm."""
+
+    @staticmethod
+    def _case(data):
+        resources = ["a", "b", "c"][:data.draw(st.integers(2, 3))]
+        n_r = len(resources)
+        sizes = data.draw(st.lists(st.integers(1, 300), min_size=2, max_size=5))
+        n = sum(sizes)
+        order = data.draw(st.permutations(range(len(sizes))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        queues = tuple(f"q{i}" for i in order)        # instance order is not sorted
+        of_record = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        t_idx = rng.integers(0, n_r, n)
+        t_idx[of_record == 0] = data.draw(st.integers(0, n_r - 1))  # one arm only
+        po = {r: rng.integers(0, 2, n) for r in resources}
+        outcome = np.array([po[resources[t]][i] for i, t in enumerate(t_idx)])
+        labels = np.array(["A", "B", "C"], dtype=object)[rng.integers(0, 3, n)]
+        ds = core.Dataset(np.arange(n, dtype=float)[:, None], np.arange(n, dtype=float),
+                          {"g": labels}, np.array(resources, dtype=object)[t_idx],
+                          outcome, np.arange(1, n + 1, dtype=float), resources,
+                          ["score"], potential_outcomes=po)
+        prop = TableProp(rng.uniform(0.01, 1.0, (n, n_r)), resources)
+        out = TableOut(rng.uniform(0.0, 1.0, (n, n_r)), resources)
+        weights = rng.integers(0, 4, (len(sizes), n_r)) * rng.uniform(0, 1, (len(sizes), n_r))
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        policy = core.Policy(weights / weights.sum(axis=1, keepdims=True))
+        instance = core.MCMSInstance(queues, tuple(resources),
+                                     tuple(Fraction(sizes[i]) for i in order),
+                                     tuple(Fraction(n) for _ in resources), 1.0)
+        queue_ids = np.array([f"q{q}" for q in of_record], dtype=object)
+        return ds, queue_ids, instance, policy, out, prop
+
+    @staticmethod
+    def _reference(name, ds, policy, queue_ids, instance, out, prop):
+        if name == "DM":
+            return reference_evaluate_dm(ds, policy, queue_ids, out, instance)
+        if name == "IPW":
+            return reference_evaluate_ipw(ds, policy, queue_ids, prop, instance)
+        if name == "DR":
+            return reference_evaluate_dr(ds, policy, queue_ids, out, prop, instance)
+        return reference_evaluate_gt(ds, policy, queue_ids, instance)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_values_effects_and_groups(self, data):
+        ds, queue_ids, instance, policy, out, prop = self._case(data)
+        table = ope.score_table(ds, queue_ids, instance.queues, out, prop)
+        assert list(table.scores) == ["DM", "IPW", "DR", "GT"]
+        labels = ds.groups["g"]
+        for name in table.scores:
+            expected = self._reference(name, ds, policy, queue_ids, instance, out, prop)
+            assert table.value(name, policy) == pytest.approx(expected, abs=1e-12)
+            groups = ope.per_group_values(table, policy, name, "g")
+            assert list(groups) == sorted(set(labels.tolist()))
+            for g, value in groups.items():
+                mask = labels == g
+                expected = self._reference(name, ds.subset(mask), policy,
+                                           queue_ids[mask], instance, out, prop)
+                assert value == pytest.approx(expected, abs=1e-12)
+
+        # effects: queue means of the DR scores, bit for bit
+        reference = reference_cate_dr(ds, queue_ids, sorted(instance.queues), out, prop)
+
+        class Partition:
+            queues = sorted(instance.queues)
+
+            def assign_dataset(self, dataset):
+                return queue_ids
+        tau, kept = causal.estimate_cate_dr(ds, Partition(), prop, out)
+        assert kept == sorted(instance.queues)
+        assert np.array_equal(tau.tau, reference.tau)
+        assert tau.baseline_mean == reference.baseline_mean
+        learned = causal.Learned(prop, out, [], ds, 0, None, queue_ids, instance)
+        reference = reference_cate_dr(ds, queue_ids, instance.queues, out, prop)
+        assert np.array_equal(learned.tau.tau, reference.tau)
+        assert learned.tau.baseline_mean == reference.baseline_mean
+
+    def test_unknown_queue_rejected(self):
+        ds = make_dataset([0.0, 1.0], ["a", "b"], [1, 0])
+        with pytest.raises(ValueError, match="absent from instance"):
+            ope.score_table(ds, ["q0", "q7"], one_queue_instance().queues,
+                            StubOut({"a": 0.2, "b": 0.6}), StubProp(0.5))
