@@ -275,11 +275,25 @@ def _load_topology(cfg):
     return instance, core.MatchingTopology(m), np.array(payload["flows"]), payload
 
 
+def _simulate_settings(cfg):
+    """The configured horizon and warm-up fraction, checked."""
+    sim, values = cfg["simulate"], []
+    for key, rule, ok in (("horizon_days", "be finite and > 0", lambda x: 0 < x < np.inf),
+                          ("warmup_fraction", "lie in [0, 1)", lambda x: 0 <= x < 1)):
+        try:
+            value = float(sim[key])
+        except (TypeError, ValueError):
+            value = float("nan")
+        if not ok(value):
+            raise ConfigError(f"simulate.{key} must {rule}, not {sim[key]!r}")
+        values.append(value)
+    return values
+
+
 def cmd_simulate(cfg) -> int:
+    horizon, warmup = _simulate_settings(cfg)
     instance, topology, _, payload = _load_topology(cfg)
-    sim = cfg["simulate"]
-    stats = desim.simulate(instance, topology, float(sim["horizon_days"]),
-                           float(sim["warmup_fraction"]), int(cfg["seed"]))
+    stats = desim.simulate(instance, topology, horizon, warmup, int(cfg["seed"]))
     expected = queuing.steady_state_flows(instance, topology).f
     out = _out_dir(cfg)
     with open(out / "simulation.csv", "w", newline="") as fh:

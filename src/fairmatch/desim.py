@@ -16,6 +16,15 @@ at any neighbour, with one bit left that neighbour holds its partner, and only
 with two or more does it scan its neighbours for the earliest-arrived head, in
 node order and with the same tie rule. Python integers are unbounded, so the
 mask serves any number of nodes.
+
+The arrivals are merged and walked one time window at a time, so that only
+the per-node streams (8 bytes an arrival) and one window of Python objects are
+held at once. Every node's sorted stream is cut at the same bounds, a uniform
+grid over the horizon, and an arrival exactly at a bound goes to the later
+window for every node. Each window then holds every arrival in its half-open
+interval, and the windows laid end to end are the whole horizon's (time, node)
+order, ties included. The waiting lines, the occupancy mask and the tallies
+carry from one window to the next.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ import numpy as np
 
 from .core import MCMSInstance, MatchingTopology
 from .queuing import check_admissible
+
+_WINDOW_EVENTS = 1 << 16      # arrivals merged and walked per window, on average
 
 
 @dataclass(frozen=True)
@@ -68,7 +79,11 @@ def _merged_events(streams_q, streams_r):
 
 def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, audit):
     """FCFS matching of the arrival streams on the topology, and its statistics."""
-    times, nodes = _merged_events(streams_q, streams_r)
+    streams = list(streams_q) + list(streams_r)
+    n_windows = max(1, sum(s.size for s in streams) // _WINDOW_EVENTS)
+    bounds = np.linspace(0.0, horizon, n_windows + 1)[1:-1]
+    cuts = [[0, *np.searchsorted(s, bounds, side="left").tolist(), s.size]
+            for s in streams]
     m = topology.m
     n_q, n_r = m.shape
     neighbours = ([(n_q + np.flatnonzero(row)).tolist() for row in m]
@@ -81,33 +96,36 @@ def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, au
     counts = [[0] * n_r for _ in range(n_q)]     # lists: cheaper per match than numpy
     wait_sum = [0.0] * n_q
     log = []
-    for t, i in zip(times.tolist(), nodes.tolist()):
-        live = busy & masks[i]
-        if not live:
-            if not waiting[i]:
-                busy ^= bits[i]
-            waiting[i].append(t)
-            continue
-        if not live & (live - 1):                    # one neighbour has someone waiting
-            best = node_of[live]
-        else:
-            best_t = None
-            for j in neighbours[i]:
-                if waiting[j] and (best_t is None or waiting[j][0] < best_t):
-                    best, best_t = j, waiting[j][0]
-        line = waiting[best]
-        best_t = line.popleft()
-        if not line:
-            busy ^= bits[best]
-        if best < n_q:                               # only individuals' waits count
-            q, r, wait = best, i - n_q, t - best_t
-        else:
-            q, r, wait = i, best - n_q, 0.0
-        if t >= warmup_end:
-            counts[q][r] += 1
-            wait_sum[q] += wait
-        if audit:
-            log.append((t, "match", q, r, wait))
+    for w in range(n_windows):
+        window = [s[c[w]:c[w + 1]] for s, c in zip(streams, cuts)]
+        times, nodes = _merged_events(window[:n_q], window[n_q:])
+        for t, i in zip(times.tolist(), nodes.tolist()):
+            live = busy & masks[i]
+            if not live:
+                if not waiting[i]:
+                    busy ^= bits[i]
+                waiting[i].append(t)
+                continue
+            if not live & (live - 1):                # one neighbour has someone waiting
+                best = node_of[live]
+            else:
+                best_t = None
+                for j in neighbours[i]:
+                    if waiting[j] and (best_t is None or waiting[j][0] < best_t):
+                        best, best_t = j, waiting[j][0]
+            line = waiting[best]
+            best_t = line.popleft()
+            if not line:
+                busy ^= bits[best]
+            if best < n_q:                           # only individuals' waits count
+                q, r, wait = best, i - n_q, t - best_t
+            else:
+                q, r, wait = i, best - n_q, 0.0
+            if t >= warmup_end:
+                counts[q][r] += 1
+                wait_sum[q] += wait
+            if audit:
+                log.append((t, "match", q, r, wait))
     counts, wait_sum = np.array(counts, dtype=np.int64), np.array(wait_sum)
     wait_n = counts.sum(axis=1)
     measured = horizon - warmup_end
@@ -131,8 +149,8 @@ def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: f
              warmup_fraction: float = 0.2, seed: int = 0, audit: bool = False) -> SimulationStats:
     """Simulate Poisson arrivals on both sides and FCFS matching on the topology."""
     topology.check_shape(instance)
-    if horizon_days <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon_days < np.inf:
+        raise ValueError("horizon must be finite and positive")
     if not 0 <= warmup_fraction < 1:
         raise ValueError("warmup fraction must lie in [0, 1)")
     if not check_admissible(instance, topology):

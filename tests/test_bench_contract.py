@@ -52,9 +52,9 @@ def test_tree_lookups_do_not_call_each_other(monkeypatch, called):
         assert len(getattr(tree, called)(X)) == len(X)
 
 
-def test_event_count_sees_every_arrival(monkeypatch):
-    """The trace counts `desim.events` as the length of the first array that
-    a wrapped `desim._merged_events` returns; it must see every arrival."""
+def _events_seen(monkeypatch):
+    """simulate on a 2x2 instance, with the arrivals each stream generated and
+    the lengths that a wrapped `desim._merged_events` returned."""
     generated, seen = [], []
     stream, merged = desim._poisson_stream, desim._merged_events
 
@@ -73,7 +73,22 @@ def test_event_count_sees_every_arrival(monkeypatch):
                              (Fraction(101, 100), Fraction(101, 100)), 0.99)
     desim.simulate(inst, core.MatchingTopology.fully_connected(2, 2), 200.0, seed=0)
     assert len(generated) == 4 and sum(generated) > 0
+    return generated, seen
+
+
+def test_event_count_sees_every_arrival(monkeypatch):
+    """The trace counts `desim.events` as the length of the first array that
+    a wrapped `desim._merged_events` returns; it must see every arrival."""
+    generated, seen = _events_seen(monkeypatch)
     assert seen == [sum(generated)]
+
+
+def test_event_count_sums_over_windows(monkeypatch):
+    """With many windows `desim.events` is a sum of one count per window,
+    and still every arrival."""
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 64)
+    generated, seen = _events_seen(monkeypatch)
+    assert len(seen) > 1 and sum(seen) == sum(generated)
 
 
 def test_fairness_sweep_setup_passes_learning_checks(tmp_path):

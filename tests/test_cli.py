@@ -341,6 +341,22 @@ class TestExitCodes:
         assert cli.main(["optimize"] + base) == cli.EXIT_POSTSOLVE
         assert capsys.readouterr().err.splitlines() == ["post-solve check failed: planted"]
 
+    @pytest.mark.parametrize("flags, config, key", [
+        (["--horizon", "inf"], {}, "simulate.horizon_days"),
+        (["--horizon", "nan"], {}, "simulate.horizon_days"),
+        (["--horizon", "-5"], {}, "simulate.horizon_days"),
+        ([], {"simulate": {"horizon_days": "long"}}, "simulate.horizon_days"),
+        ([], {"simulate": {"warmup_fraction": 1.5}}, "simulate.warmup_fraction"),
+    ], ids=["inf", "nan", "negative", "string", "warmup"])
+    def test_bad_simulate_setting(self, workspace, tmp_path, capsys, flags, config, key):
+        root, base = workspace_copy(workspace, tmp_path, **config)
+        (root / "simulation.csv").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert cli.main(["simulate"] + flags + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+        assert not (root / "simulation.csv").exists()
+
     def test_solver_limit(self, workspace, tmp_path, capsys):
         _, base = workspace_copy(workspace, tmp_path, solver={"time_limit_s": 0})
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,12 @@ class TestSimulate:
         stats = desim.simulate(inst, topo([[1, 1], [1, 1]]), 800.0, 0.25, seed=2)
         counts = stats.empirical_flows * stats.horizon
         assert stats.matched_count == int(round(counts.sum()))
+
+    @pytest.mark.parametrize("horizon", [0.0, -5.0, np.inf, np.nan])
+    def test_bad_horizon_rejected(self, horizon):
+        inst = make_instance([1], [Fraction(101, 100)])
+        with pytest.raises(ValueError, match="horizon"):
+            desim.simulate(inst, topo([[1]]), horizon, 0.0, seed=0)
 
     def test_inadmissible_rejected(self):
         inst = make_instance([Fraction(1, 2), Fraction(1, 2)],
@@ -187,3 +194,61 @@ class TestAgainstReference:
         got = desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True)
         monkeypatch.setattr(desim, "_match_streams", reference_match_streams)
         _same_stats(got, desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True))
+
+
+class TestInSmallWindows(TestAgainstReference):
+    """The reference comparisons again, with windows of a few arrivals, so
+    that window bounds often fall on tied arrival times."""
+
+    @pytest.fixture(scope="class", params=[1, 3, 16], autouse=True)
+    def window(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(desim, "_WINDOW_EVENTS", request.param)
+            yield
+
+    test_merge_order_on_ties = None     # the merge itself never sees the window
+
+
+def test_window_bounds_on_tied_arrivals(monkeypatch):
+    # 4 windows over horizon 20 put the bounds at 5, 10 and 15, where
+    # queue 0 and resource 0 both have an arrival
+    on_bounds = np.array([15, 30, 45])
+    streams_q = [np.union1d(np.arange(0, 60, 4), on_bounds) / 3,
+                 np.arange(1, 60, 5) / 3]
+    streams_r = [np.union1d(np.arange(2, 60, 4), on_bounds) / 3,
+                 np.arange(0, 60, 6) / 3]
+    arrivals = sum(s.size for s in streams_q + streams_r)
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", arrivals // 4)
+    starts, merged = [], desim._merged_events
+
+    def merged_events(streams_q, streams_r):
+        times, nodes = merged(streams_q, streams_r)
+        starts.append(times[0])
+        return times, nodes
+    monkeypatch.setattr(desim, "_merged_events", merged_events)
+    args = (streams_q, streams_r, topo([[1, 1], [0, 1]]), 5.0, 20.0, 0, True)
+    got = desim._match_streams(*args)
+    assert starts == [0.0, 5.0, 10.0, 15.0]
+    _same_stats(got, reference_match_streams(*args))
+
+
+def test_memory_holds_one_window(monkeypatch):
+    """Past the streams themselves (8 bytes an arrival), the simulator holds
+    one window of Python objects, not the whole horizon's."""
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
+    arrivals, stream = [], desim._poisson_stream
+
+    def counted_stream(*args):
+        times = stream(*args)
+        arrivals.append(times.size)
+        return times
+    monkeypatch.setattr(desim, "_poisson_stream", counted_stream)
+    inst = make_instance([1, 1], [Fraction(101, 100), Fraction(101, 100)])
+    m = core.MatchingTopology.fully_connected(2, 2)
+    tracemalloc.start()
+    try:
+        desim.simulate(inst, m, 50_000.0, 0.2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * sum(arrivals)
