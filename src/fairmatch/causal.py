@@ -608,6 +608,7 @@ def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
     given), queues from their intersection, split by ``group_dimension`` when
     given, and arrival rates over the kept records' window. ``params``
     overrides keys of ``PIPELINE_DEFAULTS``; ``seed`` drives the honest splits.
+    Given trees, the queues use the feature mode the trees were fit on.
     """
     p = _read_params(params or {}, PIPELINE_DEFAULTS)
     features = p["features"]
@@ -619,6 +620,8 @@ def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
     if trees is None:
         trees = [fit_causal_tree(kept, r, p["tree_params"], features, seed)
                  for r in dataset.resource_set[1:]]
+    elif trees:
+        features = trees[0].feature_mode
     partition = intersect_partitions(trees, kept, features)
     if group_dimension:
         partition = split_queues_by_group(partition, kept, group_dimension)
@@ -660,7 +663,9 @@ def tree_from_json(obj: dict) -> DecisionTree:
                         obj["n_features"], obj["classes"])
 
 
-def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list):
+def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list,
+                settings: dict | None = None):
+    """The models as JSON, with the ``learn`` params they were fit with, if given."""
     payload = {
         "propensity": {"tree": tree_to_json(prop.tree), "resources": prop.resources,
                        "feature_mode": prop.feature_mode},
@@ -672,8 +677,16 @@ def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list):
                           "min_node_size": t.min_node_size,
                           "feature_mode": t.feature_mode} for t in trees],
     }
+    if settings is not None:
+        payload["settings"] = settings
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
+
+
+def load_settings(path) -> dict | None:
+    """The settings ``save_models`` stored with the models, or None."""
+    with open(path) as fh:
+        return json.load(fh).get("settings")
 
 
 def load_models(path):

@@ -2,7 +2,11 @@
 
 All commands read one JSON configuration file (flags override file values) and
 write their outputs under the configured output directory. Given identical
-inputs and seeds, outputs are byte-identical.
+inputs and seeds, outputs are byte-identical. A verb takes only the flags
+``VERB_FLAGS`` lists for it, besides ``--config``, ``--out`` and ``--dataset``.
+Only ``fit`` learns; the later verbs re-apply its ``FIT_SETTINGS`` from
+``models.json`` and the saved trees' feature mode, so they solve and value
+the instance ``fit`` learned.
 
 Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
 the MIO, 2 configuration error, 3 data error, 4 optimization infeasible, 5
@@ -32,7 +36,6 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "resources": ["SO", "RRH", "PSH"],
     "feature_names": ["score"],
-    "group_dimensions": [],
     **causal.PIPELINE_DEFAULTS,
     "synth": {"n": 10000, "alpha": None, "group_probs": {}},
     "fairness": {"kind": "none", "dimension": "", "bound": 0.0},
@@ -44,6 +47,9 @@ DEFAULT_CONFIG = {
                    "min_node_sizes": [6000, 2000, 1000, 400, 150],
                    "n": 10000, "n_seeds": 10},
 }
+
+# what fit records in models.json for the later verbs to re-apply
+FIT_SETTINGS = ("rho", "positivity_threshold")
 
 
 class ConfigError(ValueError):
@@ -107,10 +113,11 @@ def _pipeline_params(cfg) -> dict:
 
 
 def _load_dataset(cfg) -> core.Dataset:
+    """The records, with the ``fairness.dimension`` column when one is set."""
+    dim = cfg["fairness"]["dimension"]
     try:
         return core.Dataset.from_csv(cfg["dataset"], cfg["resources"],
-                                     cfg["feature_names"],
-                                     cfg["group_dimensions"])
+                                     cfg["feature_names"], [dim] if dim else [])
     except FileNotFoundError:
         raise ConfigError(f"dataset file not found: {cfg['dataset']}")
 
@@ -142,7 +149,8 @@ def cmd_fit(cfg) -> int:
     learned = causal.learn(dataset, _pipeline_params(cfg), int(cfg["seed"]))
     instance = learned.instance
     out = _out_dir(cfg)
-    causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees)
+    causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees,
+                       {key: cfg[key] for key in FIT_SETTINGS})
     _write_json(out / "fit_report.json", {
         "n_total": len(dataset), "n_kept": len(learned.kept),
         "n_screened": learned.n_screened,
@@ -158,13 +166,19 @@ def cmd_fit(cfg) -> int:
 
 
 def _rebuild(cfg) -> causal.Learned:
-    """Dataset + saved models back through ``causal.learn``, split by the
-    fairness dimension for fairness and non-affirmative runs."""
+    """Dataset + saved models back through ``causal.learn`` with the settings
+    ``fit`` used, split by the fairness dimension for fairness and
+    non-affirmative runs."""
     dataset = _load_dataset(cfg)
+    path = Path(cfg["out_dir"]) / "models.json"
     try:
-        models = causal.load_models(Path(cfg["out_dir"]) / "models.json")
+        models = causal.load_models(path)
+        settings = causal.load_settings(path)
     except FileNotFoundError:
         raise ConfigError("models.json not found; run `fit` first")
+    if not isinstance(settings, dict) or set(settings) != set(FIT_SETTINGS):
+        raise ConfigError(f"models.json does not record fit's {' and '.join(FIT_SETTINGS)}; "
+                          "re-run `fit`")
     dim = None
     if cfg["fairness"]["kind"] != "none" or cfg["non_affirmative"]:
         dim = cfg["fairness"]["dimension"]
@@ -172,7 +186,7 @@ def _rebuild(cfg) -> causal.Learned:
             raise ConfigError("fairness and non-affirmative runs need "
                               "fairness.dimension (set it in the config, or "
                               "with --fairness KIND:DIMENSION:BOUND)")
-    return causal.learn(dataset, _pipeline_params(cfg), int(cfg["seed"]), models, dim)
+    return causal.learn(dataset, settings, models=models, group_dimension=dim)
 
 
 def _fairness_spec(cfg, learned) -> optimizer.FairnessSpec:
@@ -224,21 +238,23 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
     learned = _rebuild(cfg)
     instance, tau = learned.instance, learned.tau
     fairness = _fairness_spec(cfg, learned)
+    cells = []
+    if cfg["non_affirmative"]:
+        cells = [[q for q in c if q in instance.queues]
+                 for c in learned.partition.score_cells.values()]
+        cells = [c for c in cells if len(c) > 1]
     if use_oracle_route:
-        result = optimizer.enumerate_oracle(instance, tau, fairness)
+        result = optimizer.enumerate_oracle(instance, tau, fairness, cells)
     else:
-        model = optimizer.build_mio(instance, tau, fairness)
-        if cfg["non_affirmative"]:
-            cells = [[q for q in c if q in instance.queues]
-                     for c in learned.partition.score_cells.values()]
-            optimizer.add_non_affirmative_links(model, [c for c in cells if len(c) > 1])
+        model = optimizer.add_non_affirmative_links(
+            optimizer.build_mio(instance, tau, fairness), cells)
         result = optimizer.solve(model, time_limit_s=cfg["solver"]["time_limit_s"],
                                  node_limit=cfg["solver"]["node_limit"])
     out = _out_dir(cfg)
     payload = _topology_payload(instance, result, tau)
     if cross_check and not use_oracle_route:
         if instance.n_queues * instance.n_resources <= optimizer.MAX_ORACLE_CELLS:
-            oracle = optimizer.enumerate_oracle(instance, tau, fairness)
+            oracle = optimizer.enumerate_oracle(instance, tau, fairness, cells)
             payload["oracle_objective"] = oracle.objective
             payload["oracle_match"] = bool(abs(oracle.objective - result.objective) <= 1e-6)
         else:
@@ -390,36 +406,42 @@ def cmd_experiment(cfg, which: str) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+FLAGS = {
+    "--seed": {"type": int},
+    "--alpha": {"type": float, "help": "mid-stratum propensity variant"},
+    "--rho": {"type": float, "help": "target utilization for the baseline rate"},
+    "--fairness": {"metavar": "KIND:DIM:BOUND"},
+    "--non-affirmative": {"action": "store_true"},
+    "--oracle": {"action": "store_true",
+                 "help": "cross-check against exhaustive enumeration"},
+    "--horizon": {"type": float},
+}
+# Every verb takes --config, --out and --dataset, and these flags besides
+VERB_FLAGS = {
+    "synth": ("--seed", "--alpha"),
+    "fit": ("--seed", "--rho"),
+    "optimize": ("--fairness", "--non-affirmative", "--oracle"),
+    "oracle": ("--fairness", "--non-affirmative"),
+    "simulate": ("--seed", "--horizon"),
+    "evaluate": ("--fairness", "--non-affirmative"),
+    "experiment": ("--rho",),
+}
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="fairmatch",
                                 description="Learn and optimize fair "
                                             "resource-matching policies.")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", default=None, help="JSON configuration file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--rho", type=float, default=None,
-                        help="target utilization for the baseline rate")
-        sp.add_argument("--dataset", default=None)
-        sp.add_argument("--fairness", default=None, metavar="KIND:DIM:BOUND")
-        sp.add_argument("--non-affirmative", action="store_true", default=None)
-
-    for verb in ("synth", "fit", "optimize", "simulate", "evaluate", "oracle"):
+    for verb, flags in VERB_FLAGS.items():
         sp = sub.add_parser(verb)
-        common(sp)
-        if verb == "synth":
-            sp.add_argument("--alpha", type=float, default=None,
-                            help="mid-stratum propensity variant")
-        if verb == "optimize":
-            sp.add_argument("--oracle", action="store_true",
-                            help="cross-check against exhaustive enumeration")
-        if verb == "simulate":
-            sp.add_argument("--horizon", type=float, default=None)
-    sp = sub.add_parser("experiment")
-    sp.add_argument("which", choices=["alpha", "queues"])
-    common(sp)
+        if verb == "experiment":
+            sp.add_argument("which", choices=["alpha", "queues"])
+        sp.add_argument("--config", help="JSON configuration file")
+        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--dataset")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return p
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology
+from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology, policy_value
 from .queuing import FlowSolveError, crp_components, steady_state_flows
 
 MAX_ORACLE_CELLS = 16
@@ -360,7 +360,7 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
         raise PoolingCutLimitError(f"no single-component topology after "
                                    f"{MAX_CUT_ROUNDS} cut rounds")
     objective = float(np.sum(model.tau.tau * flows.f))
-    value = objective / float(model.instance.lam_total) + model.tau.baseline_mean
+    value = policy_value(flows, model.tau, model.instance)
     dual_bound = getattr(res, "mip_dual_bound", None)
     stats = {
         "status": int(res.status),
@@ -453,18 +453,23 @@ def _pooling_cuts(model, m, components):
 
 
 def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
-                     fairness: FairnessSpec | None = None) -> OptimizationResult:
+                     fairness: FairnessSpec | None = None,
+                     cells=()) -> OptimizationResult:
     """Exhaustive search over topologies: admissible, single pooled component,
-    fairness-feasible, maximum flow-weighted effect."""
+    fairness-feasible, the queues of each of ``cells`` on one eligibility row
+    (as ``add_non_affirmative_links`` forces), maximum flow-weighted effect."""
     fairness = fairness or FairnessSpec.none()
     n_q, n_r = instance.n_queues, instance.n_resources
     if n_q * n_r > MAX_ORACLE_CELLS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_CELLS} topology cells")
     groups = _group_queue_indices(fairness, instance)
+    links = [[instance.queues.index(q) for q in cell] for cell in cells]
     lam = instance.lam_f
     best = None
     for bits in itertools.product((0, 1), repeat=n_q * n_r):
         m = np.array(bits, dtype=int).reshape(n_q, n_r)
+        if any((m[qs] != m[qs[0]]).any() for qs in links):
+            continue
         topology = MatchingTopology(m)
         try:
             flows = steady_state_flows(instance, topology)   # checks admissibility
@@ -483,8 +488,8 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
         raise InfeasibleModelError("no admissible single-component topology "
                                    "satisfies the constraints")
     (objective, _), _, topology, flows = best
-    value = objective / float(instance.lam_total) + tau.baseline_mean
-    return OptimizationResult(topology, flows, objective, value,
+    return OptimizationResult(topology, flows, objective,
+                              policy_value(flows, tau, instance),
                               {"status": 0, "message": "exhaustive", "nodes": 0,
                                "gap": 0.0})
 

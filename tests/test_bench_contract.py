@@ -116,3 +116,14 @@ def test_each_verb_parses_the_dataset_once(tmp_path, monkeypatch):
     for verb in ("fit", "optimize", "evaluate"):
         assert cli.main([verb] + base) == 0
     assert calls == ["fit", "optimize", "evaluate"]
+
+
+def test_cli_workload_argv_parses(tmp_path, monkeypatch):
+    """Every verb accepts the flags `Cli.run_pass` passes it."""
+    argvs = []
+    monkeypatch.setattr(workloads.Cli, "n", 200)
+    monkeypatch.setattr(cli, "main", lambda argv: argvs.append(argv) or 0)
+    workloads.Cli(0, tmp_path, spans.NullTracer()).run_pass()
+    assert [argv[0] for argv in argvs] == list(workloads.Cli.verbs)
+    for argv in argvs:
+        cli._parser().parse_args(argv)

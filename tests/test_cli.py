@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairmatch import causal, cli, ope, optimizer
+from fairmatch import causal, cli, core, ope, optimizer, synth
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,6 @@ def workspace(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps({
         "synth": {"n": 8000, "group_probs": {"race": {"A": 0.5, "B": 0.5}}},
-        "group_dimensions": ["race"],
         "tree_params": {"min_node_size": 300, "max_depth": 3, "honest": True},
     }))
     base = ["--config", str(cfg_path), "--out", str(root),
@@ -172,6 +171,70 @@ class TestSimulateAndEvaluate:
         assert "fairness.dimension" in err and "non_affirmative" in err
 
 
+class TestFitSettings:
+    """optimize, oracle and evaluate solve and value the instance fit learned,
+    whatever the config says of the settings only fit reads."""
+
+    VERBS_OUT = {"optimize": ["topology.json", "eligibility.txt"],
+                 "evaluate": ["estimates.csv"]}
+
+    def _runs_agree(self, root, configs):
+        """optimize then evaluate on a copy of ``root`` per config; each
+        output file is the same in every copy. Returns the first copy's."""
+        outputs = []
+        for i, config in enumerate(configs):
+            run = root.parent / f"{root.name}-run{i}"
+            shutil.copytree(root, run)
+            (run / "config.json").write_text(json.dumps(config))
+            base = ["--config", str(run / "config.json"), "--out", str(run),
+                    "--dataset", str(run / "dataset.csv")]
+            for verb in self.VERBS_OUT:
+                assert cli.main([verb] + base) == 0
+            outputs.append({name: (run / name).read_bytes()
+                            for files in self.VERBS_OUT.values() for name in files})
+        assert outputs[1:] == outputs[:1] * (len(outputs) - 1)
+        return outputs[0]
+
+    @pytest.mark.parametrize("first", ["x2", "noise"])
+    def test_queues_follow_the_trees_feature_mode(self, tmp_path, first):
+        # the trees split on x2 for "x2" and on the score for "noise"
+        ds = synth.generate(synth.SynthParams(n=6000, seed=0))
+        column = (2 * ds.score if first == "x2"
+                  else np.random.default_rng(1).uniform(5.0, 6.0, len(ds)))
+        core.Dataset(np.column_stack([column, ds.score]), ds.score, {}, ds.treatment,
+                     ds.outcome, ds.arrival_time, ds.resource_set, [first, "score"],
+                     potential_outcomes=ds.potential_outcomes
+                     ).to_csv(tmp_path / "dataset.csv")
+        config = {"feature_names": [first, "score"],
+                  "tree_params": {"min_node_size": 200, "max_depth": 2}}
+        fitted = {**config, "features": "all"}
+        (tmp_path / "config.json").write_text(json.dumps(fitted))
+        assert cli.main(["fit", "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path),
+                         "--dataset", str(tmp_path / "dataset.csv")]) == 0
+        self._runs_agree(tmp_path, [fitted, config])
+
+    def test_rates_follow_fits_rho(self, workspace, tmp_path):
+        root, base = workspace_copy(workspace, tmp_path)
+        assert cli.main(["fit", "--rho", "0.8"] + base) == 0
+        config = json.loads((root / "config.json").read_text())
+        outputs = self._runs_agree(root, [config, {**config, "rho": 0.8}])
+        report = json.loads((root / "fit_report.json").read_text())
+        topology = json.loads(outputs["topology.json"])
+        assert topology["mu"] == [report["mu"][r] for r in topology["resources"]]
+        assert topology["rho"] == report["rho"] == 0.8
+
+    @pytest.mark.parametrize("verb", ["optimize", "oracle", "evaluate"])
+    def test_models_without_settings_ask_for_fit(self, workspace, tmp_path, capsys,
+                                                 verb):
+        root, base = workspace_copy(workspace, tmp_path)
+        causal.save_models(root / "models.json", *causal.load_models(root / "models.json"))
+        capsys.readouterr()
+        assert cli.main([verb] + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "rho" in err and "positivity_threshold" in err and "re-run `fit`" in err
+
+
 class TestNonAffirmative:
     def test_score_cells_share_eligibility_rows(self, workspace, tmp_path):
         root, base = workspace_copy(workspace, tmp_path, fairness={"dimension": "race"})
@@ -188,6 +251,26 @@ class TestNonAffirmative:
         assert all(row == cell[0] for cell in shared for row in cell)
         assert cli.main(["evaluate", "--non-affirmative"] + base) == 0
         assert {"A", "B"} <= {row["group"] for row in read_estimates(root)}
+
+    def test_oracle_routes_keep_the_links(self, tmp_path):
+        """Both oracle routes search the linked topologies only, so they agree
+        with the linked MIO."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "synth": {"n": 6000, "group_probs": {"race": {"A": 0.5, "B": 0.5}}},
+            "tree_params": {"min_node_size": 1500, "max_depth": 1},
+            "fairness": {"dimension": "race"}}))
+        base = ["--config", str(cfg), "--out", str(tmp_path),
+                "--dataset", str(tmp_path / "dataset.csv")]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["fit"] + base) == 0
+        assert cli.main(["optimize", "--oracle", "--non-affirmative"] + base) == 0
+        milp = json.loads((tmp_path / "topology.json").read_text())
+        assert len(milp["queues"]) > 1 and milp["oracle_match"] is True
+        assert cli.main(["oracle", "--non-affirmative"] + base) == 0
+        oracle = json.loads((tmp_path / "topology.json").read_text())
+        assert oracle["edges"] == milp["edges"]
+        assert oracle["policy_value"] == milp["policy_value"]
 
     @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
     def test_missing_dimension_names_the_key(self, workspace, capsys, verb):
@@ -260,7 +343,8 @@ class TestExitCodes:
         ({"mystery_knob": 1}, "mystery_knob"),
         ({"estimators": ["DR"]}, "estimators"),
         ({"fairness": {"baseline_value": 0.3}}, "baseline_value"),
-    ], ids=["mystery_knob", "estimators", "baseline_value"])
+        ({"group_dimensions": ["race"]}, "group_dimensions"),
+    ], ids=["mystery_knob", "estimators", "baseline_value", "group_dimensions"])
     def test_unknown_config_key(self, tmp_path, config, key):
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps(config))
@@ -325,6 +409,28 @@ class TestExitCodes:
         assert cli.main(["fit", "--dataset", str(path),
                          "--out", str(tmp_path)]) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("verb, flag", [
+        ("synth", "--rho"), ("synth", "--fairness"), ("synth", "--non-affirmative"),
+        ("fit", "--fairness"), ("fit", "--non-affirmative"),
+        ("optimize", "--seed"), ("optimize", "--rho"),
+        ("oracle", "--seed"), ("oracle", "--rho"),
+        ("simulate", "--rho"), ("simulate", "--fairness"),
+        ("simulate", "--non-affirmative"),
+        ("evaluate", "--seed"), ("evaluate", "--rho"),
+        ("experiment", "--seed"), ("experiment", "--fairness"),
+        ("experiment", "--non-affirmative"),
+    ])
+    def test_flag_the_verb_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                          verb, flag):
+        value = {"--seed": ["1"], "--rho": ["0.8"], "--non-affirmative": [],
+                 "--fairness": ["maximin_outcome:race:0"]}[flag]
+        argv = [verb] + (["alpha"] if verb == "experiment" else []) + [flag] + value
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_fairness_flag(self, tmp_path):
         assert cli.main(["optimize", "--fairness", "maximin_outcome",
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -369,7 +475,6 @@ class TestExitCodes:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "synth": {"n": 3000, "group_probs": {"race": {"A": 1.0}}},
-            "group_dimensions": ["race"],
             "tree_params": {"min_node_size": 300, "max_depth": 2, "honest": True},
         }))
         base = ["--config", str(cfg_path), "--out", str(tmp_path),

@@ -421,6 +421,17 @@ class TestNonAffirmativeLinks:
         optimizer.add_non_affirmative_links(model, [["q0", "q1"]])
         assert len(model.a_eq) == before + 2
 
+    def test_oracle_enumerates_linked_topologies_only(self):
+        inst = two_by_two_instance()
+        tau = effects([[0.0, 0.6], [0.0, -0.6]])
+        mio = optimizer.solve(optimizer.add_non_affirmative_links(
+            optimizer.build_mio(inst, tau), [["q0", "q1"]]))
+        oracle = optimizer.enumerate_oracle(inst, tau, cells=[["q0", "q1"]])
+        assert np.array_equal(oracle.topology.m, mio.topology.m)
+        assert (oracle.objective, oracle.policy_value) == (mio.objective,
+                                                           mio.policy_value)
+        assert optimizer.enumerate_oracle(inst, tau).objective > oracle.objective + 1e-6
+
     def test_duplicate_queue_in_cell_rejected(self):
         model = optimizer.build_mio(two_by_two_instance(),
                                     effects([[0.0, 0.1], [0.0, 0.2]]))
