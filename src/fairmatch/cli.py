@@ -89,8 +89,6 @@ def load_config(path=None, overrides=None) -> dict:
         for p in parts[:-1]:
             node = node[p]
         node[parts[-1]] = value
-    if not 0 < cfg["rho"] <= 1:
-        raise ConfigError("rho must lie in (0, 1]")
     if cfg["fairness"]["kind"] not in optimizer.FAIRNESS_KINDS:
         raise ConfigError(f"unknown fairness kind: {cfg['fairness']['kind']}")
     return cfg
@@ -109,6 +107,10 @@ def _write_json(path, payload):
 
 
 def _pipeline_params(cfg) -> dict:
+    """The learning settings, which only ``fit`` and ``experiment`` read."""
+    rho = cfg["rho"]
+    if type(rho) not in (int, float) or not 0 < rho <= 1:
+        raise ConfigError(f"rho must lie in (0, 1], not {rho!r}")
     return {key: cfg[key] for key in causal.PIPELINE_DEFAULTS}
 
 
@@ -145,8 +147,9 @@ def cmd_synth(cfg) -> int:
 
 
 def cmd_fit(cfg) -> int:
+    params = _pipeline_params(cfg)
     dataset = _load_dataset(cfg)
-    learned = causal.learn(dataset, _pipeline_params(cfg), int(cfg["seed"]))
+    learned = causal.learn(dataset, params, int(cfg["seed"]))
     instance = learned.instance
     out = _out_dir(cfg)
     causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees,
@@ -243,7 +246,12 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
         cells = [[q for q in c if q in instance.queues]
                  for c in learned.partition.score_cells.values()]
         cells = [c for c in cells if len(c) > 1]
+    n_cells = instance.n_queues * instance.n_resources
     if use_oracle_route:
+        if n_cells > optimizer.MAX_ORACLE_CELLS:
+            raise ConfigError(f"the oracle enumerates at most {optimizer.MAX_ORACLE_CELLS} "
+                              f"queue-resource cells, and this instance has {n_cells}; "
+                              "use `optimize`")
         result = optimizer.enumerate_oracle(instance, tau, fairness, cells)
     else:
         model = optimizer.add_non_affirmative_links(
@@ -253,7 +261,7 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
     out = _out_dir(cfg)
     payload = _topology_payload(instance, result, tau)
     if cross_check and not use_oracle_route:
-        if instance.n_queues * instance.n_resources <= optimizer.MAX_ORACLE_CELLS:
+        if n_cells <= optimizer.MAX_ORACLE_CELLS:
             oracle = optimizer.enumerate_oracle(instance, tau, fairness, cells)
             payload["oracle_objective"] = oracle.objective
             payload["oracle_match"] = bool(abs(oracle.objective - result.objective) <= 1e-6)
@@ -390,8 +398,8 @@ def cmd_evaluate(cfg) -> int:
 def cmd_experiment(cfg, which: str) -> int:
     exp = cfg["experiment"]
     seeds = range(int(exp["n_seeds"]))
-    out = _out_dir(cfg)
     pipeline = _pipeline_params(cfg)
+    out = _out_dir(cfg)
     if which == "alpha":
         path = out / "alpha_sweep.csv"
         synth.run_alpha_sweep(exp["alphas"], int(exp["n"]), seeds, pipeline, path)
@@ -435,6 +443,7 @@ def _parser():
     sub = p.add_subparsers(dest="verb", required=True)
     for verb, flags in VERB_FLAGS.items():
         sp = sub.add_parser(verb)
+        sp.set_defaults(parser=sp)      # reports the flags this verb does not take
         if verb == "experiment":
             sp.add_argument("which", choices=["alpha", "queues"])
         sp.add_argument("--config", help="JSON configuration file")
@@ -469,7 +478,9 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = load_config(args.config, _overrides(args))
         if args.verb == "synth":

@@ -5,6 +5,10 @@ big-M linearized KKT conditions of the steady-state flow QP, and optional
 fairness constraints. Resource rates are rebalanced to the total individual
 arrival rate, matching the flow solver.
 
+The big-Ms are per cell: with ``B = sum_r 1/mu_r`` over the balanced rates,
+cell (q, r)'s KKT rows use ``lam_q mu_r B`` and its multiplier ``nu`` is capped
+at ``B``; ``compute_bigM`` proves that they keep every pooled KKT point.
+
 ``solve`` verifies every HiGHS solution after the fact. HiGHS runs with a
 ``mip_feasibility_tolerance`` of 1e-9, because a binary that is 1e-6 off
 integral opens a big-M KKT row by 1e-6 times the big-M, and the flows then
@@ -70,8 +74,8 @@ class PoolingCutLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class BigMConstants:
-    w: Fraction
-    z: Fraction
+    b: Fraction        # bound on |theta_q + gamma_r| at a KKT point; the nu cap
+    z: tuple           # z[q][r] = lam_q mu_r b, the big-M of cell (q, r)'s KKT rows
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,26 @@ class FairnessSpec:
 
 
 def compute_bigM(instance: MCMSInstance) -> BigMConstants:
-    """Big-M constants from the exact rational rates."""
-    lam, mu = instance.lam, instance.mu
-    inv = [Fraction(1) / x for x in lam] + [Fraction(1) / x for x in mu]
-    w = Fraction(1, 2) * max(inv)
-    size = len(lam) + len(mu) + 1
-    z = max(lam) * max(mu) * (sum(inv, Fraction(0)) + size * size * w)
-    return BigMConstants(w, z)
+    """Per-cell big-M constants from the exact rational rates, with the
+    resource rates balanced as in ``build_mio``: ``b = sum_r 1/mu_r`` and
+    ``z[q][r] = lam_q mu_r b``.
+
+    They keep every KKT point of a topology whose QP flows pool into one
+    component. On a positive-flow edge, ``theta_q + gamma_r = f_qr/(lam_q
+    mu_r)`` lies in [0, 1/max(lam_q, mu_r)], since ``f_qr <= min(lam_q,
+    mu_r)``. For any cell (q, r), ``theta_q + gamma_r`` is the alternating
+    sum of these values along a simple path of positive-flow edges from q to
+    r; its positive terms sit on distinct resources r', and so do its
+    negative terms, each at most 1/mu_r', so ``|theta_q + gamma_r| <= b``.
+    Off the topology, nu = 0 then meets both KKT rows; on a zero-flow
+    topology edge, ``nu = -(theta_q + gamma_r) <= b``. A shift of theta by c
+    and gamma by -c cancels in ``theta_q + gamma_r``, so no normalisation row
+    is needed. A topology whose flows split into several components may lose
+    its KKT points, which ``solve``'s pooling cuts reject anyway.
+    """
+    lam, mu = instance.lam, instance.balanced_mu()
+    b = sum((1 / x for x in mu), Fraction(0))
+    return BigMConstants(b, tuple(tuple(lq * mr * b for mr in mu) for lq in lam))
 
 
 @dataclass
@@ -145,15 +162,11 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
     n_q, n_r = instance.n_queues, instance.n_resources
     if tau.tau.shape != (n_q, n_r):
         raise ValueError("effect matrix shape does not match the instance")
-    lam_frac = instance.lam
-    mu_frac = instance.balanced_mu()
-    balanced = MCMSInstance(instance.queues, instance.resources,
-                            lam_frac, mu_frac, 1.0)
-    consts = compute_bigM(balanced)
-    z_big = float(consts.z)
-    w_big = float(consts.w)
-    lam = np.array([float(x) for x in lam_frac])
-    mu = np.array([float(x) for x in mu_frac])
+    consts = compute_bigM(instance)
+    z_big = np.array(consts.z, dtype=float)
+    nu_cap = float(consts.b)
+    lam = instance.lam_f
+    mu = instance.balanced_mu_f()
 
     names = []
     idx_f = _add_block(names, "f", (n_q, n_r))
@@ -201,15 +214,15 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
             rr[idx_theta[q]] = -coef
             rr[idx_gamma[r]] = -coef
             rr[idx_nu[q, r]] = -coef
-            rr[idx_m[q, r]] = z_big
-            a_ub.append((rr, z_big, f"kkt_upper[{q},{r}]"))
+            rr[idx_m[q, r]] = z_big[q, r]
+            a_ub.append((rr, z_big[q, r], f"kkt_upper[{q},{r}]"))
             rr = row()
             rr[idx_f[q, r]] = -1.0
             rr[idx_theta[q]] = coef
             rr[idx_gamma[r]] = coef
             rr[idx_nu[q, r]] = coef
-            rr[idx_m[q, r]] = z_big
-            a_ub.append((rr, z_big, f"kkt_lower[{q},{r}]"))
+            rr[idx_m[q, r]] = z_big[q, r]
+            a_ub.append((rr, z_big[q, r], f"kkt_lower[{q},{r}]"))
             rr = row()
             rr[idx_f[q, r]] = 1.0
             rr[idx_m[q, r]] = -cap[q, r]
@@ -218,7 +231,6 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
             rr[idx_f[q, r]] = 1.0
             rr[idx_z[q, r]] = -cap[q, r]
             a_ub.append((rr, 0.0, f"flow_complementarity[{q},{r}]"))
-            nu_cap = (n_q + n_r + 1) * w_big
             rr = row()
             rr[idx_nu[q, r]] = 1.0
             rr[idx_z[q, r]] = nu_cap

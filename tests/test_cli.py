@@ -428,8 +428,56 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"fairmatch {verb}: error: unrecognized arguments: {flag}" in err
+        # the usage is the verb's own and lists every flag it takes
+        usage = " ".join(err.split("error:")[0].split())
+        assert usage.startswith(f"usage: fairmatch {verb} ")
+        for taken in ("--config", "--out", "--dataset") + cli.VERB_FLAGS[verb]:
+            assert f"[{taken}" in usage
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("verb", ["fit", "experiment"])
+    def test_bad_rho_in_config_for_the_verbs_that_read_it(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": 1.5}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        argv = [verb] + (["alpha"] if verb == "experiment" else [])
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: rho must lie in (0, 1], not 1.5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rho", [1.5, "high"])
+    def test_verbs_that_do_not_read_rho_ignore_it(self, workspace, tmp_path, rho):
+        root, base = workspace_copy(workspace, tmp_path, rho=rho)
+        assert cli.load_config(root / "config.json")["rho"] == rho
+        assert cli.main(["optimize"] + base) == 0
+        assert json.loads((root / "topology.json").read_text())["rho"] == 0.99
+
+    def test_oracle_above_cell_limit_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        """On a 15-queue, 3-resource instance the oracle verb exits 2 before
+        enumerating anything."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "synth": {"n": 6000},
+            "tree_params": {"min_node_size": 30, "max_depth": 3, "honest": True},
+        }))
+        base = ["--config", str(cfg_path), "--out", str(tmp_path),
+                "--dataset", str(tmp_path / "dataset.csv")]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["fit"] + base) == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert len(report["queues"]) * len(report["mu"]) == 45
+
+        def enumerate_nothing(*args, **kwargs):
+            raise AssertionError("the oracle enumerated")
+        monkeypatch.setattr(optimizer, "enumerate_oracle", enumerate_nothing)
+        capsys.readouterr()
+        assert cli.main(["oracle"] + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "has 45" in err
+        assert not (tmp_path / "topology.json").exists()
 
     def test_bad_fairness_flag(self, tmp_path):
         assert cli.main(["optimize", "--fairness", "maximin_outcome",

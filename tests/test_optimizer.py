@@ -25,16 +25,65 @@ class TestBigMConstants:
     def test_hand_computed_single_queue(self):
         inst = make_instance([1], [Fraction(1, 2), Fraction(1, 2)])
         c = optimizer.compute_bigM(inst)
-        assert c.w == Fraction(1)
-        # z = 1 * 1/2 * (5 + 16 * 1)
-        assert c.z == Fraction(21, 2)
+        # balanced mu = (1/2, 1/2); b = 2 + 2
+        assert c.b == Fraction(4)
+        # z[0][r] = 1 * 1/2 * 4
+        assert c.z == ((Fraction(2), Fraction(2)),)
 
     def test_hand_computed_two_queues(self):
         inst = make_instance([Fraction(1, 2), Fraction(1, 3)], [1])
         c = optimizer.compute_bigM(inst)
-        assert c.w == Fraction(3, 2)
-        # z = 1/2 * 1 * (6 + 16 * 3/2)
-        assert c.z == Fraction(15)
+        # balanced mu = (5/6,); b = 6/5
+        assert c.b == Fraction(6, 5)
+        # z[q][0] = lam_q * 5/6 * 6/5 = lam_q
+        assert c.z == ((Fraction(1, 2),), (Fraction(1, 3),))
+
+    def test_rates_balanced_first(self):
+        inst = make_instance([Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2), 1])
+        c = optimizer.compute_bigM(inst)
+        # balanced mu = (1/4, 1/2); b = 4 + 2
+        assert c.b == Fraction(6)
+        # z[q][r] = lam_q * mu_r * 6
+        assert c.z == ((Fraction(3, 4), Fraction(3, 2)), (Fraction(3, 8), Fraction(3, 4)))
+
+    def test_rows_carry_the_constants(self):
+        inst = make_instance([Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 2), 1])
+        model = optimizer.build_mio(inst, effects([[0.0, 0.1], [0.0, 0.2]]))
+        rows = {label: (row, rhs) for row, rhs, label in model.a_ub}
+        for q, r in itertools.product(range(2), range(2)):
+            z = float(Fraction(6) * inst.lam[q] * inst.balanced_mu()[r])
+            for kind in ("kkt_upper", "kkt_lower"):
+                row, rhs = rows[f"{kind}[{q},{r}]"]
+                assert row[model.idx_m[q, r]] == rhs == z
+            row, rhs = rows[f"multiplier_complementarity[{q},{r}]"]
+            assert row[model.idx_z[q, r]] == rhs == 6.0
+
+    @given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from([20, 200]),
+           n_q=st.integers(1, 3), n_r=st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds_at_every_pooled_kkt_point(self, seed, grid, n_q, n_r):
+        """On every admissible topology whose QP flows pool into one
+        component (union-find), the multipliers of the QP support meet
+        |theta_q + gamma_r| <= b off the topology and nu <= b on its
+        zero-flow edges."""
+        inst = make_instance(*random_instance(np.random.default_rng(seed), n_q, n_r,
+                                              grid=grid))
+        b = float(optimizer.compute_bigM(inst).b)
+        lam, mu = inst.lam_f, inst.balanced_mu_f()
+        eps = 1e-9 * float(inst.mu_total)
+        for bits in itertools.product((0, 1), repeat=n_q * n_r):
+            m = np.array(bits).reshape(n_q, n_r).astype(bool)
+            try:
+                flows = queuing.steady_state_flows(inst, core.MatchingTopology(m))
+            except queuing.FlowSolveError:
+                continue
+            support = flows.f > eps
+            if union_find_components(n_q, n_r, list(zip(*np.nonzero(support)))) != 1:
+                continue
+            _, theta, gamma, _ = queuing._solve_support(lam, mu, support)
+            reduced = theta[:, None] + gamma[None, :]
+            assert np.all(np.abs(reduced[~m]) <= b * (1 + 1e-9))
+            assert np.all(-reduced[m & ~support] <= b * (1 + 1e-9))
 
 
 class TestFairnessSpec:
