@@ -478,7 +478,13 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args, unknown = _parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        # argparse would take the flag's value for the verb
+        parser.error(f"{argv[0].split('=')[0]} is not a top-level flag; flags "
+                     "follow the verb: fairmatch VERB [flags]")
+    args, unknown = parser.parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

@@ -20,6 +20,14 @@ off, with one cut per component (some topology edge must join it to the rest)
 and one canonical no-good cut on the binaries, and the model is solved again,
 for at most ``MAX_CUT_ROUNDS`` rounds.
 
+Queues linked by ``add_non_affirmative_links`` share one set of variables in
+the solve: theta, and the rows of nu, m and z, with their flows split in
+proportion to lam. The merge is exact: the KKT point of the instance in which
+a linked group is one queue, expanded by lam, is the KKT point of the linked
+topology, so no linked single-component optimum is lost (the proof is in
+``add_non_affirmative_links``). A row of ``extra_linear`` that names nu, z or
+theta of a linked queue constrains the shared variable.
+
 scipy, whose ``milp`` runs HiGHS, is imported by the first ``solve``, not
 with this module, so the verbs and functions that solve no MIO never load it.
 """
@@ -143,6 +151,7 @@ class MIOModel:
     idx_theta: np.ndarray
     idx_m: np.ndarray
     idx_z: np.ndarray
+    links: list = field(default_factory=list)   # queue-index cells sharing one row
 
 
 @dataclass(frozen=True)
@@ -321,19 +330,78 @@ def _append_extra(model: MIOModel, entry):
 
 
 def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
-    """Force identical eligibility rows for all queues within each score cell."""
+    """Give all queues within each score cell one eligibility row.
+
+    The cells are recorded in ``model.links``; ``solve`` then merges the
+    queues they join, transitively, into one set of variables: a merged group
+    G shares theta, nu[q, :], m[q, :] and z[q, :], and its flows split by
+    arrival rate, ``f[q, r] = (lam_q / lam_G) fbar[G, r]`` with ``lam_G`` the
+    group's total rate. A row of ``extra_linear`` that names nu, z or theta
+    of a linked queue therefore constrains the variable the group shares.
+
+    The merge keeps every optimum. Take the KKT point (fbar, thetabar,
+    gamma, nubar) of the instance in which G is one queue of rate lam_G, and
+    set ``f_qr = (lam_q/lam_G) fbar_r``, ``theta_q = thetabar``, ``nu_qr =
+    nubar_r`` for q in G. Then ``f_qr / (lam_q mu_r) = fbar_r / (lam_G
+    mu_r)``, so stationarity holds; queue q's flows sum to lam_q and G's
+    flows to each resource sum to fbar_r, so both balances hold; and
+    ``nu_qr f_qr`` is a multiple of ``nubar_r fbar_r = 0``. The QP is strictly
+    convex in f, so these are the QP flows of the linked topology. On one
+    pooled component theta + gamma and nu are unique up to the shift that
+    cancels in theta_q + gamma_r, so the KKT point of every linked
+    single-component topology has theta and nu equal across G and lies in the
+    merged variables, where it meets ``compute_bigM``'s per-cell big-Ms with
+    the same b (z may be chosen equal across G, since the flows of a merged
+    cell are all zero or all positive), with its objective unchanged.
+    Conversely every merged solution is a solution of the full model, since
+    its rows are the full model's rows evaluated at ``x = P y``.
+    """
     queue_pos = {q: i for i, q in enumerate(model.instance.queues)}
     for cell in cells:
+        unknown = [q for q in cell if q not in queue_pos]
+        if unknown:
+            raise ValueError(f"link cell {list(cell)} references unknown queues {unknown}")
         qs = [queue_pos[q] for q in cell]
         if len(set(qs)) != len(qs):
             raise ValueError("cells must contain distinct queues")
-        for q1, q2 in zip(qs[:-1], qs[1:]):
-            for r in range(model.instance.n_resources):
-                rr = np.zeros(model.n_vars)
-                rr[model.idx_m[q1, r]] = 1.0
-                rr[model.idx_m[q2, r]] = -1.0
-                model.a_eq.append((rr, 0.0, f"link[{q1},{q2},{r}]"))
+        model.links.append(qs)
     return model
+
+
+def _aggregation(model: MIOModel):
+    """The sparse map P (n_vars x n_kept) with x = P y from the merged
+    variables y to the model's, and the model columns kept in y.
+
+    Queues joined by ``model.links`` merge by union-find, since cells may
+    overlap, each group onto the columns of its lowest-indexed queue; without
+    links P is the identity.
+    """
+    from scipy import sparse
+
+    n_q = model.instance.n_queues
+    root = list(range(n_q))
+
+    def find(q):
+        while root[q] != q:
+            root[q] = root[root[q]]
+            q = root[q]
+        return q
+
+    for cell in model.links:
+        for q in cell[1:]:
+            a, b = sorted((find(cell[0]), find(q)))
+            root[b] = a
+    rep = np.array([find(q) for q in range(n_q)], dtype=int)
+    lam = model.instance.lam_f
+    source = np.arange(model.n_vars)           # the model column each one maps onto
+    for idx in (model.idx_f, model.idx_nu, model.idx_theta, model.idx_m, model.idx_z):
+        source[idx] = idx[rep]
+    weight = np.ones(model.n_vars)
+    weight[model.idx_f] = (lam / np.bincount(rep, weights=lam, minlength=n_q)[rep])[:, None]
+    kept, col = np.unique(source, return_inverse=True)
+    p = sparse.csr_array((weight, (np.arange(model.n_vars), col)),
+                         shape=(model.n_vars, len(kept)))
+    return p, kept
 
 
 def solve(model: MIOModel, time_limit_s: float | None = None,
@@ -341,18 +409,24 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
     """Branch-and-bound solve (HiGHS backend), checked against the QP flows
     and repeated with pooling cuts until the topology pools into one component.
 
+    HiGHS solves the model in the merged variables of ``_aggregation``: rows,
+    objective and cuts are mapped through P, and its solution is expanded
+    with ``x = P y`` before the checks.
     ``time_limit_s`` bounds all rounds together, ``node_limit`` each round.
     Flows and objective are those of the QP flows of the returned topology.
     """
     from scipy import optimize as sopt
 
+    p, kept = _aggregation(model)
     constraints = []
     if model.a_eq:
         b = np.array([rhs for _, rhs, _ in model.a_eq])
-        constraints.append(sopt.LinearConstraint(_stack(model.a_eq), b, b))
+        constraints.append(sopt.LinearConstraint(_stack(model.a_eq) @ p, b, b))
     if model.a_ub:
         constraints.append(sopt.LinearConstraint(
-            _stack(model.a_ub), -np.inf, [rhs for _, rhs, _ in model.a_ub]))
+            _stack(model.a_ub) @ p, -np.inf, [rhs for _, rhs, _ in model.a_ub]))
+    problem = (-(p.T @ model.objective), model.integrality[kept],
+               sopt.Bounds(model.lower[kept], model.upper[kept]))
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
     cuts = []                        # (row, rhs): row @ x <= rhs
     nodes = 0
@@ -360,10 +434,10 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
         round_constraints = list(constraints)
         if cuts:
             round_constraints.append(sopt.LinearConstraint(
-                np.array([row for row, _ in cuts]), -np.inf, [rhs for _, rhs in cuts]))
-        res = _milp(model, round_constraints, deadline, node_limit, rounds)
+                np.array([row for row, _ in cuts]) @ p, -np.inf, [rhs for _, rhs in cuts]))
+        res = _milp(problem, round_constraints, deadline, node_limit, rounds)
         nodes += int(getattr(res, "mip_node_count", 0) or 0)
-        topology, flows, deviation = _qp_flows(model, res.x)
+        topology, flows, deviation = _qp_flows(model, p @ res.x)
         components = crp_components(model.instance, topology, flows)
         if components.count == 1:
             break
@@ -392,10 +466,12 @@ def _stack(rows):
     return sparse.csr_matrix(np.array([r for r, _, _ in rows]))
 
 
-def _milp(model, constraints, deadline, node_limit, rounds):
-    """One HiGHS solve; raises when it yields no incumbent."""
+def _milp(problem, constraints, deadline, node_limit, rounds):
+    """One HiGHS solve of (c, integrality, bounds), minimized; raises when it
+    yields no incumbent."""
     from scipy import optimize as sopt
 
+    c, integrality, bounds = problem
     options = {"mip_rel_gap": 0.0, "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL}
     if deadline is not None:
         remaining = deadline - time.perf_counter()
@@ -414,10 +490,8 @@ def _milp(model, constraints, deadline, node_limit, rounds):
             # scipy passes HiGHS's own option names through, with this warning
             warnings.filterwarnings("ignore", "Unrecognized options detected",
                                     RuntimeWarning)
-            res = sopt.milp(-model.objective, constraints=constraints,
-                            integrality=model.integrality,
-                            bounds=sopt.Bounds(model.lower, model.upper),
-                            options=options)
+            res = sopt.milp(c, constraints=constraints, integrality=integrality,
+                            bounds=bounds, options=options)
     finally:
         os.dup2(stdout, 1)
         os.close(stdout)

@@ -437,6 +437,19 @@ class TestExitCodes:
             assert f"[{taken}" in usage
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["--rho", "0.8", "simulate"],
+                                      ["--rho=0.8", "fit"],
+                                      ["--non-affirmative", "optimize"]])
+    def test_flag_before_the_verb_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        flag = argv[0].split("=")[0]
+        assert f"fairmatch: error: {flag} is not a top-level flag; flags follow the verb" in err
+        assert "invalid choice" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("verb", ["fit", "experiment"])
     def test_bad_rho_in_config_for_the_verbs_that_read_it(self, tmp_path, capsys, verb):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from _oracles import random_instance, union_find_components
 from conftest import make_instance
@@ -344,6 +345,48 @@ def _instances(draw):
     return inst, core.CATEMatrix(t), spec
 
 
+def _block_balanced_rates(draw, n_q, n_r):
+    """Rates that balance within two blocks of queues and resources."""
+    q_block = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n_q - 2,
+                                     max_size=n_q - 2))
+    r_block = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n_r - 2,
+                                     max_size=n_r - 2))
+    lam = [Fraction(draw(st.integers(1, 9)), 10) for _ in range(n_q)]
+    weight = [draw(st.integers(1, 9)) for _ in range(n_r)]
+    mu = []
+    for r, b in enumerate(r_block):
+        lam_b = sum(x for x, qb in zip(lam, q_block) if qb == b)
+        w_b = sum(w for w, rb in zip(weight, r_block) if rb == b)
+        mu.append(Fraction(21, 20) * lam_b * weight[r] / w_b)
+    return lam, mu
+
+
+@st.composite
+def _linked_instances(draw):
+    """Small instances with one or two link cells, which may overlap, rates
+    on the 1/20 or 1/200 grid or balanced within two blocks, random effects,
+    and no fairness constraint or a maximin_outcome bound over two groups."""
+    n_q, n_r = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = draw(st.sampled_from([20, 200, "blocks"]))
+    if rates == "blocks":
+        inst = make_instance(*_block_balanced_rates(draw, n_q, n_r))
+    else:
+        inst = make_instance(*random_instance(rng, n_q, n_r, grid=rates))
+    t = rng.normal(scale=0.3, size=(n_q, n_r))
+    t[:, 0] = 0.0
+    queues = list(inst.queues)
+    cells = draw(st.lists(st.lists(st.sampled_from(queues), min_size=2, max_size=n_q,
+                                   unique=True), min_size=1, max_size=2))
+    spec = optimizer.FairnessSpec.none()
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, n_q - 1))
+        spec = optimizer.FairnessSpec("maximin_outcome",
+                                      draw(_KINDS_AND_BOUNDS["maximin_outcome"]), "g",
+                                      {"A": queues[:cut], "B": queues[cut:]})
+    return inst, core.CATEMatrix(t), spec, cells
+
+
 class TestMatchesOracle:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -352,18 +395,7 @@ class TestMatchesOracle:
         into one component (counted by union-find on the QP flows). Rates
         balance within two blocks, so many topologies split."""
         n_q, n_r = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
-        q_block = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n_q - 2,
-                                              max_size=n_q - 2))
-        r_block = [0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=n_r - 2,
-                                              max_size=n_r - 2))
-        lam = [Fraction(data.draw(st.integers(1, 9)), 10) for _ in range(n_q)]
-        weight = [data.draw(st.integers(1, 9)) for _ in range(n_r)]
-        mu = []
-        for r, b in enumerate(r_block):
-            lam_b = sum(x for x, qb in zip(lam, q_block) if qb == b)
-            w_b = sum(w for w, rb in zip(weight, r_block) if rb == b)
-            mu.append(Fraction(21, 20) * lam_b * weight[r] / w_b)
-        inst = make_instance(lam, mu)
+        inst = make_instance(*_block_balanced_rates(data.draw, n_q, n_r))
         model = optimizer.build_mio(inst, core.CATEMatrix(np.zeros((n_q, n_r))))
         eps = 1e-9 * float(inst.mu_total)
         single, split = [], []
@@ -400,6 +432,32 @@ class TestMatchesOracle:
         assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
         qp = queuing.steady_state_flows(inst, result.topology).f
         assert np.max(np.abs(result.flows.f - qp)) <= 1e-9
+        assert result.solver_stats["flow_deviation"] <= 1e-9 * float(inst.lam_total)
+        assert queuing.crp_components(inst, result.topology).count == 1
+
+
+    @given(case=_linked_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_linked_objective_matches_oracle(self, case):
+        """The merged-variable solve of a linked model against exhaustive
+        search over the linked topologies, overlapping cells included."""
+        inst, tau, spec, cells = case
+
+        def linked_solve():
+            return optimizer.solve(optimizer.add_non_affirmative_links(
+                optimizer.build_mio(inst, tau, spec), cells))
+        try:
+            oracle = optimizer.enumerate_oracle(inst, tau, spec, cells=cells)
+        except optimizer.InfeasibleModelError:
+            with pytest.raises(optimizer.InfeasibleModelError):
+                linked_solve()
+            return
+        result = linked_solve()
+        assert result.objective == pytest.approx(oracle.objective, abs=1e-7)
+        m = result.topology.m
+        for cell in cells:
+            qs = [inst.queues.index(q) for q in cell]
+            assert (m[qs] == m[qs[0]]).all()
         assert result.solver_stats["flow_deviation"] <= 1e-9 * float(inst.lam_total)
         assert queuing.crp_components(inst, result.topology).count == 1
 
@@ -463,12 +521,87 @@ class TestNonAffirmativeLinks:
         assert np.array_equal(result.topology.m[0], result.topology.m[1])
         assert result.objective <= unlinked + 1e-7
 
-    def test_link_rows_appended(self):
+    def test_link_cells_recorded(self):
         tau = effects([[0.0, 0.1], [0.0, 0.2]])
         model = optimizer.build_mio(two_by_two_instance(), tau)
-        before = len(model.a_eq)
-        optimizer.add_non_affirmative_links(model, [["q0", "q1"]])
-        assert len(model.a_eq) == before + 2
+        rows = len(model.a_eq), len(model.a_ub)
+        assert optimizer.add_non_affirmative_links(model, [["q1", "q0"]]) is model
+        assert model.links == [[1, 0]]
+        assert (len(model.a_eq), len(model.a_ub)) == rows
+
+    def test_unknown_queue_in_cell_rejected(self):
+        model = optimizer.build_mio(two_by_two_instance(),
+                                    effects([[0.0, 0.1], [0.0, 0.2]]))
+        with pytest.raises(ValueError, match="q9"):
+            optimizer.add_non_affirmative_links(model, [["q0", "q9"]])
+        assert model.links == []
+
+    @pytest.mark.parametrize("cells", [[["q0", "q1", "q2"], ["q2", "q3"]],
+                                       [["q0", "q1", "q2"], ["q3", "q2"]],
+                                       [["q3", "q2"], ["q1", "q0"], ["q1", "q2"]]])
+    def test_overlapping_cells_merge_transitively(self, cells):
+        inst = make_instance([Fraction(k, 10) for k in (1, 2, 3, 4, 5)],
+                             [Fraction(8, 5), Fraction(8, 5)])
+        model = optimizer.add_non_affirmative_links(
+            optimizer.build_mio(inst, core.CATEMatrix(np.zeros((5, 2)))), cells)
+        p, kept = optimizer._aggregation(model)
+        x = p @ np.arange(1.0, len(kept) + 1)
+        # q0..q3 share one row of m, z and nu and one theta; q4 keeps its own
+        for idx in (model.idx_m, model.idx_z, model.idx_nu):
+            assert (x[idx[:4]] == x[idx[0]]).all()
+            assert (x[idx[4]] != x[idx[0]]).all()
+        assert len(set(x[model.idx_theta])) == 2
+        # flows split by arrival rate within the merged group
+        f = x[model.idx_f]
+        assert np.allclose(f[:4] / f[:4].sum(axis=0), np.array([1, 2, 3, 4])[:, None] / 10)
+        assert len(kept) == model.n_vars - 3 * (4 * 2 + 1)   # 3 queues merged away
+
+    def test_unlinked_model_gives_highs_the_model_itself(self, monkeypatch):
+        model = optimizer.build_mio(two_by_two_instance(),
+                                    effects([[0.0, 0.4], [0.0, -0.2]]))
+        p, kept = optimizer._aggregation(model)
+        assert (p != sparse.identity(model.n_vars, format="csr")).nnz == 0
+        assert kept.tolist() == list(range(model.n_vars))
+        milp = optimizer.sopt.milp
+        seen = []
+
+        def capture(c, constraints, integrality, bounds, **kwargs):
+            seen.append((c, constraints, integrality, bounds))
+            return milp(c, constraints=constraints, integrality=integrality,
+                        bounds=bounds, **kwargs)
+        monkeypatch.setattr(optimizer.sopt, "milp", capture)
+        optimizer.solve(model)
+        (c, (eq, ub), integrality, bounds), = seen
+        assert np.array_equal(c, -model.objective)
+        assert np.array_equal(integrality, model.integrality)
+        assert np.array_equal(bounds.lb, model.lower)
+        assert np.array_equal(bounds.ub, model.upper)
+        for con, rows in ((eq, model.a_eq), (ub, model.a_ub)):
+            a = con.A.toarray()
+            assert np.array_equal(a, np.array([row for row, _, _ in rows]))
+            assert con.A.nnz == np.count_nonzero(a)
+
+    def test_grouped_50k_linked_optimum(self):
+        # 82 queues in 41 linked score cells; given the links as equality rows
+        # on the full model, HiGHS stops at 0.4246765 after 1,732 nodes with
+        # a dual bound of 0.4246773, under this linked optimum
+        data = synth.generate(synth.SynthParams(
+            n=50_000, seed=0, group_probs={"race": {"A": 0.5, "B": 0.5}}))
+        learned = causal.learn(data, {"tree_params": {"max_depth": 6, "min_node_size": 100,
+                                                      "honest": True}},
+                               group_dimension="race")
+        inst = learned.instance
+        cells = [[q for q in c if q in inst.queues]
+                 for c in learned.partition.score_cells.values()]
+        cells = [c for c in cells if len(c) > 1]
+        assert (inst.n_queues, len(cells)) == (82, 41)
+        result = optimizer.solve(optimizer.add_non_affirmative_links(
+            optimizer.build_mio(inst, learned.tau), cells))
+        assert result.objective >= 0.4246866
+        pos = {q: i for i, q in enumerate(inst.queues)}
+        for cell in cells:
+            assert all(np.array_equal(result.topology.m[pos[cell[0]]],
+                                      result.topology.m[pos[q]]) for q in cell)
 
     def test_oracle_enumerates_linked_topologies_only(self):
         inst = two_by_two_instance()
