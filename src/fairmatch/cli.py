@@ -114,6 +114,14 @@ def _pipeline_params(cfg) -> dict:
     return {key: cfg[key] for key in causal.PIPELINE_DEFAULTS}
 
 
+def _seed(cfg) -> int:
+    """The configured seed, which ``synth``, ``fit`` and ``simulate`` read."""
+    seed = cfg["seed"]
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, not {seed!r}")
+    return seed
+
+
 def _load_dataset(cfg) -> core.Dataset:
     """The records, with the ``fairness.dimension`` column when one is set."""
     dim = cfg["fairness"]["dimension"]
@@ -128,10 +136,12 @@ def _load_dataset(cfg) -> core.Dataset:
 # Commands
 
 def cmd_synth(cfg) -> int:
-    params = synth.SynthParams(n=int(cfg["synth"]["n"]), seed=int(cfg["seed"]),
+    params = synth.SynthParams(n=int(cfg["synth"]["n"]), seed=_seed(cfg),
                                group_probs=cfg["synth"]["group_probs"])
     alpha = cfg["synth"]["alpha"]
     if alpha is not None:
+        if type(alpha) not in (int, float) or not 0 < alpha < 0.7:
+            raise ConfigError(f"synth.alpha must lie in (0, 0.7), not {alpha!r}")
         params = synth.alpha_variant(params, float(alpha))
     dataset = synth.generate(params)
     out = _out_dir(cfg)
@@ -147,9 +157,9 @@ def cmd_synth(cfg) -> int:
 
 
 def cmd_fit(cfg) -> int:
-    params = _pipeline_params(cfg)
+    params, seed = _pipeline_params(cfg), _seed(cfg)
     dataset = _load_dataset(cfg)
-    learned = causal.learn(dataset, params, int(cfg["seed"]))
+    learned = causal.learn(dataset, params, seed)
     instance = learned.instance
     out = _out_dir(cfg)
     causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees,
@@ -316,8 +326,9 @@ def _simulate_settings(cfg):
 
 def cmd_simulate(cfg) -> int:
     horizon, warmup = _simulate_settings(cfg)
+    seed = _seed(cfg)
     instance, topology, _, payload = _load_topology(cfg)
-    stats = desim.simulate(instance, topology, horizon, warmup, int(cfg["seed"]))
+    stats = desim.simulate(instance, topology, horizon, warmup, seed)
     expected = queuing.steady_state_flows(instance, topology).f
     out = _out_dir(cfg)
     with open(out / "simulation.csv", "w", newline="") as fh:

@@ -397,6 +397,39 @@ class TestExitCodes:
         assert cli.main(["fit", "--rho", "1.5",
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("verb", ["synth", "fit", "simulate"])
+    @pytest.mark.parametrize("flags, config, shown", [
+        (["--seed", "-1"], {}, "-1"),
+        ([], {"seed": "abc"}, "'abc'"),
+        ([], {"seed": 1.7}, "1.7"),
+        ([], {"seed": True}, "True"),
+    ], ids=["negative", "string", "float", "bool"])
+    def test_bad_seed(self, workspace, tmp_path, capsys, verb, flags, config, shown):
+        root, base = workspace_copy(workspace, tmp_path, **config)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        capsys.readouterr()
+        assert cli.main([verb] + flags + base) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"configuration error: seed must be a non-negative integer, not {shown}\n"
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    @pytest.mark.parametrize("flags, config, shown", [
+        (["--alpha", "5"], {}, "5.0"),
+        (["--alpha", "-1"], {}, "-1.0"),
+        (["--alpha", "nan"], {}, "nan"),
+        ([], {"synth": {"alpha": "0.1"}}, "'0.1'"),
+    ], ids=["above", "negative", "nan", "string"])
+    def test_bad_alpha(self, tmp_path, capsys, flags, config, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)] + flags) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"configuration error: synth.alpha must lie in (0, 0.7), not {shown}\n"
+        assert not out.exists()
+
     def test_malformed_dataset_is_data_error(self, tmp_path):
         path = tmp_path / "dataset.csv"
         path.write_text("id,score\n0,0.5\n")

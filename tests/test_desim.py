@@ -147,13 +147,44 @@ def _refill_streams(draw):
     return streams_q, streams_r, topo(rows), warmup_end
 
 
+@st.composite
+def _excess_streams(draw):
+    """One side arrives far more often than the other, so that its lines stay
+    long and the bulk walk has stretches to take. Each node of the sparse side
+    has one to three neighbours; both sides' arrivals share grid times, and
+    the waiting side is the lower nodes or the higher ones. A burst at one
+    sparse node can empty the dense side's lines in mid-window."""
+    n_dense, n_sparse = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = np.zeros((n_sparse, n_dense), dtype=int)
+    for row in rows:
+        row[draw(st.lists(st.integers(0, n_dense - 1), min_size=1, max_size=3))] = 1
+    grid = lambda lo, hi: st.lists(st.integers(0, 12), min_size=lo, max_size=hi)
+    dense = [np.sort(draw(grid(4, 16))) / 3 for _ in range(n_dense)]
+    sparse = [np.sort(draw(grid(0, 5))) / 3 for _ in range(n_sparse)]
+    if draw(st.booleans()):
+        s = draw(st.integers(0, n_sparse - 1))
+        burst = np.full(draw(st.integers(1, 8)), draw(st.integers(0, 12)) / 3)
+        sparse[s] = np.sort(np.concatenate([sparse[s], burst]))
+    warmup_end = draw(st.integers(0, 12)) / 3
+    if draw(st.booleans()):                   # the queues are the waiting side
+        return dense, sparse, topo(rows.T), warmup_end
+    return sparse, dense, topo(rows), warmup_end
+
+
 class TestAgainstReference:
-    """The node loop gives the statistics and event log of the earlier
-    matcher, which handled the two sides in mirrored branches."""
+    """The bulk walk and the node loop give the statistics and event log of
+    the earlier matcher, which handled the two sides in mirrored branches."""
 
     @given(case=_grid_streams() | _refill_streams(), audit=st.booleans())
     @settings(max_examples=600, deadline=None)
     def test_grid_streams(self, case, audit):
+        streams_q, streams_r, m, warmup_end = case
+        args = (streams_q, streams_r, m, warmup_end, 13 / 3, 7, audit)
+        _same_stats(desim._match_streams(*args), reference_match_streams(*args))
+
+    @given(case=_excess_streams(), audit=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_stretches(self, case, audit):
         streams_q, streams_r, m, warmup_end = case
         args = (streams_q, streams_r, m, warmup_end, 13 / 3, 7, audit)
         _same_stats(desim._match_streams(*args), reference_match_streams(*args))
@@ -232,23 +263,60 @@ def test_window_bounds_on_tied_arrivals(monkeypatch):
     _same_stats(got, reference_match_streams(*args))
 
 
-def test_memory_holds_one_window(monkeypatch):
-    """Past the streams themselves (8 bytes an arrival), the simulator holds
-    one window of Python objects, not the whole horizon's."""
-    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
-    arrivals, stream = [], desim._poisson_stream
+@pytest.fixture
+def arrivals(monkeypatch):
+    """The arrival count of each stream that `simulate` draws."""
+    sizes, stream = [], desim._poisson_stream
 
     def counted_stream(*args):
         times = stream(*args)
-        arrivals.append(times.size)
+        sizes.append(times.size)
         return times
     monkeypatch.setattr(desim, "_poisson_stream", counted_stream)
-    inst = make_instance([1, 1], [Fraction(101, 100), Fraction(101, 100)])
-    m = core.MatchingTopology.fully_connected(2, 2)
+    return sizes
+
+
+def _peak_memory(inst, m):
     tracemalloc.start()
     try:
         desim.simulate(inst, m, 50_000.0, 0.2, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_memory_holds_one_window(monkeypatch, arrivals):
+    """Past the streams themselves (8 bytes an arrival), the simulator holds
+    one window of Python objects, not the whole horizon's."""
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
+    inst = make_instance([1, 1], [Fraction(101, 100), Fraction(101, 100)])
+    peak = _peak_memory(inst, core.MatchingTopology.fully_connected(2, 2))
     assert peak < 24 * sum(arrivals)
+
+
+def test_memory_holds_one_window_beside_a_long_line(monkeypatch, arrivals):
+    """Resource 0 arrives ten times as often as it is taken, so its line
+    spans many windows, and queue 0 chooses between it and resource 1. Only
+    the heads a window can take are read, so the bound above still holds."""
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
+    inst = make_instance([1, 1], [10, Fraction(101, 100)])
+    peak = _peak_memory(inst, topo([[1, 1], [0, 1]]))
+    assert peak < 24 * sum(arrivals)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bulk_walk_carries_the_steady_state(monkeypatch, arrivals, seed):
+    """With resources in slight excess their lines stay long, so after the
+    first windows nearly every arrival is matched in bulk: the one-at-a-time
+    walk sees fewer than 10 % of the arrivals."""
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
+    walked, walk = [], desim._FCFS._walk
+
+    def counted_walk(self, times, nodes, start, lo, hi):
+        walked.append(len(times) - start)
+        return walk(self, times, nodes, start, lo, hi)
+    monkeypatch.setattr(desim._FCFS, "_walk", counted_walk)
+    inst = make_instance([1, 1], [Fraction(101, 100), Fraction(101, 100)])
+    desim.simulate(inst, core.MatchingTopology.fully_connected(2, 2), 100_000.0,
+                   0.2, seed=seed)
+    assert sum(walked) < 0.1 * sum(arrivals)
