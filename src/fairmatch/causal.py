@@ -46,8 +46,28 @@ class DecisionTree:
         """Send blocks of row indices down the tree (``x[feature] <= threshold``
         goes left). Returns the leaves in left-to-right order and each row's
         index into them; every node is visited, so a row's index does not
-        depend on the other rows."""
+        depend on the other rows.
+
+        With one feature, the rows between two adjacent sorted thresholds
+        take the same path, so the upper threshold stands in for them (and
+        inf for the rows above every threshold): a row's stand-in is the
+        first threshold not below it."""
         X = np.atleast_2d(X)
+        if X.shape[1] == 1:
+            cuts = np.sort([node.threshold for node in self._nodes() if not node.is_leaf])
+            leaves, ids = self._descend(np.append(cuts, np.inf)[:, None])
+            return leaves, ids[np.searchsorted(cuts, X[:, 0], side="left")]
+        return self._descend(X)
+
+    def _nodes(self):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack += [node.right, node.left]
+
+    def _descend(self, X):
         leaves = []
         ids = np.empty(len(X), dtype=int)
         stack = [(self.root, np.arange(len(X)))]
@@ -172,22 +192,25 @@ class _Effect:
         return k * tau_l ** 2 + (n - k) * tau_r ** 2, valid
 
 
-def _grow(X, y, rule, max_depth, depth=0):
+def _grow(X, y, rule, max_depth, depth=0, orders=None):
     """Greedy binary tree on rows ``X`` with targets ``y`` under ``rule``.
 
     Each node tries every non-constant feature, places the threshold midway
     between distinct sorted neighbours (on the lower one when the midpoint
     rounds to the upper), and keeps the best split whose score
     exceeds the rule's parent score by more than ``rule.min_gain``; the
-    first feature and the first position win ties.
+    first feature and the first position win ties. ``orders[j]`` is the
+    stable sort order of the rows by feature j. Only the root sorts: a child
+    takes its own rows in its parent's order, which keeps them stably sorted.
     """
+    if orders is None:
+        orders = [np.argsort(X[:, j], kind="mergesort") for j in range(X.shape[1])]
     node = TreeNode(count=len(y), value=rule.value(y))
     if (max_depth is not None and depth >= max_depth) or not rule.may_split(y):
         return node
     parent = rule.parent(y)
     best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="mergesort")
+    for j, order in enumerate(orders):
         xs = X[order, j]
         if xs[0] == xs[-1]:
             continue
@@ -206,9 +229,15 @@ def _grow(X, y, rule, max_depth, depth=0):
     _, j, thr = best
     mask = X[:, j] <= thr
     node.feature, node.threshold = j, thr
-    node.left = _grow(X[mask], y[mask], rule, max_depth, depth + 1)
-    node.right = _grow(X[~mask], y[~mask], rule, max_depth, depth + 1)
+    node.left, node.right = (_grow(X[side], y[side], rule, max_depth, depth + 1,
+                                   _child_orders(orders, side)) for side in (mask, ~mask))
     return node
+
+
+def _child_orders(orders, side):
+    """The rows of ``side`` in each order, numbered as the child numbers them."""
+    row = np.cumsum(side) - 1
+    return [row[order[side[order]]] for order in orders]
 
 
 def _read_params(params: dict, defaults: dict) -> dict:
@@ -489,7 +518,7 @@ def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
 # ---------------------------------------------------------------------------
 # Doubly-robust CATE, screening, risk scores, arrival rates
 
-def _effects(table, n_queues: int) -> CATEMatrix:
+def effects(table, n_queues: int) -> CATEMatrix:
     """Per-queue means of the table's DR scores less the baseline column's,
     and that column's mean over every record. Each mean reduces one column of
     one queue as a 1-D array in record order."""
@@ -509,14 +538,18 @@ def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
     present = set(np.unique(assignments).tolist())
     kept = [q for q in partition.queues if q in present]
     table = ope.score_table(dataset, assignments, kept, out, prop, ["DR"])
-    return _effects(table, len(kept)), kept
+    return effects(table, len(kept)), kept
+
+
+def _positive(dataset: Dataset, prop: PropensityModel, threshold: float) -> np.ndarray:
+    """Mask of the records whose smallest estimated propensity is at least threshold."""
+    return prop.predict_proba(dataset.design(prop.feature_mode)).min(axis=1) >= threshold
 
 
 def positivity_screen(dataset: Dataset, prop: PropensityModel,
                       threshold: float = POSITIVITY_THRESHOLD):
     """Split off records whose smallest estimated propensity is below threshold."""
-    proba = prop.predict_proba(dataset.design(prop.feature_mode))
-    keep = proba.min(axis=1) >= threshold
+    keep = _positive(dataset, prop, threshold)
     return dataset.subset(keep), dataset.subset(~keep)
 
 
@@ -566,7 +599,8 @@ PIPELINE_DEFAULTS = {
 @dataclass
 class Learned:
     """What ``learn`` produced: the models, the screened records, their queues
-    and the queueing instance."""
+    and the queueing instance; ``kept_mask`` marks the kept records among
+    those ``learn`` was given."""
 
     prop: PropensityModel
     out: OutcomeModel
@@ -576,6 +610,7 @@ class Learned:
     partition: PartitionFunction
     queue_ids: np.ndarray         # queue of each kept record
     instance: MCMSInstance
+    kept_mask: np.ndarray | None = None
 
     @functools.cached_property
     def scores(self) -> ope.ScoreTable:
@@ -584,50 +619,64 @@ class Learned:
                                self.out, self.prop)
 
     @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Each kept record's row in ``instance.queues``."""
+        return ope._queue_rows(self.queue_ids, self.instance.queues)
+
+    @functools.cached_property
     def tau(self) -> CATEMatrix:
         """DR effects per queue of ``instance``, from the DR scores."""
-        return _effects(self.scores, self.instance.n_queues)
+        return effects(self.scores, self.instance.n_queues)
 
     @property
     def groups(self) -> dict:
         """Group label -> its queue ids in ``instance.queues`` order; empty
         when the partition is not split by group."""
-        if self.partition.group_dimension is None:
-            return {}
-        label = {q: g for (_, g), q in self.partition.queue_table.items()}
-        groups = {}
-        for q in self.instance.queues:
-            groups.setdefault(label[q], []).append(q)
-        return groups
+        return queue_groups(self.partition, self.instance.queues)
+
+
+def queue_groups(partition: PartitionFunction, queues) -> dict:
+    """Group label -> its ids among ``queues``, in their order; empty when
+    ``partition`` is not split by group."""
+    if partition.group_dimension is None:
+        return {}
+    label = {q: g for (_, g), q in partition.queue_table.items()}
+    groups = {}
+    for q in queues:
+        groups.setdefault(label[q], []).append(q)
+    return groups
+
+
+def queue_instance(kept: Dataset, partition: PartitionFunction,
+                   group_dimension: str | None, rho: float) -> tuple:
+    """The tail of ``learn``: ``partition`` split by ``group_dimension`` when
+    given, each kept record's queue, and the arrival rates over the kept
+    records' window. Returns (partition, queue ids, instance)."""
+    if group_dimension:
+        partition = split_queues_by_group(partition, kept, group_dimension)
+    instance = arrival_rates(kept, partition, float(kept.arrival_time.max()), rho)
+    return partition, partition.assign_dataset(kept), instance
 
 
 def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
-          models: tuple | None = None, group_dimension: str | None = None) -> Learned:
-    """Nuisance models (unless ``models`` gives ``(prop, out, trees)``),
-    positivity screen, one causal tree per non-baseline resource (unless
-    given), queues from their intersection, split by ``group_dimension`` when
-    given, and arrival rates over the kept records' window. ``params``
+          group_dimension: str | None = None) -> Learned:
+    """Nuisance models, positivity screen, one causal tree per non-baseline
+    resource, queues from their intersection, split by ``group_dimension``
+    when given, and arrival rates over the kept records' window. ``params``
     overrides keys of ``PIPELINE_DEFAULTS``; ``seed`` drives the honest splits.
-    Given trees, the queues use the feature mode the trees were fit on.
     """
     p = _read_params(params or {}, PIPELINE_DEFAULTS)
     features = p["features"]
-    if models is None:
-        models = (fit_propensity(dataset, p["nuisance_params"], features),
-                  fit_outcome(dataset, p["nuisance_params"], features), None)
-    prop, out, trees = models
-    kept, screened = positivity_screen(dataset, prop, p["positivity_threshold"])
-    if trees is None:
-        trees = [fit_causal_tree(kept, r, p["tree_params"], features, seed)
-                 for r in dataset.resource_set[1:]]
-    elif trees:
-        features = trees[0].feature_mode
-    partition = intersect_partitions(trees, kept, features)
-    if group_dimension:
-        partition = split_queues_by_group(partition, kept, group_dimension)
-    instance = arrival_rates(kept, partition, float(kept.arrival_time.max()), p["rho"])
-    return Learned(prop, out, trees, kept, len(screened), partition,
-                   partition.assign_dataset(kept), instance)
+    prop = fit_propensity(dataset, p["nuisance_params"], features)
+    out = fit_outcome(dataset, p["nuisance_params"], features)
+    keep = _positive(dataset, prop, p["positivity_threshold"])
+    kept = dataset.subset(keep)
+    trees = [fit_causal_tree(kept, r, p["tree_params"], features, seed)
+             for r in dataset.resource_set[1:]]
+    partition, queue_ids, instance = queue_instance(
+        kept, intersect_partitions(trees, kept, features), group_dimension, p["rho"])
+    return Learned(prop, out, trees, kept, len(dataset) - len(kept), partition,
+                   queue_ids, instance, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -681,12 +730,6 @@ def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list,
         payload["settings"] = settings
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
-
-
-def load_settings(path) -> dict | None:
-    """The settings ``save_models`` stored with the models, or None."""
-    with open(path) as fh:
-        return json.load(fh).get("settings")
 
 
 def load_models(path):

@@ -4,9 +4,16 @@ All commands read one JSON configuration file (flags override file values) and
 write their outputs under the configured output directory. Given identical
 inputs and seeds, outputs are byte-identical. A verb takes only the flags
 ``VERB_FLAGS`` lists for it, besides ``--config``, ``--out`` and ``--dataset``.
-Only ``fit`` learns; the later verbs re-apply its ``FIT_SETTINGS`` from
-``models.json`` and the saved trees' feature mode, so they solve and value
-the instance ``fit`` learned.
+Only ``fit`` learns. Beside ``models.json`` it writes its record,
+``record.json`` and ``record.npz``: the sha256 of the dataset file, the
+partition, the queueing instance, and per kept record its queue, score and
+estimator inputs. ``optimize``, ``oracle`` and ``evaluate`` read the record,
+so they solve and value the instance ``fit`` learned, whatever the config
+says of the settings only ``fit`` reads. They refuse a dataset file whose
+sha256 differs from the record's. Without ``fairness.dimension`` they do not
+parse the dataset; with it they parse it once for its labels. Fairness and
+non-affirmative runs split ``fit``'s queues by those labels, through the
+saved causal trees.
 
 Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
 the MIO, 2 configuration error, 3 data error, 4 optimization infeasible, 5
@@ -19,8 +26,11 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import hashlib
+import io
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,8 +58,11 @@ DEFAULT_CONFIG = {
                    "n": 10000, "n_seeds": 10},
 }
 
-# what fit records in models.json for the later verbs to re-apply
+# what fit records in models.json beside the models
 FIT_SETTINGS = ("rho", "positivity_threshold")
+# fit's record: what the later verbs read instead of learning again
+RECORD_JSON, RECORD_ARRAYS = "record.json", "record.npz"
+RECORD_KEYS = {"dataset_sha256", "arrays_sha256", "partition", "instance", "rho"}
 
 
 class ConfigError(ValueError):
@@ -164,13 +177,14 @@ def cmd_fit(cfg) -> int:
     out = _out_dir(cfg)
     causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees,
                        {key: cfg[key] for key in FIT_SETTINGS})
+    _write_record(out, cfg, learned)
+    counts = np.bincount(learned.rows, minlength=instance.n_queues).tolist()
     _write_json(out / "fit_report.json", {
         "n_total": len(dataset), "n_kept": len(learned.kept),
         "n_screened": learned.n_screened,
         "window_days": float(learned.kept.arrival_time.max()), "rho": cfg["rho"],
-        "queues": [{"queue": q, "count": int(np.sum(learned.queue_ids == q)),
-                    "lambda": str(lam)}
-                   for q, lam in zip(instance.queues, instance.lam)],
+        "queues": [{"queue": q, "count": n, "lambda": str(lam)}
+                   for q, n, lam in zip(instance.queues, counts, instance.lam)],
         "mu": {r: str(m) for r, m in zip(instance.resources, instance.mu)},
     })
     print(f"wrote {out / 'models.json'} ({learned.partition.n_queues} queues, "
@@ -178,39 +192,156 @@ def cmd_fit(cfg) -> int:
     return 0
 
 
-def _rebuild(cfg) -> causal.Learned:
-    """Dataset + saved models back through ``causal.learn`` with the settings
-    ``fit`` used, split by the fairness dimension for fairness and
-    non-affirmative runs."""
-    dataset = _load_dataset(cfg)
-    path = Path(cfg["out_dir"]) / "models.json"
+def _sha256(path) -> str:
     try:
-        models = causal.load_models(path)
-        settings = causal.load_settings(path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except FileNotFoundError:
+        raise ConfigError(f"dataset file not found: {path}")
+
+
+def _compact(a):
+    """Integer array ``a`` in the smallest type that holds its values."""
+    return a.astype(np.promote_types(np.min_scalar_type(a.min(initial=0)),
+                                     np.min_scalar_type(a.max(initial=0))))
+
+
+def _codes(a):
+    """Float array ``a`` as its distinct values and each entry's index into
+    them: model predictions take few values, so this is the smaller form."""
+    values, codes = np.unique(a, return_inverse=True)
+    return values, _compact(codes.reshape(a.shape))
+
+
+def _write_record(out, cfg, learned):
+    """fit's record: the JSON part names the dataset file and the arrays by
+    their sha256 and holds the partition and instance; the arrays hold the
+    kept mask and, per kept record, its queue row, score and estimator inputs."""
+    inputs = ope.score_inputs(learned.kept, learned.out, learned.prop)
+    instance = learned.instance
+    arrays = {"kept": learned.kept_mask,
+              "rows": _compact(learned.rows), "score": learned.kept.score,
+              "arm": _compact(inputs.treated.argmax(axis=1)),
+              "outcome": _compact(inputs.outcome)}
+    for name in ("yhat", "pbar"):
+        arrays[name], arrays[f"{name}_codes"] = _codes(getattr(inputs, name))
+    if inputs.po is not None:
+        arrays["po"] = _compact(inputs.po)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    data = buffer.getbuffer()
+    with open(out / RECORD_ARRAYS, "wb") as fh:
+        fh.write(data)
+    _write_json(out / RECORD_JSON, {
+        "dataset_sha256": _sha256(cfg["dataset"]),
+        "arrays_sha256": hashlib.sha256(data).hexdigest(),
+        "partition": {"feature_mode": learned.partition.feature_mode,
+                      "queue_table": [[list(k), q] for k, q
+                                      in learned.partition.queue_table.items()]},
+        "instance": {"queues": list(instance.queues),
+                     "resources": list(instance.resources),
+                     "lam": [str(x) for x in instance.lam],
+                     "mu": [str(x) for x in instance.mu], "rho": instance.rho},
+        "rho": cfg["rho"],
+    })
+
+
+def _read_record(cfg):
+    """fit's record in the output directory, checked whole and against the
+    dataset file. Returns (its JSON part, its arrays)."""
+    out = Path(cfg["out_dir"])
+    try:
+        with open(out / RECORD_JSON) as fh:
+            text = fh.read()
+        with open(out / RECORD_ARRAYS, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{Path(exc.filename).name} not found in {out}; run `fit` first")
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError:
+        record = None
+    if (not isinstance(record, dict) or set(record) != RECORD_KEYS
+            or hashlib.sha256(data).hexdigest() != record["arrays_sha256"]):
+        raise ConfigError(f"fit's record in {out} is incomplete; re-run `fit`")
+    if _sha256(cfg["dataset"]) != record["dataset_sha256"]:
+        raise ConfigError(f"{cfg['dataset']} is not the dataset `fit` learned from "
+                          "(its sha256 differs); re-run `fit` on it")
+    return record, np.load(io.BytesIO(data))
+
+
+def _split_dimension(cfg):
+    """The dimension that splits the queues by group in fairness and
+    non-affirmative runs; None in other runs."""
+    if cfg["fairness"]["kind"] == "none" and not cfg["non_affirmative"]:
+        return None
+    dim = cfg["fairness"]["dimension"]
+    if not dim:
+        raise ConfigError("fairness and non-affirmative runs need "
+                          "fairness.dimension (set it in the config, or "
+                          "with --fairness KIND:DIMENSION:BOUND)")
+    return dim
+
+
+@dataclass
+class _Fitted:
+    """fit's instance as a later verb reads it back: the kept records' score
+    table over its queues, each kept record's score, and, when the queues
+    are split by group, each label's queues and each score cell's queues."""
+
+    instance: core.MCMSInstance
+    table: ope.ScoreTable
+    score: np.ndarray
+    groups: dict
+    score_cells: dict
+
+
+def _fitted(cfg, names=None, labels=False) -> _Fitted:
+    """fit's instance and the named estimators' scores, from fit's record.
+    The dataset file is parsed only when group labels are wanted: in
+    fairness and non-affirmative runs, whose queues are split by them, and,
+    if ``labels``, whenever ``fairness.dimension`` is set."""
+    split = _split_dimension(cfg)
+    record, arrays = _read_record(cfg)
+    inst = record["instance"]
+    instance = core.MCMSInstance(tuple(inst["queues"]), tuple(inst["resources"]),
+                                 tuple(Fraction(x) for x in inst["lam"]),
+                                 tuple(Fraction(x) for x in inst["mu"]), inst["rho"])
+    inputs = ope.ScoreInputs(arrays["arm"][:, None] == np.arange(instance.n_resources),
+                             arrays["outcome"], *(arrays[k][arrays[f"{k}_codes"]]
+                                                  for k in ("yhat", "pbar")),
+                             arrays.get("po"))
+    score = arrays["score"]
+    if not split:
+        dim = cfg["fairness"]["dimension"] if labels else ""
+        groups = {dim: _load_dataset(cfg).groups[dim][arrays["kept"]]} if dim else {}
+        table = ope.ScoreTable.of(inputs, arrays["rows"], groups, names)
+        return _Fitted(instance, table, score, {}, {})
+    kept = _load_dataset(cfg).subset(arrays["kept"])
+    try:
+        _, _, trees = causal.load_models(Path(cfg["out_dir"]) / "models.json")
     except FileNotFoundError:
         raise ConfigError("models.json not found; run `fit` first")
-    if not isinstance(settings, dict) or set(settings) != set(FIT_SETTINGS):
-        raise ConfigError(f"models.json does not record fit's {' and '.join(FIT_SETTINGS)}; "
-                          "re-run `fit`")
-    dim = None
-    if cfg["fairness"]["kind"] != "none" or cfg["non_affirmative"]:
-        dim = cfg["fairness"]["dimension"]
-        if not dim:
-            raise ConfigError("fairness and non-affirmative runs need "
-                              "fairness.dimension (set it in the config, or "
-                              "with --fairness KIND:DIMENSION:BOUND)")
-    return causal.learn(dataset, settings, models=models, group_dimension=dim)
+    saved = record["partition"]["queue_table"]
+    partition = causal.PartitionFunction(trees, {tuple(k): q for k, q in saved},
+                                         [q for _, q in saved],
+                                         record["partition"]["feature_mode"])
+    partition, queue_ids, instance = causal.queue_instance(kept, partition, split,
+                                                           record["rho"])
+    table = ope.score_table(kept, queue_ids, instance.queues, names=names, inputs=inputs)
+    return _Fitted(instance, table, score, causal.queue_groups(partition, instance.queues),
+                   partition.score_cells)
 
 
-def _fairness_spec(cfg, learned) -> optimizer.FairnessSpec:
+def _fairness_spec(cfg, groups) -> optimizer.FairnessSpec:
     fair = cfg["fairness"]
     if fair["kind"] == "none":
         return optimizer.FairnessSpec.none()
-    if not learned.groups:
+    if not groups:
         raise ValueError(f"fairness needs two or more {fair['dimension']} labels "
                          "among the kept records")
     return optimizer.FairnessSpec(fair["kind"], float(fair["bound"]), fair["dimension"],
-                                  learned.groups)
+                                  groups)
 
 
 def _topology_payload(instance, result, tau):
@@ -230,31 +361,37 @@ def _topology_payload(instance, result, tau):
     }
 
 
-def _write_eligibility(path, instance, result, queue_ids, kept):
+def _queue_scores(fitted):
+    """Each queue's kept-record scores, in record order."""
+    rows = fitted.table.rows
+    return [fitted.score[rows == q] for q in range(fitted.instance.n_queues)]
+
+
+def _write_eligibility(path, fitted, result):
     """Human-readable view: per resource, the eligible queues with their
     score ranges."""
-    ranges = {q: (kept.score[queue_ids == q].min(), kept.score[queue_ids == q].max())
-              for q in instance.queues}
+    instance = fitted.instance
+    ranges = [(s.min(), s.max()) for s in _queue_scores(fitted)]
     with open(path, "w") as fh:
         for r, name in enumerate(instance.resources):
-            eligible = [instance.queues[q]
-                        for q in np.flatnonzero(result.topology.m[:, r])]
+            eligible = np.flatnonzero(result.topology.m[:, r]).tolist()
             fh.write(f"{name}:\n")
             for q in eligible:
                 lo, hi = ranges[q]
-                fh.write(f"  {q}  score in [{lo:.3f}, {hi:.3f}]\n")
+                fh.write(f"  {instance.queues[q]}  score in [{lo:.3f}, {hi:.3f}]\n")
             if not eligible:
                 fh.write("  (no eligible queues)\n")
 
 
 def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
-    learned = _rebuild(cfg)
-    instance, tau = learned.instance, learned.tau
-    fairness = _fairness_spec(cfg, learned)
+    fitted = _fitted(cfg, ["DR"])
+    instance = fitted.instance
+    tau = causal.effects(fitted.table, instance.n_queues)
+    fairness = _fairness_spec(cfg, fitted.groups)
     cells = []
     if cfg["non_affirmative"]:
         cells = [[q for q in c if q in instance.queues]
-                 for c in learned.partition.score_cells.values()]
+                 for c in fitted.score_cells.values()]
         cells = [c for c in cells if len(c) > 1]
     n_cells = instance.n_queues * instance.n_resources
     if use_oracle_route:
@@ -280,8 +417,7 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
                   file=sys.stderr)
             cross_check = False
     _write_json(out / "topology.json", payload)
-    _write_eligibility(out / "eligibility.txt", instance, result, learned.queue_ids,
-                       learned.kept)
+    _write_eligibility(out / "eligibility.txt", fitted, result)
     print(f"objective {result.objective:.6f}, policy value "
           f"{result.policy_value:.6f}, edges {len(payload['edges'])}")
     if cross_check and not use_oracle_route and not payload["oracle_match"]:
@@ -349,10 +485,10 @@ def cmd_simulate(cfg) -> int:
     return 0
 
 
-def _sq_topology(cfg, instance, queue_ids, kept):
+def _sq_topology(cfg, fitted):
     """Status-quo eligibility from configured score cut ranges per resource;
     a resource the cuts leave out is open to every queue."""
-    cuts = cfg["sq_cuts"]
+    cuts, instance = cfg["sq_cuts"], fitted.instance
     if not isinstance(cuts, dict):
         raise ConfigError("sq_cuts must map resource names to [lo, hi] pairs")
     for rn, cut in cuts.items():
@@ -362,14 +498,15 @@ def _sq_topology(cfg, instance, queue_ids, kept):
         if not (isinstance(cut, list) and len(cut) == 2
                 and all(type(x) in (int, float) for x in cut)):
             raise ConfigError(f"sq_cuts[{rn!r}] must be a [lo, hi] pair of numbers")
-    means = np.array([[kept.score[queue_ids == q].mean()] for q in instance.queues])
+    means = np.array([[s.mean()] for s in _queue_scores(fitted)])
     lo, hi = np.array([cuts.get(r, (-np.inf, np.inf)) for r in instance.resources]).T
     return core.MatchingTopology(((lo <= means) & (means <= hi)).astype(int))
 
 
 def cmd_evaluate(cfg) -> int:
-    learned = _rebuild(cfg)
-    kept, queue_ids, instance = learned.kept, learned.queue_ids, learned.instance
+    fitted = _fitted(cfg, labels=True)
+    instance, table = fitted.instance, fitted.table
+    tau = causal.effects(table, instance.n_queues)
     _, _, flows, payload = _load_topology(cfg)
     if payload["queues"] != list(instance.queues):
         raise ConfigError("topology.json was solved on other queues; evaluate needs "
@@ -379,20 +516,19 @@ def cmd_evaluate(cfg) -> int:
     scopes = {"optimized": core.FlowMatrix(flows),
               "fcfs": queuing.steady_state_flows(instance, fcfs)}
     if cfg["sq_cuts"]:
-        sq = _sq_topology(cfg, instance, queue_ids, kept)
+        sq = _sq_topology(cfg, fitted)
         try:
             scopes["sq"] = queuing.steady_state_flows(instance, sq)
         except queuing.FlowSolveError:
             print("status-quo topology has no steady-state flow; skipped",
                   file=sys.stderr)
-    table = learned.scores
     estimators = [e for e in ope.ESTIMATORS if e == "CT" or e in table.scores]
     rows = []
     dim = cfg["fairness"]["dimension"]
     for scope, flows in scopes.items():
-        values = ope.evaluate_all(estimators, table, flows, instance, learned.tau)
+        values = ope.evaluate_all(estimators, table, flows, instance, tau)
         for est, value in values.items():
-            rows.append([est, scope, "", repr(value), len(kept)])
+            rows.append([est, scope, "", repr(value), len(fitted.score)])
             if dim and est == "DR":
                 policy = core.policy_from_flows(flows, instance)
                 for g, v in ope.per_group_values(table, policy, est, dim).items():

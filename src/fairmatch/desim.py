@@ -34,11 +34,14 @@ more, the earliest of their heads, which a loop over those arrivals alone
 finds. Every head taken must then have arrived before its taker. The stretch
 ends at the first taker whose head had not (that line had emptied), or at the
 first arrival with no neighbour in B (it would start a line). The matches
-before that point are tallied at once, and the rest of the window is walked
-one arrival at a time.
+before that point are tallied at once. The rest of the window is walked in
+turns: ``_WALK_EVENTS`` arrivals one at a time, then bulk walks again from the
+set B reached there, and so on, each one-at-a-time walk twice as long as the
+one before, so that a window where B keeps changing hands over a few times
+at most.
 
-That walk keeps which nodes have someone waiting in one integer, an occupancy
-mask whose bit j is set while someone waits at node j. An arrival ands it with
+The one-at-a-time walk keeps which nodes have someone waiting in one
+integer, an occupancy mask whose bit j is set while someone waits at node j. An arrival ands it with
 its own neighbour mask: with no bit left it waits at its own node without
 looking at any neighbour, with one bit left that neighbour holds its partner,
 and only with two or more does it scan its neighbours for the earliest-arrived
@@ -58,6 +61,8 @@ from .core import MCMSInstance, MatchingTopology
 from .queuing import check_admissible
 
 _WINDOW_EVENTS = 1 << 16      # arrivals merged and walked per window, on average
+_WALK_EVENTS = 1 << 12        # arrivals first walked one at a time after a break
+_BULK_EVENTS = 1 << 12        # arrivals a bulk walk after the first looks at, at most
 
 
 @dataclass(frozen=True)
@@ -152,12 +157,12 @@ class _FCFS:
         if start < len(times):
             self._walk(times, nodes, start, lo, hi)
 
-    def _stretch(self, times, nodes, lo, hi):
-        """Match the window's events from its start for as long as the set
-        of nodes with someone waiting stays the one at the start, and return
-        the index of the first event left unmatched."""
+    def _stretch(self, times, nodes, arrived, hi):
+        """Match the events from the first for as long as the set of nodes
+        with someone waiting stays the one before it, and return the number
+        matched. ``arrived[j]`` counts node j's arrivals before the first."""
         streams, head = self.streams, self.head
-        busy = [h < a for h, a in zip(head, lo)]
+        busy = [h < a for h, a in zip(head, arrived)]
         if not any(busy):
             return 0
         partners = [[] if b else [j for j in nb if busy[j]]
@@ -260,20 +265,39 @@ class _FCFS:
                                 wait.tolist()))
 
     def _walk(self, times, nodes, start, lo, hi):
-        """Match the window's events from index start one at a time, with
-        the lines held as deques of arrival times."""
+        """Match the window's events from index start, in turns: some one at
+        a time (``_WALK_EVENTS``, doubling at each turn), then as many as bulk
+        walks take."""
+        n = len(self.streams)
+        arrived = np.array(lo) + np.bincount(nodes[:start], minlength=n)
+        walk = _WALK_EVENTS
+        while start < len(times):
+            end = min(len(times), start + walk)
+            self._loop(times[start:end], nodes[start:end], arrived.tolist())
+            arrived += np.bincount(nodes[start:end], minlength=n)
+            start = end
+            # bulk walks over chunks, for as long as each takes its whole chunk
+            while start == end < len(times):
+                end = min(len(times), start + _BULK_EVENTS)
+                taken = self._stretch(times[start:end], nodes[start:end], arrived.tolist(), hi)
+                arrived += np.bincount(nodes[start:start + taken], minlength=n)
+                start += taken
+            walk *= 2
+
+    def _loop(self, times, nodes, arrived):
+        """Match the events one at a time, with the lines held as deques of
+        arrival times. ``arrived[j]`` counts node j's arrivals before the first."""
         streams, head, neighbours, n_q = self.streams, self.head, self.neighbours, self.n_q
         bits, masks = self.bits, self.masks
-        arrived = (np.array(lo) + np.bincount(nodes[:start], minlength=len(streams))).tolist()
-        # the rest of the window takes fewer than `room` arrivals from a line
-        room = len(times) - start + 1
+        # the events take fewer than `room` arrivals from a line
+        room = len(times) + 1
         waiting = [deque(s[h:min(a, h + room)].tolist())    # arrival times, earliest first
                    for s, h, a in zip(streams, head, arrived)]
         unread = [a - h - len(line) for h, a, line in zip(head, arrived, waiting)]
         node_of = {b: j for j, b in enumerate(bits)}
         busy = sum(b for b, line in zip(bits, waiting) if line)   # bit j: waiting[j] non-empty
         counts, wait_sum, warmup_end, log = self.counts, self.wait_sum, self.warmup_end, self.log
-        for t, i in zip(times[start:].tolist(), nodes[start:].tolist()):
+        for t, i in zip(times.tolist(), nodes.tolist()):
             live = busy & masks[i]
             if not live:
                 if not waiting[i]:
@@ -300,7 +324,8 @@ class _FCFS:
                 wait_sum[q] += wait
             if log is not None:
                 log.append((t, "match", q, r, wait))
-        self.head = [b - len(line) - u for b, line, u in zip(hi, waiting, unread)]
+        ends = np.add(arrived, np.bincount(nodes, minlength=len(streams))).tolist()
+        self.head = [b - len(line) - u for b, line, u in zip(ends, waiting, unread)]
 
 
 def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: float,

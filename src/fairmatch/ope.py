@@ -22,24 +22,35 @@ class ValueEstimate:
     value: float
 
 
-# Scores from (records, observed-resource mask, ŷ, p̂ of the observed resource).
-def _dm(ds, treated, yhat, pbar):
-    return yhat
+@dataclass(frozen=True)
+class ScoreInputs:
+    """What the estimators read of each record: ``treated`` marks its observed
+    resource (records x resources), ``outcome`` is its outcome, ``yhat`` the
+    outcome model's predictions (records x resources), ``pbar`` the estimated
+    propensity of its observed resource and ``po`` its potential outcomes
+    (records x resources). A field that no wanted estimator reads is None."""
+
+    treated: np.ndarray
+    outcome: np.ndarray
+    yhat: np.ndarray | None = None
+    pbar: np.ndarray | None = None
+    po: np.ndarray | None = None
 
 
-def _ipw(ds, treated, yhat, pbar):
-    return treated * (ds.outcome / pbar)[:, None]
+def _dm(s):
+    return s.yhat
 
 
-def _dr(ds, treated, yhat, pbar):
-    return yhat + treated * ((ds.outcome - yhat[treated]) / pbar)[:, None]
+def _ipw(s):
+    return s.treated * (s.outcome / s.pbar)[:, None]
 
 
-def _gt(ds, treated, yhat, pbar):
-    missing = set(ds.resource_set) - set(ds.potential_outcomes or ())
-    if missing:
-        raise ValueError(f"potential outcomes missing for {sorted(missing)}")
-    return np.column_stack([ds.potential_outcomes[r] for r in ds.resource_set])
+def _dr(s):
+    return s.yhat + s.treated * ((s.outcome - s.yhat[s.treated]) / s.pbar)[:, None]
+
+
+def _gt(s):
+    return s.po
 
 
 # name -> (score function, models it reads)
@@ -49,6 +60,10 @@ _ESTIMATORS = {
     "DR": (_dr, ("out", "prop")),
     "GT": (_gt, ()),
 }
+
+
+def _names(with_gt: bool) -> list:
+    return [n for n in _ESTIMATORS if n != "GT" or with_gt]
 
 
 def _queue_rows(queue_ids, queues) -> np.ndarray:
@@ -65,11 +80,19 @@ def _queue_rows(queue_ids, queues) -> np.ndarray:
 @dataclass(frozen=True)
 class ScoreTable:
     """Per-record score matrices of one record set; ``rows`` holds each
-    record's row in the queue list the table was built over."""
+    record's row in the queue list the table was built over, and ``groups``
+    each group dimension's labels."""
 
-    dataset: Dataset
+    groups: dict
     rows: np.ndarray
     scores: dict                  # estimator name -> records x resources
+
+    @classmethod
+    def of(cls, inputs: ScoreInputs, rows, groups, names=None) -> "ScoreTable":
+        """The named estimators' scores (by default all, GT when ``inputs``
+        holds potential outcomes) from ``inputs``; no model predicts."""
+        names = _names(inputs.po is not None) if names is None else names
+        return cls(groups, rows, {n: _ESTIMATORS[n][0](inputs) for n in names})
 
     def value(self, name: str, policy: Policy, mask=slice(None)) -> float:
         """Mean over the (masked) records of sum_r pi(r | queue) * S[record, r]."""
@@ -77,18 +100,15 @@ class ScoreTable:
         return float(np.mean(np.sum(pi * self.scores[name][mask], axis=1)))
 
 
-def score_table(dataset: Dataset, queue_ids, queues, out=None, prop=None,
-                names=None) -> ScoreTable:
-    """Score matrices of the named estimators (by default all, GT when the
-    records carry potential outcomes) over ``dataset``, whose records sit in
-    ``queue_ids`` among ``queues``. Each model predicts once, on the design it
-    was fit on."""
+def score_inputs(dataset: Dataset, out=None, prop=None, names=None) -> ScoreInputs:
+    """What the named estimators (by default all, GT when the records carry
+    potential outcomes) read of ``dataset``'s records. Each model predicts
+    once, on the design it was fit on."""
     if names is None:
-        names = [n for n in _ESTIMATORS
-                 if n != "GT" or dataset.potential_outcomes is not None]
+        names = _names(dataset.potential_outcomes is not None)
     needs = {k for name in names for k in _ESTIMATORS[name][1]}
     treated = dataset.treatment_index()[:, None] == np.arange(len(dataset.resource_set))
-    yhat = pbar = None
+    yhat = pbar = po = None
     if "out" in needs:
         X = dataset.design(out.feature_mode)
         yhat = np.column_stack([out.predict(X, r) for r in dataset.resource_set])
@@ -97,8 +117,23 @@ def score_table(dataset: Dataset, queue_ids, queues, out=None, prop=None,
         pbar = prop.predict_proba(dataset.design(prop.feature_mode))[:, cols][treated]
         if np.any(pbar <= 0):
             raise ValueError("zero propensity encountered; screen the dataset first")
-    return ScoreTable(dataset, _queue_rows(queue_ids, queues),
-                      {n: _ESTIMATORS[n][0](dataset, treated, yhat, pbar) for n in names})
+    if "GT" in names:
+        missing = set(dataset.resource_set) - set(dataset.potential_outcomes or ())
+        if missing:
+            raise ValueError(f"potential outcomes missing for {sorted(missing)}")
+        po = np.column_stack([dataset.potential_outcomes[r] for r in dataset.resource_set])
+    return ScoreInputs(treated, dataset.outcome, yhat, pbar, po)
+
+
+def score_table(dataset: Dataset, queue_ids, queues, out=None, prop=None,
+                names=None, inputs: ScoreInputs | None = None) -> ScoreTable:
+    """Score matrices of the named estimators (by default all, GT when the
+    records carry potential outcomes) over ``dataset``, whose records sit in
+    ``queue_ids`` among ``queues``. The scores come from ``inputs`` when given,
+    or else from ``score_inputs``."""
+    if inputs is None:
+        inputs = score_inputs(dataset, out, prop, names)
+    return ScoreTable.of(inputs, _queue_rows(queue_ids, queues), dataset.groups, names)
 
 
 def _estimate(name, dataset, policy, queue_ids, instance, out=None, prop=None):
@@ -144,7 +179,7 @@ def evaluate_all(names, table: ScoreTable, flows, instance: MCMSInstance,
 def per_group_values(table: ScoreTable, policy: Policy, estimator: str,
                      group_dimension: str) -> dict:
     """Estimator restricted to each group's records, by sorted label."""
-    groups = table.dataset.groups
+    groups = table.groups
     if group_dimension not in groups:
         raise ValueError(f"unknown group dimension: {group_dimension}")
     labels = groups[group_dimension]

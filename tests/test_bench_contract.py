@@ -98,10 +98,11 @@ def test_fairness_sweep_setup_passes_learning_checks(tmp_path):
 
 def test_each_verb_parses_the_dataset_once(tmp_path, monkeypatch):
     """`core.from_csv_s` times `Dataset.from_csv` wrapped on its class, as
-    perfbench/spans.py wraps it; each verb that reads the dataset must parse
-    it there, once."""
+    perfbench/spans.py wraps it. `fit` parses the dataset once; `optimize`
+    and `evaluate` read fit's record and never parse it, unless a fairness
+    run needs its group labels, which it then parses once, there."""
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"synth": {"n": 3000}, '
+    cfg.write_text('{"synth": {"n": 3000, "group_probs": {"race": {"A": 0.5, "B": 0.5}}}, '
                    '"tree_params": {"min_node_size": 300, "max_depth": 2}}')
     base = ["--config", str(cfg), "--out", str(tmp_path),
             "--dataset", str(tmp_path / "dataset.csv")]
@@ -113,9 +114,12 @@ def test_each_verb_parses_the_dataset_once(tmp_path, monkeypatch):
         calls.append(verb)
         return from_csv(cls, *args, **kwargs)
     monkeypatch.setattr(core.Dataset, "from_csv", classmethod(counted))
-    for verb in ("fit", "optimize", "evaluate"):
-        assert cli.main([verb] + base) == 0
-    assert calls == ["fit", "optimize", "evaluate"]
+    grouped = ["--fairness", "maximin_outcome:race:0"]
+    for verb, flags in [("fit", []), ("optimize", []), ("evaluate", []),
+                        ("optimize", grouped), ("evaluate", grouped)]:
+        assert cli.main([verb] + flags + base) == 0
+        calls.append("|")
+    assert calls == ["fit", "|", "|", "|", "optimize", "|", "evaluate", "|"]
 
 
 def test_cli_workload_argv_parses(tmp_path, monkeypatch):

@@ -751,14 +751,23 @@ class TestLearn:
     @pytest.mark.parametrize("loaded", [False, True])
     @pytest.mark.parametrize("dim", [None, "race"])
     def test_matches_hand_wired_stages(self, tmp_path, loaded, dim):
+        """``learn``, and with ``loaded`` the route of the later CLI verbs:
+        saved models, the kept records, and ``queue_instance`` on the
+        partition of the saved trees."""
         ds = self._data()
         models = None
         if loaded:
             fitted = causal.learn(ds, self.PARAMS, 3)
             causal.save_models(tmp_path / "models.json", fitted.prop, fitted.out,
                                fitted.trees)
-            models = causal.load_models(tmp_path / "models.json")
-        learned = causal.learn(ds, self.PARAMS, 3, models, dim)
+            models = prop, out, trees = causal.load_models(tmp_path / "models.json")
+            kept = ds.subset(fitted.kept_mask)
+            part, queue_ids, inst = causal.queue_instance(
+                kept, causal.intersect_partitions(trees, kept, "score"), dim, 0.99)
+            learned = causal.Learned(prop, out, trees, kept, fitted.n_screened, part,
+                                     queue_ids, inst)
+        else:
+            learned = causal.learn(ds, self.PARAMS, 3, dim)
         prop, out, trees, kept, n_screened, part, inst, tau = self._by_hand(ds, models, dim)
 
         assert _dumps(learned.prop.tree) == _dumps(prop.tree)

@@ -1,11 +1,15 @@
 import csv
 import json
 import shutil
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmatch import causal, cli, core, ope, optimizer, synth
 
@@ -150,15 +154,15 @@ class TestSimulateAndEvaluate:
 
     @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
     def test_each_model_predicts_once(self, workspace, tmp_path, monkeypatch, verb):
-        """One propensity predict for the screen, then one per outcome tree and
-        one propensity predict for the per-record scores."""
+        """fit's record holds each kept record's model predictions, so the
+        later verbs predict nothing."""
         _, base = workspace_copy(workspace, tmp_path)
         calls = []
         predict = causal.DecisionTree.predict
         monkeypatch.setattr(causal.DecisionTree, "predict",
                             lambda self, X: calls.append(1) or predict(self, X))
         assert cli.main([verb] + base) == 0
-        assert len(calls) == len(cli.DEFAULT_CONFIG["resources"]) + 2
+        assert len(calls) == 0
 
     def test_evaluate_after_grouped_optimize_names_the_settings(
             self, workspace, tmp_path, capsys):
@@ -227,12 +231,100 @@ class TestFitSettings:
     @pytest.mark.parametrize("verb", ["optimize", "oracle", "evaluate"])
     def test_models_without_settings_ask_for_fit(self, workspace, tmp_path, capsys,
                                                  verb):
+        """A record that lacks what fit writes asks for fit again."""
         root, base = workspace_copy(workspace, tmp_path)
-        causal.save_models(root / "models.json", *causal.load_models(root / "models.json"))
+        record = json.loads((root / cli.RECORD_JSON).read_text())
+        del record["rho"]
+        (root / cli.RECORD_JSON).write_text(json.dumps(record))
         capsys.readouterr()
         assert cli.main([verb] + base) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "rho" in err and "positivity_threshold" in err and "re-run `fit`" in err
+        assert "record" in err and "incomplete" in err and "re-run `fit`" in err
+
+
+class TestRecord:
+    """fit's record: what the later verbs read in place of learning again."""
+
+    GROUPED = ["--fairness", "maximin_outcome:race:0.0"]
+
+    def test_byte_identical_across_fits(self, workspace, tmp_path):
+        root, base = workspace_copy(workspace, tmp_path)
+        first = {name: (root / name).read_bytes()
+                 for name in (cli.RECORD_JSON, cli.RECORD_ARRAYS)}
+        for name in first:
+            (root / name).unlink()
+        assert cli.main(["fit"] + base) == 0
+        assert {name: (root / name).read_bytes() for name in first} == first
+
+    @pytest.mark.parametrize("verb, flags", [
+        ("optimize", []), ("oracle", []), ("evaluate", []),
+        ("optimize", GROUPED), ("evaluate", ["--non-affirmative"])])
+    def test_another_dataset_asks_for_fit(self, workspace, tmp_path, capsys, verb, flags):
+        root, base = workspace_copy(workspace, tmp_path, fairness={"dimension": "race"})
+        lines = (root / "dataset.csv").read_text().splitlines(keepends=True)
+        (root / "dataset.csv").write_text("".join(lines[:-1]))     # one record fewer
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        capsys.readouterr()
+        assert cli.main([verb] + flags + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "dataset.csv is not the dataset `fit` learned from" in err
+        assert "re-run `fit`" in err
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    @pytest.mark.parametrize("damage", ["no json", "no arrays", "short json",
+                                        "short arrays", "other arrays"])
+    @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
+    def test_missing_or_truncated_record_asks_for_fit(self, workspace, tmp_path, capsys,
+                                                      damage, verb):
+        root, base = workspace_copy(workspace, tmp_path)
+        name = cli.RECORD_JSON if "json" in damage else cli.RECORD_ARRAYS
+        path = root / name
+        if damage.startswith("no"):
+            path.unlink()
+        elif damage.startswith("short"):
+            path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        else:
+            arrays = dict(np.load(path))
+            arrays["pbar"] = arrays["pbar"][::-1]
+            np.savez(path, **arrays)
+        capsys.readouterr()
+        assert cli.main([verb] + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "`fit`" in err
+        assert (f"{name} not found" in err if damage.startswith("no")
+                else "incomplete; re-run `fit`" in err)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10**6), share=st.sampled_from([0.3, 0.5, 1.0]))
+    def test_grouped_verbs_split_what_learn_splits(self, seed, share):
+        """A grouped verb splits fit's queues by label from the record and
+        the saved trees; its queues, rates, effects (bit for bit), score cells
+        and groups are those of ``causal.learn`` with the group dimension."""
+        probs = {"A": share, "B": 1 - share} if share < 1 else {"A": 1.0}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "config.json").write_text(json.dumps({
+                "seed": seed % 7,
+                "tree_params": {"min_node_size": 200, "max_depth": 2, "honest": True},
+                "fairness": {"dimension": "race"}, "non_affirmative": True}))
+            dataset = synth.generate(synth.SynthParams(n=3000, seed=seed,
+                                                       group_probs={"race": probs}))
+            dataset.to_csv(root / "dataset.csv")
+            cfg = cli.load_config(root / "config.json", {
+                "out_dir": str(root), "dataset": str(root / "dataset.csv")})
+            assert cli.main(["fit", "--config", str(root / "config.json"),
+                             "--out", str(root),
+                             "--dataset", str(root / "dataset.csv")]) == 0
+            fitted = cli._fitted(cfg, ["DR"])
+            learned = causal.learn(cli._load_dataset(cfg), cli._pipeline_params(cfg),
+                                   seed % 7, group_dimension="race")
+        assert fitted.instance == learned.instance
+        tau = causal.effects(fitted.table, fitted.instance.n_queues)
+        assert np.array_equal(tau.tau, learned.tau.tau)
+        assert tau.baseline_mean == learned.tau.baseline_mean
+        assert fitted.score_cells == learned.partition.score_cells
+        assert fitted.groups == learned.groups
+        assert (len(fitted.groups) == 2) == (share < 1)
 
 
 class TestNonAffirmative:

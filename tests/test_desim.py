@@ -320,3 +320,29 @@ def test_bulk_walk_carries_the_steady_state(monkeypatch, arrivals, seed):
     desim.simulate(inst, core.MatchingTopology.fully_connected(2, 2), 100_000.0,
                    0.2, seed=seed)
     assert sum(walked) < 0.1 * sum(arrivals)
+
+
+def test_bulk_walk_resumes_after_a_line_empties(monkeypatch):
+    """One window on one edge: resources pile up, then individuals drain
+    their line and queue in turn, then resources drain those. After each
+    change the one-at-a-time walk hands back to the bulk walk, so it sees a
+    few hundred of the 65,000 arrivals."""
+    monkeypatch.setattr(desim, "_WALK_EVENTS", 64)
+    monkeypatch.setattr(desim, "_BULK_EVENTS", 256)
+    walked, loop = [], desim._FCFS._loop
+
+    def counted_loop(self, times, nodes, arrived):
+        walked.append(len(times))
+        return loop(self, times, nodes, arrived)
+    monkeypatch.setattr(desim._FCFS, "_loop", counted_loop)
+    grid = lambda lo, step: lo + step * np.arange(round(100 / step))
+    streams_q = [np.concatenate([grid(0, 0.02), grid(100, 0.005), grid(200, 0.02)])]
+    streams_r = [np.concatenate([grid(0.001, 0.01), grid(100.001, 0.02),
+                                 grid(200.001, 0.005)])]
+    arrivals = sum(s.size for s in streams_q + streams_r)
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", arrivals)
+    args = (streams_q, streams_r, topo([[1]]), 50.0, 300.0, 0, False)
+    got = desim._match_streams(*args)
+    _same_stats(got, reference_match_streams(*args))
+    assert arrivals == 65_000 and got.matched_count > 0
+    assert 0 < sum(walked) < 1_000
