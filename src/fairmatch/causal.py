@@ -97,8 +97,7 @@ class DecisionTree:
 class _Cart:
     """CART rule: a node splits while it holds two children of
     ``min_node_size`` rows and its target is not constant. A split scores its
-    impurity decrease, computed from cumulative per-row statistics, so any
-    positive score beats the parent."""
+    impurity decrease, so any positive score beats the parent."""
 
     min_gain = 0.0
 
@@ -112,13 +111,16 @@ class _Cart:
         return 0.0
 
     def scores(self, ys):
+        """Impurity decrease at every split position of the sorted targets
+        ``ys``. Each per-row statistic is one 1-D running sum (class counts
+        are exact integers), and the per-class terms are added in the order
+        numpy sums a row of them (see ``_row_sums``), so the scores equal
+        those of a table with one row per split position, bit for bit."""
         n = len(ys)
-        cum = np.cumsum(self.stats(ys), axis=0)
         k = np.arange(1, n)
-        children = (k * self.impurity(cum[:-1], k[:, None])
-                    + (n - k) * self.impurity(cum[-1] - cum[:-1], (n - k)[:, None]))
+        parent, left, right = self.impurities(ys, k, n - k)
         valid = (k >= self.min_node_size) & (n - k >= self.min_node_size)
-        return self.impurity(cum[-1], n) - children / n, valid
+        return parent - (k * left + (n - k) * right) / n, valid
 
 
 class _Gini(_Cart):
@@ -128,12 +130,23 @@ class _Gini(_Cart):
         return ((np.bincount(y, minlength=self.n_classes) + LAPLACE_ALPHA)
                 / (len(y) + LAPLACE_ALPHA * self.n_classes))
 
-    def stats(self, ys):
-        return (ys[:, None] == np.arange(self.n_classes)).astype(float)
+    def impurities(self, ys, k, rest):
+        cums = [np.cumsum(ys == c) for c in range(self.n_classes)]    # exact counts
+        parent = 1.0 - np.sum((np.array([c[-1] for c in cums]) / len(ys)) ** 2)
+        return (parent, 1.0 - _row_sums([(c[:-1] / k) ** 2 for c in cums]),
+                1.0 - _row_sums([((c[-1] - c[:-1]) / rest) ** 2 for c in cums]))
 
-    @staticmethod
-    def impurity(counts, size):
-        return 1.0 - np.sum((counts / size) ** 2, axis=-1)
+
+def _row_sums(cols):
+    """``np.sum(np.column_stack(cols), axis=-1)`` bit for bit. numpy adds
+    fewer than 8 columns of a row from left to right, which adding whole
+    columns in turn repeats, and 8 or more in pairs."""
+    if len(cols) >= 8:
+        return np.sum(np.column_stack(cols), axis=-1)
+    total = cols[0]
+    for col in cols[1:]:
+        total = total + col
+    return total
 
 
 class _Mse(_Cart):
@@ -142,13 +155,15 @@ class _Mse(_Cart):
     def value(self, y):
         return float(np.mean(y))
 
-    def stats(self, ys):
-        return np.column_stack([ys, ys ** 2])
+    def impurities(self, ys, k, rest):
+        sums, squares = np.cumsum(ys), np.cumsum(ys * ys)
+        return (_mse(sums[-1:], squares[-1:], len(ys))[0],
+                _mse(sums[:-1], squares[:-1], k),
+                _mse(sums[-1] - sums[:-1], squares[-1] - squares[:-1], rest))
 
-    @staticmethod
-    def impurity(sums, size):
-        means = sums / size
-        return means[..., 1] - means[..., 0] ** 2
+
+def _mse(sums, squares, size):
+    return squares / size - (sums / size) ** 2
 
 
 class _Effect:
@@ -192,52 +207,68 @@ class _Effect:
         return k * tau_l ** 2 + (n - k) * tau_r ** 2, valid
 
 
-def _grow(X, y, rule, max_depth, depth=0, orders=None):
+def _grow(X, y, rule, max_depth):
     """Greedy binary tree on rows ``X`` with targets ``y`` under ``rule``.
 
     Each node tries every non-constant feature, places the threshold midway
     between distinct sorted neighbours (on the lower one when the midpoint
     rounds to the upper), and keeps the best split whose score
     exceeds the rule's parent score by more than ``rule.min_gain``; the
-    first feature and the first position win ties. ``orders[j]`` is the
-    stable sort order of the rows by feature j. Only the root sorts: a child
-    takes its own rows in its parent's order, which keeps them stably sorted.
+    first feature and the first position win ties.
+
+    Only the root sorts, stably, once per feature. A node holds ``rows``, its
+    row ids in their original order, and ``orders[j]``, the same ids sorted
+    by feature j. A split of feature j at sorted position i gives its children
+    the two slices of ``orders[j]``; every other order, and ``rows``, is
+    partitioned stably by one boolean array over the row ids, so each child's
+    orders stay sorted and its rows stay in their original order. Leaf values
+    read ``y[rows]``: a mean's rounding depends on the order it adds in.
     """
-    if orders is None:
-        orders = [np.argsort(X[:, j], kind="mergesort") for j in range(X.shape[1])]
-    node = TreeNode(count=len(y), value=rule.value(y))
-    if (max_depth is not None and depth >= max_depth) or not rule.may_split(y):
+    in_left = np.zeros(len(y), dtype=bool)
+    orders = [np.argsort(X[:, j], kind="mergesort") for j in range(X.shape[1])]
+
+    def grow(rows, orders, depth):
+        yn = y[rows]
+        node = TreeNode(count=len(rows), value=rule.value(yn))
+        if (max_depth is not None and depth >= max_depth) or not rule.may_split(yn):
+            return node
+        parent = rule.parent(yn)
+        best = None
+        for j, order in enumerate(orders):
+            xs = X[order, j]
+            if xs[0] == xs[-1]:
+                continue
+            score, valid = rule.scores(y[order])
+            valid &= xs[:-1] < xs[1:]
+            if not valid.any():
+                continue
+            i = int(np.argmax(np.where(valid, score, -np.inf)))
+            gain = score[i] - parent
+            if gain > rule.min_gain and (best is None or gain > best[0]):
+                # the midpoint of adjacent floats can round up to the upper one
+                thr = 0.5 * (xs[i] + xs[i + 1])
+                best = (gain, j, i, thr if thr < xs[i + 1] else xs[i])
+        if best is None:
+            return node
+        _, j, i, node.threshold = best
+        node.feature = j
+        left = orders[j][:i + 1]
+        in_left[left] = True
+        sides = [(left, order[i + 1:]) if f == j else _partition(order, in_left)
+                 for f, order in enumerate(orders)]
+        rows_l, rows_r = _partition(rows, in_left)
+        in_left[left] = False
+        node.left = grow(rows_l, [l for l, _ in sides], depth + 1)
+        node.right = grow(rows_r, [r for _, r in sides], depth + 1)
         return node
-    parent = rule.parent(y)
-    best = None
-    for j, order in enumerate(orders):
-        xs = X[order, j]
-        if xs[0] == xs[-1]:
-            continue
-        score, valid = rule.scores(y[order])
-        valid &= xs[:-1] < xs[1:]
-        if not valid.any():
-            continue
-        i = int(np.argmax(np.where(valid, score, -np.inf)))
-        gain = score[i] - parent
-        if gain > rule.min_gain and (best is None or gain > best[0]):
-            # the midpoint of adjacent floats can round up to the upper one
-            thr = 0.5 * (xs[i] + xs[i + 1])
-            best = (gain, j, thr if thr < xs[i + 1] else xs[i])
-    if best is None:
-        return node
-    _, j, thr = best
-    mask = X[:, j] <= thr
-    node.feature, node.threshold = j, thr
-    node.left, node.right = (_grow(X[side], y[side], rule, max_depth, depth + 1,
-                                   _child_orders(orders, side)) for side in (mask, ~mask))
-    return node
+
+    return grow(np.arange(len(y)), orders, 0)
 
 
-def _child_orders(orders, side):
-    """The rows of ``side`` in each order, numbered as the child numbers them."""
-    row = np.cumsum(side) - 1
-    return [row[order[side[order]]] for order in orders]
+def _partition(ids, marked):
+    """The ids marked and the rest, each in the order of ``ids``."""
+    m = marked[ids]
+    return ids[m], ids[~m]
 
 
 def _read_params(params: dict, defaults: dict) -> dict:
@@ -384,10 +415,9 @@ def fit_causal_tree(dataset: Dataset, resource: str, params: dict | None = None,
                                          "max_depth": None})
     baseline = dataset.baseline
     mask = (dataset.treatment == resource) | (dataset.treatment == baseline)
-    sub = dataset.subset(mask)
-    X = sub.design(features)
-    y = sub.outcome.astype(float)
-    w = (sub.treatment == resource).astype(int)
+    X = dataset.design(features)[mask]
+    y = dataset.outcome[mask].astype(float)
+    w = (dataset.treatment[mask] == resource).astype(int)
     mns = params["min_node_size"]
     if mns < 1:
         raise ValueError("min_node_size must be at least 1")
@@ -520,11 +550,13 @@ def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
 
 def effects(table, n_queues: int) -> CATEMatrix:
     """Per-queue means of the table's DR scores less the baseline column's,
-    and that column's mean over every record. Each mean reduces one column of
-    one queue as a 1-D array in record order."""
+    and that column's mean over every record. Each queue's records are picked
+    out once; each mean reduces one column of one queue as a contiguous 1-D
+    array in record order."""
     dr, rows = table.scores["DR"], table.rows
-    means = np.array([[dr[rows == q, r].mean() for r in range(dr.shape[1])]
-                      for q in range(n_queues)]).reshape(n_queues, dr.shape[1])
+    means = np.empty((n_queues, dr.shape[1]))
+    for q in range(n_queues):
+        means[q] = [col.mean() for col in dr[rows == q].T.copy()]
     return CATEMatrix(means - means[:, :1], float(dr[:, 0].mean()))
 
 
@@ -557,11 +589,16 @@ def arrival_rates(dataset: Dataset, partition: PartitionFunction,
                   observation_window_days: float, rho: float = 0.99) -> MCMSInstance:
     """Empirical per-queue and per-resource rates; the baseline resource rate
     is set so total supply is total demand divided by rho."""
+    return _rates(dataset, partition, partition.assign_dataset(dataset),
+                  observation_window_days, rho)
+
+
+def _rates(dataset, partition, queue_ids, observation_window_days, rho):
+    """``arrival_rates`` with each record's queue id given."""
     if observation_window_days <= 0:
         raise ValueError("observation window must be positive")
     window = rationalize(observation_window_days)
-    assignments = np.array(partition.assign_dataset(dataset))
-    names, sizes = np.unique(assignments, return_counts=True)
+    names, sizes = np.unique(np.asarray(queue_ids), return_counts=True)
     size = dict(zip(names.tolist(), sizes.tolist()))
     queues = [q for q in partition.queues if q in size]
     if not queues:
@@ -651,11 +688,13 @@ def queue_instance(kept: Dataset, partition: PartitionFunction,
                    group_dimension: str | None, rho: float) -> tuple:
     """The tail of ``learn``: ``partition`` split by ``group_dimension`` when
     given, each kept record's queue, and the arrival rates over the kept
-    records' window. Returns (partition, queue ids, instance)."""
+    records' window, from one assignment of the kept records. Returns
+    (partition, queue ids, instance)."""
     if group_dimension:
         partition = split_queues_by_group(partition, kept, group_dimension)
-    instance = arrival_rates(kept, partition, float(kept.arrival_time.max()), rho)
-    return partition, partition.assign_dataset(kept), instance
+    queue_ids = partition.assign_dataset(kept)
+    return partition, queue_ids, _rates(kept, partition, queue_ids,
+                                        float(kept.arrival_time.max()), rho)
 
 
 def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,

@@ -22,8 +22,11 @@ held at once. Every node's sorted stream is cut at the same bounds, a uniform
 grid over the horizon, and an arrival exactly at a bound goes to the later
 window for every node. Each window then holds every arrival in its half-open
 interval, and the windows laid end to end are the whole horizon's (time, node)
-order, ties included. The line heads and the tallies carry from one window to
-the next.
+order, ties included. A window's arrivals are merged by numpy's unstable sort
+on time, which has only one result when no two times are equal; a window
+with tied times is sorted again stably, so that the streams' node order
+breaks the ties. The line heads and the tallies carry from one window to the
+next.
 
 A window is first walked in bulk, for as long as the set B of nodes with
 someone waiting stays the one at its start. An arrival at a node of B joins
@@ -31,7 +34,9 @@ its line. An arrival at another node takes a head from its neighbours in B:
 with one such neighbour, its next head, so the k-th taker from node j gets
 ``stream_j[head_j + k]``, found for all such arrivals at once; with two or
 more, the earliest of their heads, which a loop over those arrivals alone
-finds. Every head taken must then have arrived before its taker. The stretch
+finds, reading each candidate's heads in place from its stream (a loop where
+every such arrival has exactly two candidates skips the general case's scan).
+Every head taken must then have arrived before its taker. The stretch
 ends at the first taker whose head had not (that line had emptied), or at the
 first arrival with no neighbour in B (it would start a line). The matches
 before that point are tallied at once. The rest of the window is walked in
@@ -93,13 +98,19 @@ def _merged_events(streams_q, streams_r):
 
     Queue q is node q and resource r is node ``len(streams_q) + r``, so on a
     tie individuals come before resources, lower index first. The streams are
-    concatenated in node order, so a stable sort on time alone keeps that order.
+    concatenated in node order, so a stable sort on time alone keeps that
+    order. When no two times are equal there is only one sorted order, and
+    the faster unstable sort finds it; times that tie are sorted again stably.
     """
     streams = list(streams_q) + list(streams_r)
     times = np.concatenate(streams)
     nodes = np.repeat(np.arange(len(streams)), [t.size for t in streams])
-    order = np.argsort(times, kind="stable")
-    return times[order], nodes[order]
+    order = np.argsort(times)
+    merged = times[order]
+    if np.any(merged[1:] == merged[:-1]):
+        order = np.argsort(times, kind="stable")
+        merged = times[order]
+    return merged, nodes[order]
 
 
 def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, audit):
@@ -177,7 +188,7 @@ class _FCFS:
         partner = np.array([p[0] if len(p) == 1 else -1 for p in partners])[i_ev]
         choices = np.flatnonzero(partner < 0)
         if choices.size:
-            partner[choices] = self._choose(i_ev, partner, choices, partners, hi)
+            partner[choices] = self._choose(i_ev, partner, choices, partners)
         # the k-th partner taken from node j is streams[j][head[j] + k]; it
         # must have arrived before its taker, or the busy set changed there
         t_ev = times[ev]
@@ -200,7 +211,7 @@ class _FCFS:
             head[j] += used[j] if busy[j] else arrived[j]
         return end
 
-    def _choose(self, i_ev, partner, choices, partners, hi):
+    def _choose(self, i_ev, partner, choices, partners):
         """The partner of each event with two or more waiting neighbours:
         the earliest head among them, a tie going to the lower node."""
         streams, head = self.streams, self.head
@@ -211,26 +222,40 @@ class _FCFS:
             table[i, :len(partners[i])] = partners[i]
         ks = table[i_c]                  # per choice, its candidates in node order
         # bases[c, s]: the single-neighbour events that take from candidate s
-        # before choice c; a candidate's heads are read from a list of the
-        # most the window's events can take, padded with inf
-        bases = np.zeros_like(ks)
+        # before choice c, read off each candidate's running count of them
+        cands = sorted({j for i in choosers for j in partners[i]})
+        column = np.zeros(len(partners), dtype=np.intp)
+        column[cands] = np.arange(len(cands))
+        # (numpy counts a bool array in int32 about twice as fast as in int64)
+        singles = [np.cumsum(partner == j, dtype=np.int32) for j in cands]
+        bases = np.take_along_axis(np.column_stack([s[choices] for s in singles]),
+                                   column[ks], axis=1)
+        # a candidate's heads are read in place from its stream, as many as
+        # its single takers and every choice could take; a head past the
+        # window's end is later than every event in it, so it is never
+        # chosen before the stretch breaks
         lines = [None] * len(partners)
-        for j in {j for i in choosers for j in partners[i]}:
-            singles = np.flatnonzero(partner == j)
-            rows, cols = np.nonzero(ks == j)
-            bases[rows, cols] = np.searchsorted(singles, choices[rows])
-            cap = singles.size + rows.size
-            lines[j] = streams[j][head[j]:min(hi[j], head[j] + cap)].tolist()
-            lines[j].extend([np.inf] * (cap - len(lines[j])))
-        more = repeat(())                # the candidates past the second
-        if ks.shape[1] > 2:
-            more = [tuple((k, b) for k, b in zip(kr[2:], br[2:]) if k >= 0)
-                    for kr, br in zip(ks.tolist(), bases.tolist())]
+        for j, taken in zip(cands, singles):
+            cap = int(taken[-1]) + choices.size
+            line = streams[j][head[j]:head[j] + cap]
+            if line.size < cap:              # the stream ends: pad it with inf
+                line = np.append(line, np.full(cap - line.size, np.inf))
+            lines[j] = memoryview(line)
         picks = [0] * len(partners)      # heads each candidate gave to choices so far
         chosen = []
         choose = chosen.append
-        for best, b, x, y, rest in zip(ks[:, 0].tolist(), ks[:, 1].tolist(),
-                                       bases[:, 0].tolist(), bases[:, 1].tolist(), more):
+        pairs = zip(ks[:, 0].tolist(), ks[:, 1].tolist(),
+                    bases[:, 0].tolist(), bases[:, 1].tolist())
+        if ks.shape[1] == 2:             # every choice is between two candidates
+            for best, b, x, y in pairs:
+                if lines[b][y + picks[b]] < lines[best][x + picks[best]]:
+                    best = b
+                picks[best] += 1
+                choose(best)
+            return np.fromiter(chosen, np.intp, len(chosen))
+        more = [tuple((k, z) for k, z in zip(kr[2:], br[2:]) if k >= 0)
+                for kr, br in zip(ks.tolist(), bases.tolist())]   # past the second
+        for (best, b, x, y), rest in zip(pairs, more):
             best_t = lines[best][x + picks[best]]
             t = lines[b][y + picks[b]]
             if t < best_t:

@@ -116,8 +116,10 @@ class TestGrowerMatchesReference:
         n = len(X)
         kind = data.draw(st.sampled_from(["multiclass", "binary-regression"]))
         if kind == "multiclass":
-            labels = data.draw(st.sampled_from([["SO", "RRH", "PSH", "x"], [0, 1, 2, 7]]))
-            pool = labels[:data.draw(st.integers(1, 4))]
+            # from 8 classes up, numpy sums a row of Gini terms pairwise
+            labels = data.draw(st.sampled_from([["SO", "RRH", "PSH", "x"], [0, 1, 2, 7],
+                                                list(range(11))]))
+            pool = labels[:data.draw(st.integers(1, len(labels)))]
             y = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
         else:
             values = st.sampled_from([0.0, 1.0, 0.5, -2.25]) | st.floats(-3, 3)
@@ -801,6 +803,17 @@ class TestLearn:
         assert calls == []
         assert learned.tau is learned.tau
         assert calls == [1]
+
+    @pytest.mark.parametrize("dim", [None, "race"])
+    def test_assigns_each_kept_record_once(self, monkeypatch, dim):
+        assigned, assign = [], causal.PartitionFunction.assign_dataset
+
+        def counted(partition, dataset):
+            assigned.append(len(dataset))
+            return assign(partition, dataset)
+        monkeypatch.setattr(causal.PartitionFunction, "assign_dataset", counted)
+        learned = causal.learn(self._data(), self.PARAMS, group_dimension=dim)
+        assert assigned == [len(learned.kept)]
 
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):
