@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ope
-from .core import CATEMatrix, Dataset, MCMSInstance, rationalize
+from .core import CATEMatrix, Dataset, MCMSInstance, rationalize, stable_order
 
 LAPLACE_ALPHA = 0.5
 POSITIVITY_THRESHOLD = 0.001
@@ -225,7 +225,7 @@ def _grow(X, y, rule, max_depth):
     read ``y[rows]``: a mean's rounding depends on the order it adds in.
     """
     in_left = np.zeros(len(y), dtype=bool)
-    orders = [np.argsort(X[:, j], kind="mergesort") for j in range(X.shape[1])]
+    orders = [stable_order(X[:, j])[0] for j in range(X.shape[1])]
 
     def grow(rows, orders, depth):
         yn = y[rows]

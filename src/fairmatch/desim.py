@@ -62,7 +62,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import MCMSInstance, MatchingTopology
+from .core import MCMSInstance, MatchingTopology, stable_order
 from .queuing import check_admissible
 
 _WINDOW_EVENTS = 1 << 16      # arrivals merged and walked per window, on average
@@ -99,17 +99,13 @@ def _merged_events(streams_q, streams_r):
     Queue q is node q and resource r is node ``len(streams_q) + r``, so on a
     tie individuals come before resources, lower index first. The streams are
     concatenated in node order, so a stable sort on time alone keeps that
-    order. When no two times are equal there is only one sorted order, and
-    the faster unstable sort finds it; times that tie are sorted again stably.
+    order (``stable_order`` takes the faster unstable sort when no two times
+    are equal).
     """
     streams = list(streams_q) + list(streams_r)
     times = np.concatenate(streams)
     nodes = np.repeat(np.arange(len(streams)), [t.size for t in streams])
-    order = np.argsort(times)
-    merged = times[order]
-    if np.any(merged[1:] == merged[:-1]):
-        order = np.argsort(times, kind="stable")
-        merged = times[order]
+    order, merged = stable_order(times)
     return merged, nodes[order]
 
 
