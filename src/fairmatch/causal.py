@@ -113,9 +113,7 @@ class _Cart:
     def scores(self, ys):
         """Impurity decrease at every split position of the sorted targets
         ``ys``. Each per-row statistic is one 1-D running sum (class counts
-        are exact integers), and the per-class terms are added in the order
-        numpy sums a row of them (see ``_row_sums``), so the scores equal
-        those of a table with one row per split position, bit for bit."""
+        are exact integers)."""
         n = len(ys)
         k = np.arange(1, n)
         parent, left, right = self.impurities(ys, k, n - k)
@@ -131,22 +129,12 @@ class _Gini(_Cart):
                 / (len(y) + LAPLACE_ALPHA * self.n_classes))
 
     def impurities(self, ys, k, rest):
-        cums = [np.cumsum(ys == c) for c in range(self.n_classes)]    # exact counts
-        parent = 1.0 - np.sum((np.array([c[-1] for c in cums]) / len(ys)) ** 2)
-        return (parent, 1.0 - _row_sums([(c[:-1] / k) ** 2 for c in cums]),
-                1.0 - _row_sums([((c[-1] - c[:-1]) / rest) ** 2 for c in cums]))
-
-
-def _row_sums(cols):
-    """``np.sum(np.column_stack(cols), axis=-1)`` bit for bit. numpy adds
-    fewer than 8 columns of a row from left to right, which adding whole
-    columns in turn repeats, and 8 or more in pairs."""
-    if len(cols) >= 8:
-        return np.sum(np.column_stack(cols), axis=-1)
-    total = cols[0]
-    for col in cols[1:]:
-        total = total + col
-    return total
+        # exact class counts up to each position
+        cums = np.column_stack([np.cumsum(ys == c) for c in range(self.n_classes)])
+        total = cums[-1]
+        return (1.0 - np.sum((total / len(ys)) ** 2),
+                1.0 - np.sum((cums[:-1] / k[:, None]) ** 2, axis=-1),
+                1.0 - np.sum(((total - cums[:-1]) / rest[:, None]) ** 2, axis=-1))
 
 
 class _Mse(_Cart):

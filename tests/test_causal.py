@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (binomial_3sigma, reference_cell_keys, reference_fit_cart,
-                      reference_fit_causal_tree, tree_leaf, tree_leaves)
+from _oracles import (_impurity_gain_sweep, binomial_3sigma, reference_cell_keys,
+                      reference_fit_cart, reference_fit_causal_tree, tree_leaf, tree_leaves)
 from conftest import make_dataset
 from fairmatch import causal, core, ope, synth
 
@@ -128,6 +128,19 @@ class TestGrowerMatchesReference:
                   "max_depth": data.draw(_DEPTHS)}
         assert _dumps(causal.fit_cart(X, y, kind, params)) == \
             _dumps(reference_fit_cart(X, y, kind, params))
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gini_scores(self, data):
+        # the trees above seldom turn on the last bit of a score, and from 8
+        # classes up numpy sums a row of Gini terms pairwise
+        n_classes = data.draw(st.integers(1, 13))
+        ys = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                         min_size=2, max_size=300)))
+        cum = np.cumsum((ys[:, None] == np.arange(n_classes)).astype(float), axis=0)
+        scores, _ = causal._Gini(1, n_classes).scores(ys)
+        assert np.array_equal(scores, _impurity_gain_sweep(None, cum, cum[-1], len(ys),
+                                                           "multiclass"))
 
     @given(X=_design(n_min=4), data=st.data())
     @settings(max_examples=300, deadline=None)
