@@ -7,9 +7,9 @@ inputs and seeds, outputs are byte-identical. A verb takes only the flags
 Only ``fit`` learns. Beside ``models.json`` it writes its record,
 ``record.json`` and ``record.npz``: the sha256 of the dataset file, the
 partition, the queueing instance, and per kept record its queue, score and
-estimator inputs. ``optimize``, ``oracle`` and ``evaluate`` read the record,
-so they solve and value the instance ``fit`` learned, whatever the config
-says of the settings only ``fit`` reads. They refuse a dataset file whose
+estimator inputs. ``optimize`` and ``evaluate`` read the record, so they
+solve and value the instance ``fit`` learned, whatever the config says of the
+settings only ``fit`` reads. They refuse a dataset file whose
 sha256 differs from the record's. Without ``fairness.dimension`` they do not
 parse the dataset; with it they parse it once for its labels. Fairness and
 non-affirmative runs split ``fit``'s queues by those labels, through the
@@ -31,7 +31,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -127,12 +126,21 @@ def _pipeline_params(cfg) -> dict:
     return {key: cfg[key] for key in causal.PIPELINE_DEFAULTS}
 
 
+def _integer(cfg, key, least=0) -> int:
+    """The configured integer at the dotted ``key``, checked to be at least
+    ``least``, 0 or 1."""
+    value = cfg
+    for part in key.split("."):
+        value = value[part]
+    if type(value) is not int or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ConfigError(f"{key} must be a {kind} integer, not {value!r}")
+    return value
+
+
 def _seed(cfg) -> int:
     """The configured seed, which ``synth``, ``fit`` and ``simulate`` read."""
-    seed = cfg["seed"]
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, not {seed!r}")
-    return seed
+    return _integer(cfg, "seed")
 
 
 def _load_dataset(cfg) -> core.Dataset:
@@ -149,7 +157,7 @@ def _load_dataset(cfg) -> core.Dataset:
 # Commands
 
 def cmd_synth(cfg) -> int:
-    params = synth.SynthParams(n=int(cfg["synth"]["n"]), seed=_seed(cfg),
+    params = synth.SynthParams(n=_integer(cfg, "synth.n", 1), seed=_seed(cfg),
                                group_probs=cfg["synth"]["group_probs"])
     alpha = cfg["synth"]["alpha"]
     if alpha is not None:
@@ -213,6 +221,20 @@ def _codes(a):
     return values, _compact(codes.reshape(a.shape))
 
 
+def _instance_fields(instance) -> dict:
+    """The instance as the record and ``topology.json`` hold it, its rates as
+    exact fractions."""
+    return {"queues": list(instance.queues), "resources": list(instance.resources),
+            "lam": list(map(str, instance.lam)), "mu": list(map(str, instance.mu)),
+            "rho": instance.rho}
+
+
+def _instance_of(fields) -> core.MCMSInstance:
+    """The instance that ``_instance_fields`` wrote."""
+    return core.MCMSInstance.build(*(fields[k] for k in ("queues", "resources", "lam",
+                                                         "mu", "rho")))
+
+
 def _write_record(out, cfg, learned):
     """fit's record: the JSON part names the dataset file and the arrays by
     their sha256 and holds the partition and instance; the arrays hold the
@@ -238,10 +260,7 @@ def _write_record(out, cfg, learned):
         "partition": {"feature_mode": learned.partition.feature_mode,
                       "queue_table": [[list(k), q] for k, q
                                       in learned.partition.queue_table.items()]},
-        "instance": {"queues": list(instance.queues),
-                     "resources": list(instance.resources),
-                     "lam": [str(x) for x in instance.lam],
-                     "mu": [str(x) for x in instance.mu], "rho": instance.rho},
+        "instance": _instance_fields(instance),
         "rho": cfg["rho"],
     })
 
@@ -303,10 +322,7 @@ def _fitted(cfg, names=None, labels=False) -> _Fitted:
     if ``labels``, whenever ``fairness.dimension`` is set."""
     split = _split_dimension(cfg)
     record, arrays = _read_record(cfg)
-    inst = record["instance"]
-    instance = core.MCMSInstance(tuple(inst["queues"]), tuple(inst["resources"]),
-                                 tuple(Fraction(x) for x in inst["lam"]),
-                                 tuple(Fraction(x) for x in inst["mu"]), inst["rho"])
+    instance = _instance_of(record["instance"])
     inputs = ope.ScoreInputs(arrays["arm"][:, None] == np.arange(instance.n_resources),
                              arrays["outcome"], *(arrays[k][arrays[f"{k}_codes"]]
                                                   for k in ("yhat", "pbar")),
@@ -346,17 +362,13 @@ def _fairness_spec(cfg, groups) -> optimizer.FairnessSpec:
 
 def _topology_payload(instance, result, tau):
     return {
-        "queues": list(instance.queues),
-        "resources": list(instance.resources),
+        **_instance_fields(instance),
         "edges": [[instance.queues[q], instance.resources[r]]
                   for q, r in zip(*np.nonzero(result.topology.m))],
         "flows": [[float(x) for x in row] for row in result.flows.f],
         "objective": result.objective,
         "policy_value": result.policy_value,
         "baseline_mean": tau.baseline_mean,
-        "lam": [str(x) for x in instance.lam],
-        "mu": [str(x) for x in instance.mu],
-        "rho": instance.rho,
         "solver_stats": result.solver_stats,
     }
 
@@ -383,7 +395,17 @@ def _write_eligibility(path, fitted, result):
                 fh.write("  (no eligible queues)\n")
 
 
-def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
+def _solver_settings(cfg):
+    """The configured time and node limits, checked; null sets no limit."""
+    limit, nodes = cfg["solver"]["time_limit_s"], cfg["solver"]["node_limit"]
+    if limit is not None and (type(limit) not in (int, float) or not limit >= 0):
+        raise ConfigError("solver.time_limit_s must be null or a number >= 0, "
+                          f"not {limit!r}")
+    return limit, nodes if nodes is None else _integer(cfg, "solver.node_limit")
+
+
+def cmd_optimize(cfg, cross_check=False) -> int:
+    time_limit, node_limit = _solver_settings(cfg)
     fitted = _fitted(cfg, ["DR"])
     instance = fitted.instance
     tau = causal.effects(fitted.table, instance.n_queues)
@@ -393,22 +415,13 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
         cells = [[q for q in c if q in instance.queues]
                  for c in fitted.score_cells.values()]
         cells = [c for c in cells if len(c) > 1]
-    n_cells = instance.n_queues * instance.n_resources
-    if use_oracle_route:
-        if n_cells > optimizer.MAX_ORACLE_CELLS:
-            raise ConfigError(f"the oracle enumerates at most {optimizer.MAX_ORACLE_CELLS} "
-                              f"queue-resource cells, and this instance has {n_cells}; "
-                              "use `optimize`")
-        result = optimizer.enumerate_oracle(instance, tau, fairness, cells)
-    else:
-        model = optimizer.add_non_affirmative_links(
-            optimizer.build_mio(instance, tau, fairness), cells)
-        result = optimizer.solve(model, time_limit_s=cfg["solver"]["time_limit_s"],
-                                 node_limit=cfg["solver"]["node_limit"])
+    model = optimizer.add_non_affirmative_links(
+        optimizer.build_mio(instance, tau, fairness), cells)
+    result = optimizer.solve(model, time_limit_s=time_limit, node_limit=node_limit)
     out = _out_dir(cfg)
     payload = _topology_payload(instance, result, tau)
-    if cross_check and not use_oracle_route:
-        if n_cells <= optimizer.MAX_ORACLE_CELLS:
+    if cross_check:
+        if instance.n_queues * instance.n_resources <= optimizer.MAX_ORACLE_CELLS:
             oracle = optimizer.enumerate_oracle(instance, tau, fairness, cells)
             payload["oracle_objective"] = oracle.objective
             payload["oracle_match"] = bool(abs(oracle.objective - result.objective) <= 1e-6)
@@ -420,7 +433,7 @@ def cmd_optimize(cfg, use_oracle_route=False, cross_check=False) -> int:
     _write_eligibility(out / "eligibility.txt", fitted, result)
     print(f"objective {result.objective:.6f}, policy value "
           f"{result.policy_value:.6f}, edges {len(payload['edges'])}")
-    if cross_check and not use_oracle_route and not payload["oracle_match"]:
+    if cross_check and not payload["oracle_match"]:
         print("oracle cross-check FAILED", file=sys.stderr)
         return 1
     return 0
@@ -433,15 +446,10 @@ def _load_topology(cfg):
             payload = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("topology.json not found; run `optimize` first")
-    queues = payload["queues"]
-    resources = payload["resources"]
-    instance = core.MCMSInstance(tuple(queues), tuple(resources),
-                                 tuple(Fraction(x) for x in payload["lam"]),
-                                 tuple(Fraction(x) for x in payload["mu"]),
-                                 float(payload["rho"]))
-    m = np.zeros((len(queues), len(resources)), dtype=int)
+    instance = _instance_of(payload)
+    m = np.zeros((instance.n_queues, instance.n_resources), dtype=int)
     for q, r in payload["edges"]:
-        m[queues.index(q), resources.index(r)] = 1
+        m[instance.queues.index(q), instance.resources.index(r)] = 1
     return instance, core.MatchingTopology(m), np.array(payload["flows"]), payload
 
 
@@ -544,16 +552,15 @@ def cmd_evaluate(cfg) -> int:
 
 def cmd_experiment(cfg, which: str) -> int:
     exp = cfg["experiment"]
-    seeds = range(int(exp["n_seeds"]))
-    pipeline = _pipeline_params(cfg)
+    seeds = range(_integer(cfg, "experiment.n_seeds", 1))
+    n, pipeline = _integer(cfg, "experiment.n", 1), _pipeline_params(cfg)
     out = _out_dir(cfg)
     if which == "alpha":
         path = out / "alpha_sweep.csv"
-        synth.run_alpha_sweep(exp["alphas"], int(exp["n"]), seeds, pipeline, path)
+        synth.run_alpha_sweep(exp["alphas"], n, seeds, pipeline, path)
     else:
         path = out / "queue_sweep.csv"
-        synth.run_queue_sweep(exp["min_node_sizes"], int(exp["n"]), seeds,
-                              pipeline, path)
+        synth.run_queue_sweep(exp["min_node_sizes"], n, seeds, pipeline, path)
     print(f"wrote {path}")
     return 0
 
@@ -576,7 +583,6 @@ VERB_FLAGS = {
     "synth": ("--seed", "--alpha"),
     "fit": ("--seed", "--rho"),
     "optimize": ("--fairness", "--non-affirmative", "--oracle"),
-    "oracle": ("--fairness", "--non-affirmative"),
     "simulate": ("--seed", "--horizon"),
     "evaluate": ("--fairness", "--non-affirmative"),
     "experiment": ("--rho",),
@@ -642,8 +648,6 @@ def main(argv=None) -> int:
             return cmd_fit(cfg)
         if args.verb == "optimize":
             return cmd_optimize(cfg, cross_check=args.oracle)
-        if args.verb == "oracle":
-            return cmd_optimize(cfg, use_oracle_route=True)
         if args.verb == "simulate":
             return cmd_simulate(cfg)
         if args.verb == "evaluate":

@@ -39,14 +39,11 @@ every such arrival has exactly two candidates skips the general case's scan).
 Every head taken must then have arrived before its taker. The stretch
 ends at the first taker whose head had not (that line had emptied), or at the
 first arrival with no neighbour in B (it would start a line). The matches
-before that point are tallied at once. The rest of the window is walked in
-turns: ``_WALK_EVENTS`` arrivals one at a time, then bulk walks again from the
-set B reached there, and so on, each one-at-a-time walk twice as long as the
-one before, so that a window where B keeps changing hands over a few times
-at most.
+before that point are tallied at once, and the rest of the window is walked
+one arrival at a time.
 
-The one-at-a-time walk keeps which nodes have someone waiting in one
-integer, an occupancy mask whose bit j is set while someone waits at node j. An arrival ands it with
+That walk keeps which nodes have someone waiting in one integer, an occupancy
+mask whose bit j is set while someone waits at node j. An arrival ands it with
 its own neighbour mask: with no bit left it waits at its own node without
 looking at any neighbour, with one bit left that neighbour holds its partner,
 and only with two or more does it scan its neighbours for the earliest-arrived
@@ -66,8 +63,6 @@ from .core import MCMSInstance, MatchingTopology, stable_order
 from .queuing import check_admissible
 
 _WINDOW_EVENTS = 1 << 16      # arrivals merged and walked per window, on average
-_WALK_EVENTS = 1 << 12        # arrivals first walked one at a time after a break
-_BULK_EVENTS = 1 << 12        # arrivals a bulk walk after the first looks at, at most
 
 
 @dataclass(frozen=True)
@@ -162,14 +157,15 @@ class _FCFS:
         times, nodes = _merged_events(window[:self.n_q], window[self.n_q:])
         start = self._stretch(times, nodes, lo, hi)
         if start < len(times):
-            self._walk(times, nodes, start, lo, hi)
+            arrived = np.add(lo, np.bincount(nodes[:start], minlength=len(self.streams)))
+            self._loop(times[start:], nodes[start:], arrived.tolist())
 
-    def _stretch(self, times, nodes, arrived, hi):
-        """Match the events from the first for as long as the set of nodes
-        with someone waiting stays the one before it, and return the number
-        matched. ``arrived[j]`` counts node j's arrivals before the first."""
+    def _stretch(self, times, nodes, lo, hi):
+        """Match the window's events from its start for as long as the set
+        of nodes with someone waiting stays the one at the start, and return
+        the index of the first event left unmatched."""
         streams, head = self.streams, self.head
-        busy = [h < a for h, a in zip(head, arrived)]
+        busy = [h < a for h, a in zip(head, lo)]
         if not any(busy):
             return 0
         partners = [[] if b else [j for j in nb if busy[j]]
@@ -284,26 +280,6 @@ class _FCFS:
         if self.log is not None:
             self.log.extend(zip(t.tolist(), repeat("match"), q.tolist(), r.tolist(),
                                 wait.tolist()))
-
-    def _walk(self, times, nodes, start, lo, hi):
-        """Match the window's events from index start, in turns: some one at
-        a time (``_WALK_EVENTS``, doubling at each turn), then as many as bulk
-        walks take."""
-        n = len(self.streams)
-        arrived = np.array(lo) + np.bincount(nodes[:start], minlength=n)
-        walk = _WALK_EVENTS
-        while start < len(times):
-            end = min(len(times), start + walk)
-            self._loop(times[start:end], nodes[start:end], arrived.tolist())
-            arrived += np.bincount(nodes[start:end], minlength=n)
-            start = end
-            # bulk walks over chunks, for as long as each takes its whole chunk
-            while start == end < len(times):
-                end = min(len(times), start + _BULK_EVENTS)
-                taken = self._stretch(times[start:end], nodes[start:end], arrived.tolist(), hi)
-                arrived += np.bincount(nodes[start:start + taken], minlength=n)
-                start += taken
-            walk *= 2
 
     def _loop(self, times, nodes, arrived):
         """Match the events one at a time, with the lines held as deques of

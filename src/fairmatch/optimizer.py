@@ -566,14 +566,13 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
         if not _fairness_ok(flows.f, fairness, groups, tau, lam):
             continue
         objective = float(np.sum(tau.tau * flows.f))
-        key = (objective, tuple(-b for b in bits))
-        if best is None or (objective > best[0][0] + 1e-12) or \
-                (abs(objective - best[0][0]) <= 1e-12 and bits < best[1]):
-            best = ((objective, key), bits, topology, flows)
+        if best is None or (objective > best[0] + 1e-12) or \
+                (abs(objective - best[0]) <= 1e-12 and bits < best[1]):
+            best = (objective, bits, topology, flows)
     if best is None:
         raise InfeasibleModelError("no admissible single-component topology "
                                    "satisfies the constraints")
-    (objective, _), _, topology, flows = best
+    objective, _, topology, flows = best
     return OptimizationResult(topology, flows, objective,
                               policy_value(flows, tau, instance),
                               {"status": 0, "message": "exhaustive", "nodes": 0,

@@ -89,7 +89,7 @@ def generate(params: SynthParams) -> Dataset:
     u = rng.random(params.n)
     cum = np.cumsum(prop, axis=1)
     t_idx = (u[:, None] > cum).sum(axis=1)
-    treatment = np.array(RESOURCES, dtype=object)[t_idx]
+    treatment = np.array(RESOURCES)[t_idx]
     po = {r: (rng.random(params.n) < outcome_mean(r, s, params.outcome_means)).astype(int)
           for r in RESOURCES}
     outcome = np.select([treatment == r for r in RESOURCES], [po[r] for r in RESOURCES])

@@ -43,6 +43,18 @@ def workspace_copy(workspace, tmp_path, **config):
                   "--dataset", str(copy / "dataset.csv")]
 
 
+@pytest.fixture
+def oracles(monkeypatch):
+    """The results of every ``enumerate_oracle`` call the test makes."""
+    results, enumerate_oracle = [], optimizer.enumerate_oracle
+
+    def recorded(*args, **kwargs):
+        results.append(enumerate_oracle(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(optimizer, "enumerate_oracle", recorded)
+    return results
+
+
 def read_estimates(root):
     with open(root / "estimates.csv", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -102,15 +114,13 @@ class TestOptimize:
         assert 0.0 <= stats["flow_deviation"] <= 1e-9 * lam_total
         assert stats["dual_bound"] == pytest.approx(payload["objective"], abs=1e-6)
 
-    def test_oracle_verb_matches_milp_route(self, workspace, tmp_path):
-        root, base = workspace
+    def test_oracle_cross_check_matches_milp_route(self, workspace, tmp_path, oracles):
+        root, base = workspace_copy(workspace, tmp_path)
+        assert cli.main(["optimize", "--oracle"] + base) == 0
         milp = json.loads((root / "topology.json").read_text())
-        assert cli.main(["oracle"] + base) == 0
-        oracle = json.loads((root / "topology.json").read_text())
-        assert oracle["objective"] == pytest.approx(milp["objective"], abs=1e-6)
-        # restore the MILP payload for later tests
-        (root / "topology.json").write_text(json.dumps(milp, indent=1,
-                                                       sort_keys=True) + "\n")
+        [oracle] = oracles
+        assert oracle.objective == pytest.approx(milp["objective"], abs=1e-6)
+        assert milp["oracle_objective"] == oracle.objective
 
 
 class TestSimulateAndEvaluate:
@@ -176,7 +186,7 @@ class TestSimulateAndEvaluate:
 
 
 class TestFitSettings:
-    """optimize, oracle and evaluate solve and value the instance fit learned,
+    """optimize and evaluate solve and value the instance fit learned,
     whatever the config says of the settings only fit reads."""
 
     VERBS_OUT = {"optimize": ["topology.json", "eligibility.txt"],
@@ -228,7 +238,7 @@ class TestFitSettings:
         assert topology["mu"] == [report["mu"][r] for r in topology["resources"]]
         assert topology["rho"] == report["rho"] == 0.8
 
-    @pytest.mark.parametrize("verb", ["optimize", "oracle", "evaluate"])
+    @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
     def test_models_without_settings_ask_for_fit(self, workspace, tmp_path, capsys,
                                                  verb):
         """A record that lacks what fit writes asks for fit again."""
@@ -257,7 +267,7 @@ class TestRecord:
         assert {name: (root / name).read_bytes() for name in first} == first
 
     @pytest.mark.parametrize("verb, flags", [
-        ("optimize", []), ("oracle", []), ("evaluate", []),
+        ("optimize", []), ("optimize", ["--oracle"]), ("evaluate", []),
         ("optimize", GROUPED), ("evaluate", ["--non-affirmative"])])
     def test_another_dataset_asks_for_fit(self, workspace, tmp_path, capsys, verb, flags):
         root, base = workspace_copy(workspace, tmp_path, fairness={"dimension": "race"})
@@ -344,9 +354,9 @@ class TestNonAffirmative:
         assert cli.main(["evaluate", "--non-affirmative"] + base) == 0
         assert {"A", "B"} <= {row["group"] for row in read_estimates(root)}
 
-    def test_oracle_routes_keep_the_links(self, tmp_path):
-        """Both oracle routes search the linked topologies only, so they agree
-        with the linked MIO."""
+    def test_oracle_routes_keep_the_links(self, tmp_path, oracles):
+        """The cross-check's oracle searches the linked topologies only, so it
+        finds the linked MIO's topology."""
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
             "synth": {"n": 6000, "group_probs": {"race": {"A": 0.5, "B": 0.5}}},
@@ -359,10 +369,10 @@ class TestNonAffirmative:
         assert cli.main(["optimize", "--oracle", "--non-affirmative"] + base) == 0
         milp = json.loads((tmp_path / "topology.json").read_text())
         assert len(milp["queues"]) > 1 and milp["oracle_match"] is True
-        assert cli.main(["oracle", "--non-affirmative"] + base) == 0
-        oracle = json.loads((tmp_path / "topology.json").read_text())
-        assert oracle["edges"] == milp["edges"]
-        assert oracle["policy_value"] == milp["policy_value"]
+        [oracle] = oracles
+        assert [[milp["queues"][q], milp["resources"][r]]
+                for q, r in zip(*np.nonzero(oracle.topology.m))] == milp["edges"]
+        assert oracle.policy_value == milp["policy_value"]
 
     @pytest.mark.parametrize("verb", ["optimize", "evaluate"])
     def test_missing_dimension_names_the_key(self, workspace, capsys, verb):
@@ -522,6 +532,47 @@ class TestExitCodes:
             f"configuration error: synth.alpha must lie in (0, 0.7), not {shown}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config, shown", [
+        (["synth"], {"synth": {"n": 2.7}}, "synth.n must be a positive integer, not 2.7"),
+        (["synth"], {"synth": {"n": 0}}, "synth.n must be a positive integer, not 0"),
+        (["synth"], {"synth": {"n": "ten"}}, "synth.n must be a positive integer, not 'ten'"),
+        (["experiment", "alpha"], {"experiment": {"n": True}},
+         "experiment.n must be a positive integer, not True"),
+        (["experiment", "queues"], {"experiment": {"n_seeds": "x"}},
+         "experiment.n_seeds must be a positive integer, not 'x'"),
+        (["experiment", "alpha"], {"experiment": {"n_seeds": 0}},
+         "experiment.n_seeds must be a positive integer, not 0"),
+        (["optimize"], {"solver": {"time_limit_s": "abc"}},
+         "solver.time_limit_s must be null or a number >= 0, not 'abc'"),
+        (["optimize"], {"solver": {"time_limit_s": float("nan")}},
+         "solver.time_limit_s must be null or a number >= 0, not nan"),
+        (["optimize"], {"solver": {"time_limit_s": True}},
+         "solver.time_limit_s must be null or a number >= 0, not True"),
+        (["optimize"], {"solver": {"time_limit_s": -1}},
+         "solver.time_limit_s must be null or a number >= 0, not -1"),
+        (["optimize"], {"solver": {"node_limit": "x"}},
+         "solver.node_limit must be a non-negative integer, not 'x'"),
+        (["optimize"], {"solver": {"node_limit": 2.5}},
+         "solver.node_limit must be a non-negative integer, not 2.5"),
+        (["optimize"], {"solver": {"node_limit": True}},
+         "solver.node_limit must be a non-negative integer, not True"),
+        (["optimize"], {"solver": {"node_limit": -1}},
+         "solver.node_limit must be a non-negative integer, not -1"),
+    ], ids=["synth-float", "synth-zero", "synth-string", "experiment-bool",
+            "seeds-string", "seeds-zero", "time-string", "time-nan", "time-bool",
+            "time-negative", "nodes-string", "nodes-float", "nodes-bool",
+            "nodes-negative"])
+    def test_bad_count_or_limit(self, tmp_path, capsys, argv, config, shown):
+        """Checked before anything is read or written: ``optimize`` names the
+        solver key, not the missing record."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {shown}\n"
+        assert not out.exists()
+
     def test_malformed_dataset_is_data_error(self, tmp_path):
         path = tmp_path / "dataset.csv"
         path.write_text("id,score\n0,0.5\n")
@@ -538,7 +589,6 @@ class TestExitCodes:
         ("synth", "--rho"), ("synth", "--fairness"), ("synth", "--non-affirmative"),
         ("fit", "--fairness"), ("fit", "--non-affirmative"),
         ("optimize", "--seed"), ("optimize", "--rho"),
-        ("oracle", "--seed"), ("oracle", "--rho"),
         ("simulate", "--rho"), ("simulate", "--fairness"),
         ("simulate", "--non-affirmative"),
         ("evaluate", "--seed"), ("evaluate", "--rho"),
@@ -561,6 +611,16 @@ class TestExitCodes:
         for taken in ("--config", "--out", "--dataset") + cli.VERB_FLAGS[verb]:
             assert f"[{taken}" in usage
         assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_is_not_a_verb(self, tmp_path, capsys):
+        """``optimize --oracle`` is the one oracle route."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert len(cli.VERB_FLAGS) == 6
+        assert sum(3 + len(flags) for flags in cli.VERB_FLAGS.values()) == 30
 
     @pytest.mark.parametrize("argv", [["--rho", "0.8", "simulate"],
                                       ["--rho=0.8", "fit"],
@@ -593,9 +653,10 @@ class TestExitCodes:
         assert cli.main(["optimize"] + base) == 0
         assert json.loads((root / "topology.json").read_text())["rho"] == 0.99
 
-    def test_oracle_above_cell_limit_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        """On a 15-queue, 3-resource instance the oracle verb exits 2 before
-        enumerating anything."""
+    def test_oracle_cross_check_above_cell_limit_is_skipped(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """On a 15-queue, 3-resource instance ``optimize --oracle`` solves the
+        MIO and skips the cross-check without enumerating anything."""
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({
             "synth": {"n": 6000},
@@ -612,10 +673,11 @@ class TestExitCodes:
             raise AssertionError("the oracle enumerated")
         monkeypatch.setattr(optimizer, "enumerate_oracle", enumerate_nothing)
         capsys.readouterr()
-        assert cli.main(["oracle"] + base) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and "has 45" in err
-        assert not (tmp_path / "topology.json").exists()
+        assert cli.main(["optimize", "--oracle"] + base) == 0
+        assert capsys.readouterr().err == \
+            "instance too large for the oracle cross-check; skipped\n"
+        payload = json.loads((tmp_path / "topology.json").read_text())
+        assert "oracle_match" not in payload and "oracle_objective" not in payload
 
     def test_bad_fairness_flag(self, tmp_path):
         assert cli.main(["optimize", "--fairness", "maximin_outcome",
