@@ -13,7 +13,8 @@ settings only ``fit`` reads. They refuse a dataset file whose
 sha256 differs from the record's. Without ``fairness.dimension`` they do not
 parse the dataset; with it they parse it once for its labels. Fairness and
 non-affirmative runs split ``fit``'s queues by those labels, through the
-saved causal trees.
+saved causal trees. A verb checks each scalar setting it reads, by that
+setting's rule in ``SETTINGS``, before it reads or writes any file.
 
 Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
 the MIO, 2 configuration error, 3 data error, 4 optimization infeasible, 5
@@ -68,6 +69,55 @@ class ConfigError(ValueError):
     pass
 
 
+def _rule(types, test=lambda x: True):
+    """Passes None if ``types`` holds None, else a value whose type is one of
+    ``types`` (no bool is a number) that passes ``test``, which NaN fails."""
+    return lambda x: (x is None and None in types) or (type(x) in types and test(x))
+
+
+_POSITIVE = ("be a positive integer", _rule((int,), lambda x: x >= 1))
+_DEPTH = ("be null or a non-negative integer", _rule((int, None), lambda x: x >= 0))
+_FLAG = ("be true or false", _rule((bool,)))
+# Each scalar setting's rule, and the phrase that names it in the error
+SETTINGS = {
+    "seed": ("be a non-negative integer", _rule((int,), lambda x: x >= 0)),
+    "synth.n": _POSITIVE,
+    "synth.alpha": ("lie in (0, 0.7)", _rule((int, float, None), lambda x: 0 < x < 0.7)),
+    "rho": ("lie in (0, 1]", _rule((int, float), lambda x: 0 < x <= 1)),
+    "positivity_threshold": ("lie in [0, 1)", _rule((int, float), lambda x: 0 <= x < 1)),
+    "features": ('be "score" or "all"', lambda x: x in ("score", "all")),
+    "tree_params.min_node_size": _POSITIVE,
+    "tree_params.max_depth": _DEPTH,
+    "tree_params.honest": _FLAG,
+    "nuisance_params.min_node_size": _POSITIVE,
+    "nuisance_params.max_depth": _DEPTH,
+    "fairness.kind": ("be one of " + ", ".join(optimizer.FAIRNESS_KINDS),
+                      lambda x: x in optimizer.FAIRNESS_KINDS),
+    "fairness.bound": ("be a finite number",
+                       _rule((int, float), lambda x: -np.inf < x < np.inf)),
+    "non_affirmative": _FLAG,
+    "solver.time_limit_s": ("be null or a number >= 0",
+                            _rule((int, float, None), lambda x: x >= 0)),
+    "solver.node_limit": ("be a non-negative integer", _rule((int, None), lambda x: x >= 0)),
+    "simulate.horizon_days": ("be finite and > 0",
+                              _rule((int, float), lambda x: 0 < x < np.inf)),
+    "simulate.warmup_fraction": ("lie in [0, 1)", _rule((int, float), lambda x: 0 <= x < 1)),
+    "experiment.n": _POSITIVE,
+    "experiment.n_seeds": _POSITIVE,
+}
+
+
+def _setting(cfg, key):
+    """The configured value at the dotted ``key``, checked by its rule."""
+    value = cfg
+    for part in key.split("."):
+        value = value[part]
+    phrase, ok = SETTINGS[key]
+    if not ok(value):
+        raise ConfigError(f"{key} must {phrase}, not {value!r}")
+    return value
+
+
 def load_config(path=None, overrides=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
@@ -101,8 +151,6 @@ def load_config(path=None, overrides=None) -> dict:
         for p in parts[:-1]:
             node = node[p]
         node[parts[-1]] = value
-    if cfg["fairness"]["kind"] not in optimizer.FAIRNESS_KINDS:
-        raise ConfigError(f"unknown fairness kind: {cfg['fairness']['kind']}")
     return cfg
 
 
@@ -119,28 +167,11 @@ def _write_json(path, payload):
 
 
 def _pipeline_params(cfg) -> dict:
-    """The learning settings, which only ``fit`` and ``experiment`` read."""
-    rho = cfg["rho"]
-    if type(rho) not in (int, float) or not 0 < rho <= 1:
-        raise ConfigError(f"rho must lie in (0, 1], not {rho!r}")
+    """The learning settings, checked; only ``fit`` and ``experiment`` read them."""
+    for key in SETTINGS:
+        if key.split(".")[0] in causal.PIPELINE_DEFAULTS:
+            _setting(cfg, key)
     return {key: cfg[key] for key in causal.PIPELINE_DEFAULTS}
-
-
-def _integer(cfg, key, least=0) -> int:
-    """The configured integer at the dotted ``key``, checked to be at least
-    ``least``, 0 or 1."""
-    value = cfg
-    for part in key.split("."):
-        value = value[part]
-    if type(value) is not int or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ConfigError(f"{key} must be a {kind} integer, not {value!r}")
-    return value
-
-
-def _seed(cfg) -> int:
-    """The configured seed, which ``synth``, ``fit`` and ``simulate`` read."""
-    return _integer(cfg, "seed")
 
 
 def _load_dataset(cfg) -> core.Dataset:
@@ -157,13 +188,10 @@ def _load_dataset(cfg) -> core.Dataset:
 # Commands
 
 def cmd_synth(cfg) -> int:
-    params = synth.SynthParams(n=_integer(cfg, "synth.n", 1), seed=_seed(cfg),
-                               group_probs=cfg["synth"]["group_probs"])
-    alpha = cfg["synth"]["alpha"]
+    n, seed, alpha = (_setting(cfg, key) for key in ("synth.n", "seed", "synth.alpha"))
+    params = synth.SynthParams(n=n, seed=seed, group_probs=cfg["synth"]["group_probs"])
     if alpha is not None:
-        if type(alpha) not in (int, float) or not 0 < alpha < 0.7:
-            raise ConfigError(f"synth.alpha must lie in (0, 0.7), not {alpha!r}")
-        params = synth.alpha_variant(params, float(alpha))
+        params = synth.alpha_variant(params, alpha)
     dataset = synth.generate(params)
     out = _out_dir(cfg)
     dataset.to_csv(out / "dataset.csv")
@@ -178,7 +206,7 @@ def cmd_synth(cfg) -> int:
 
 
 def cmd_fit(cfg) -> int:
-    params, seed = _pipeline_params(cfg), _seed(cfg)
+    params, seed = _pipeline_params(cfg), _setting(cfg, "seed")
     dataset = _load_dataset(cfg)
     learned = causal.learn(dataset, params, seed)
     instance = learned.instance
@@ -292,7 +320,8 @@ def _read_record(cfg):
 def _split_dimension(cfg):
     """The dimension that splits the queues by group in fairness and
     non-affirmative runs; None in other runs."""
-    if cfg["fairness"]["kind"] == "none" and not cfg["non_affirmative"]:
+    kind, linked = _setting(cfg, "fairness.kind"), _setting(cfg, "non_affirmative")
+    if kind == "none" and not linked:
         return None
     dim = cfg["fairness"]["dimension"]
     if not dim:
@@ -349,17 +378,6 @@ def _fitted(cfg, names=None, labels=False) -> _Fitted:
                    partition.score_cells)
 
 
-def _fairness_spec(cfg, groups) -> optimizer.FairnessSpec:
-    fair = cfg["fairness"]
-    if fair["kind"] == "none":
-        return optimizer.FairnessSpec.none()
-    if not groups:
-        raise ValueError(f"fairness needs two or more {fair['dimension']} labels "
-                         "among the kept records")
-    return optimizer.FairnessSpec(fair["kind"], float(fair["bound"]), fair["dimension"],
-                                  groups)
-
-
 def _topology_payload(instance, result, tau):
     return {
         **_instance_fields(instance),
@@ -395,23 +413,20 @@ def _write_eligibility(path, fitted, result):
                 fh.write("  (no eligible queues)\n")
 
 
-def _solver_settings(cfg):
-    """The configured time and node limits, checked; null sets no limit."""
-    limit, nodes = cfg["solver"]["time_limit_s"], cfg["solver"]["node_limit"]
-    if limit is not None and (type(limit) not in (int, float) or not limit >= 0):
-        raise ConfigError("solver.time_limit_s must be null or a number >= 0, "
-                          f"not {limit!r}")
-    return limit, nodes if nodes is None else _integer(cfg, "solver.node_limit")
-
-
 def cmd_optimize(cfg, cross_check=False) -> int:
-    time_limit, node_limit = _solver_settings(cfg)
+    kind, linked, time_limit, node_limit = (_setting(cfg, key) for key in (
+        "fairness.kind", "non_affirmative", "solver.time_limit_s", "solver.node_limit"))
+    bound = None if kind == "none" else _setting(cfg, "fairness.bound")
     fitted = _fitted(cfg, ["DR"])
     instance = fitted.instance
     tau = causal.effects(fitted.table, instance.n_queues)
-    fairness = _fairness_spec(cfg, fitted.groups)
+    fairness, dim = optimizer.FairnessSpec.none(), cfg["fairness"]["dimension"]
+    if bound is not None:
+        if not fitted.groups:
+            raise ValueError(f"fairness needs two or more {dim} labels among the kept records")
+        fairness = optimizer.FairnessSpec(kind, bound, dim, fitted.groups)
     cells = []
-    if cfg["non_affirmative"]:
+    if linked:
         cells = [[q for q in c if q in instance.queues]
                  for c in fitted.score_cells.values()]
         cells = [c for c in cells if len(c) > 1]
@@ -453,24 +468,9 @@ def _load_topology(cfg):
     return instance, core.MatchingTopology(m), np.array(payload["flows"]), payload
 
 
-def _simulate_settings(cfg):
-    """The configured horizon and warm-up fraction, checked."""
-    sim, values = cfg["simulate"], []
-    for key, rule, ok in (("horizon_days", "be finite and > 0", lambda x: 0 < x < np.inf),
-                          ("warmup_fraction", "lie in [0, 1)", lambda x: 0 <= x < 1)):
-        try:
-            value = float(sim[key])
-        except (TypeError, ValueError):
-            value = float("nan")
-        if not ok(value):
-            raise ConfigError(f"simulate.{key} must {rule}, not {sim[key]!r}")
-        values.append(value)
-    return values
-
-
 def cmd_simulate(cfg) -> int:
-    horizon, warmup = _simulate_settings(cfg)
-    seed = _seed(cfg)
+    horizon, warmup, seed = (_setting(cfg, key) for key in (
+        "simulate.horizon_days", "simulate.warmup_fraction", "seed"))
     instance, topology, _, payload = _load_topology(cfg)
     stats = desim.simulate(instance, topology, horizon, warmup, seed)
     expected = queuing.steady_state_flows(instance, topology).f
@@ -552,8 +552,8 @@ def cmd_evaluate(cfg) -> int:
 
 def cmd_experiment(cfg, which: str) -> int:
     exp = cfg["experiment"]
-    seeds = range(_integer(cfg, "experiment.n_seeds", 1))
-    n, pipeline = _integer(cfg, "experiment.n", 1), _pipeline_params(cfg)
+    seeds = range(_setting(cfg, "experiment.n_seeds"))
+    n, pipeline = _setting(cfg, "experiment.n"), _pipeline_params(cfg)
     out = _out_dir(cfg)
     if which == "alpha":
         path = out / "alpha_sweep.csv"
@@ -621,8 +621,7 @@ def _overrides(args) -> dict:
         parts = fairness.split(":")
         if len(parts) != 3:
             raise ConfigError("--fairness expects KIND:DIMENSION:BOUND")
-        over["fairness.kind"] = parts[0]
-        over["fairness.dimension"] = parts[1]
+        over["fairness.kind"], over["fairness.dimension"] = parts[:2]
         try:
             over["fairness.bound"] = float(parts[2])
         except ValueError:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 import tempfile
 from collections import Counter
@@ -572,6 +573,130 @@ class TestExitCodes:
         assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"configuration error: {shown}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, shown", [
+        # each of these once exited 0, 1, 3 or 4, or ran another setting
+        (["fit"], {"positivity_threshold": "0.1"},
+         "positivity_threshold must lie in [0, 1), not '0.1'"),
+        (["fit"], {"positivity_threshold": True},
+         "positivity_threshold must lie in [0, 1), not True"),
+        (["fit"], {"tree_params": {"min_node_size": "400"}},
+         "tree_params.min_node_size must be a positive integer, not '400'"),
+        (["fit"], {"tree_params": {"min_node_size": True}},
+         "tree_params.min_node_size must be a positive integer, not True"),
+        (["fit"], {"nuisance_params": {"max_depth": 2.5}},
+         "nuisance_params.max_depth must be null or a non-negative integer, not 2.5"),
+        (["fit"], {"tree_params": {"honest": "no"}},
+         "tree_params.honest must be true or false, not 'no'"),
+        (["fit"], {"features": "al"}, 'features must be "score" or "all", not \'al\''),
+        (["simulate"], {"simulate": {"horizon_days": True}},
+         "simulate.horizon_days must be finite and > 0, not True"),
+        (["simulate"], {"simulate": {"horizon_days": "500"}},
+         "simulate.horizon_days must be finite and > 0, not '500'"),
+        (["simulate"], {"simulate": {"warmup_fraction": False}},
+         "simulate.warmup_fraction must lie in [0, 1), not False"),
+        (["optimize"], {"fairness": {"kind": "maximin_outcome", "dimension": "race",
+                                     "bound": True}},
+         "fairness.bound must be a finite number, not True"),
+        (["optimize", "--fairness", "maximin_outcome:race:nan"], {},
+         "fairness.bound must be a finite number, not nan"),
+        (["optimize", "--fairness", "maximin_outcome:race:inf"], {},
+         "fairness.bound must be a finite number, not inf"),
+        (["optimize"], {"fairness": {"kind": "maximin_outcome", "dimension": "race",
+                                     "bound": "0.3"}},
+         "fairness.bound must be a finite number, not '0.3'"),
+        (["optimize"], {"non_affirmative": "no", "fairness": {"dimension": "race"}},
+         "non_affirmative must be true or false, not 'no'"),
+        # a bool, or an int for a flag, and a numeric string for each other key
+        (["experiment", "alpha"], {"positivity_threshold": False},
+         "positivity_threshold must lie in [0, 1), not False"),
+        (["fit"], {"features": True}, 'features must be "score" or "all", not True'),
+        (["experiment", "queues"], {"features": "1"},
+         'features must be "score" or "all", not \'1\''),
+        (["fit"], {"nuisance_params": {"min_node_size": True}},
+         "nuisance_params.min_node_size must be a positive integer, not True"),
+        (["fit"], {"nuisance_params": {"min_node_size": "50"}},
+         "nuisance_params.min_node_size must be a positive integer, not '50'"),
+        (["fit"], {"tree_params": {"max_depth": True}},
+         "tree_params.max_depth must be null or a non-negative integer, not True"),
+        (["fit"], {"tree_params": {"max_depth": "3"}},
+         "tree_params.max_depth must be null or a non-negative integer, not '3'"),
+        (["fit"], {"nuisance_params": {"max_depth": False}},
+         "nuisance_params.max_depth must be null or a non-negative integer, not False"),
+        (["fit"], {"nuisance_params": {"max_depth": "10"}},
+         "nuisance_params.max_depth must be null or a non-negative integer, not '10'"),
+        (["fit"], {"tree_params": {"honest": 1}},
+         "tree_params.honest must be true or false, not 1"),
+        (["fit"], {"tree_params": {"honest": "1"}},
+         "tree_params.honest must be true or false, not '1'"),
+        (["optimize"], {"fairness": {"kind": "parity_outcome", "dimension": "race",
+                                     "bound": "1"}},
+         "fairness.bound must be a finite number, not '1'"),
+        (["evaluate"], {"non_affirmative": 1, "fairness": {"dimension": "race"}},
+         "non_affirmative must be true or false, not 1"),
+        (["evaluate"], {"non_affirmative": "0"},
+         "non_affirmative must be true or false, not '0'"),
+        (["optimize"], {"fairness": {"kind": "maximin"}},
+         "fairness.kind must be one of none, maximin_allocation, parity_allocation, "
+         "maximin_outcome, parity_outcome, not 'maximin'"),
+        (["evaluate", "--fairness", "true:race:0"], {},
+         "fairness.kind must be one of none, maximin_allocation, parity_allocation, "
+         "maximin_outcome, parity_outcome, not 'true'"),
+    ], ids=["threshold-string", "threshold-bool", "size-string", "size-bool",
+            "nuisance-depth-float", "honest-string", "features-typo", "horizon-bool",
+            "horizon-string", "warmup-bool", "bound-bool", "bound-nan", "bound-inf",
+            "bound-string", "linked-string", "experiment-threshold-bool",
+            "features-bool", "experiment-features-string", "nuisance-size-bool",
+            "nuisance-size-string", "depth-bool", "depth-string",
+            "nuisance-depth-bool", "nuisance-depth-string", "honest-int",
+            "honest-numeric-string", "parity-bound-string", "evaluate-linked-int",
+            "evaluate-linked-string", "kind-unknown", "evaluate-kind-unknown"])
+    def test_bad_setting_names_the_key(self, workspace, tmp_path, capsys, argv, config,
+                                       shown):
+        """A verb checks each setting it reads before it reads or writes a
+        file; no bool or numeric string passes as a number."""
+        root, base = workspace_copy(workspace, tmp_path, **config)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        capsys.readouterr()
+        assert cli.main(argv + base) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: {shown}\n")
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    @pytest.mark.parametrize("verb, config", [
+        ("simulate", {"tree_params": {"honest": "no"}}),
+        ("fit", {"fairness": {"bound": "x"}}),
+        ("fit", {"fairness": {"kind": "x"}, "non_affirmative": "no"}),
+        ("optimize", {"features": "al", "positivity_threshold": True}),
+    ])
+    def test_verbs_ignore_the_settings_they_do_not_read(self, workspace, tmp_path,
+                                                        verb, config):
+        _, base = workspace_copy(workspace, tmp_path, **config)
+        assert cli.main([verb] + base) == 0
+
+    def test_readme_lists_each_setting_with_the_verbs_that_check_it(
+            self, workspace, tmp_path, monkeypatch):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = text.split("| setting | allowed values | read by |\n|---|---|---|\n")[1]
+        documented = {}
+        for row in table.split("\n\n")[0].splitlines():
+            keys, _, verbs = row.strip("|").split(" | ")
+            for key in re.findall(r"`(.+?)`", keys):
+                documented[key] = set(re.findall(r"`(.+?)`", verbs))
+        checked, setting = {}, cli._setting
+
+        def recorded(cfg, key):
+            checked.setdefault(key, set()).add(verb)
+            return setting(cfg, key)
+        monkeypatch.setattr(cli, "_setting", recorded)
+        _, base = workspace_copy(
+            workspace, tmp_path,
+            fairness={"kind": "maximin_outcome", "dimension": "race", "bound": 0.0},
+            experiment={"n": 2000, "n_seeds": 1, "alphas": [0.1]})
+        for verb in cli.VERB_FLAGS:
+            argv = [verb] + (["alpha"] if verb == "experiment" else [])
+            assert cli.main(argv + base) == 0
+        assert set(documented) == set(cli.SETTINGS)
+        assert checked == documented
 
     def test_malformed_dataset_is_data_error(self, tmp_path):
         path = tmp_path / "dataset.csv"
