@@ -71,8 +71,18 @@ class ConfigError(ValueError):
 
 def _rule(types, test=lambda x: True):
     """Passes None if ``types`` holds None, else a value whose type is one of
-    ``types`` (no bool is a number) that passes ``test``, which NaN fails."""
-    return lambda x: (x is None and None in types) or (type(x) in types and test(x))
+    ``types`` (no bool is a number) that passes ``test``, which NaN fails. A
+    number (``types`` holds float) must also be one that ``float()`` holds."""
+    return lambda x: (x is None and None in types) or (
+        type(x) in types and (float not in types or _holds_float(x)) and test(x))
+
+
+def _holds_float(x):
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 _POSITIVE = ("be a positive integer", _rule((int,), lambda x: x >= 1))
@@ -98,7 +108,9 @@ SETTINGS = {
     "non_affirmative": _FLAG,
     "solver.time_limit_s": ("be null or a number >= 0",
                             _rule((int, float, None), lambda x: x >= 0)),
-    "solver.node_limit": ("be a non-negative integer", _rule((int, None), lambda x: x >= 0)),
+    # HiGHS counts nodes in a 32-bit int
+    "solver.node_limit": ("be null or an integer in [0, 2147483647]",
+                          _rule((int, None), lambda x: 0 <= x < 2**31)),
     "simulate.horizon_days": ("be finite and > 0",
                               _rule((int, float), lambda x: 0 < x < np.inf)),
     "simulate.warmup_fraction": ("lie in [0, 1)", _rule((int, float), lambda x: 0 <= x < 1)),

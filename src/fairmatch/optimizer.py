@@ -28,17 +28,20 @@ topology, so no linked single-component optimum is lost (the proof is in
 ``add_non_affirmative_links``). A row of ``extra_linear`` that names nu, z or
 theta of a linked queue constrains the shared variable.
 
-scipy, whose ``milp`` runs HiGHS, is imported by the first ``solve``, not
-with this module, so the verbs and functions that solve no MIO never load it.
+HiGHS runs through the pybind11 binding that scipy ships,
+``scipy.optimize._highspy._core``, loaded by the first ``solve`` from its file
+and not with this module: no other part of scipy is imported, and the verbs
+and functions that solve no MIO load nothing of it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import os
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,14 +57,6 @@ FLOW_REL_TOL = 1e-9              # MIO vs QP flows, relative to the total arriva
 
 FAIRNESS_KINDS = ("none", "maximin_allocation", "parity_allocation",
                   "maximin_outcome", "parity_outcome")
-
-
-def __getattr__(name):
-    # scipy.optimize as ``optimizer.sopt``, loaded on first use
-    if name == "sopt":
-        from scipy import optimize
-        return optimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InfeasibleModelError(RuntimeError):
@@ -369,15 +364,14 @@ def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
 
 
 def _aggregation(model: MIOModel):
-    """The sparse map P (n_vars x n_kept) with x = P y from the merged
-    variables y to the model's, and the model columns kept in y.
+    """The map ``x = weight * y[col]`` from the merged variables y to the
+    model's: each model column's merged column ``col`` and its ``weight``,
+    and the model columns kept in y.
 
     Queues joined by ``model.links`` merge by union-find, since cells may
     overlap, each group onto the columns of its lowest-indexed queue; without
-    links P is the identity.
+    links the map is the identity.
     """
-    from scipy import sparse
-
     n_q = model.instance.n_queues
     root = list(range(n_q))
 
@@ -399,9 +393,7 @@ def _aggregation(model: MIOModel):
     weight = np.ones(model.n_vars)
     weight[model.idx_f] = (lam / np.bincount(rep, weights=lam, minlength=n_q)[rep])[:, None]
     kept, col = np.unique(source, return_inverse=True)
-    p = sparse.csr_array((weight, (np.arange(model.n_vars), col)),
-                         shape=(model.n_vars, len(kept)))
-    return p, kept
+    return col, weight, kept
 
 
 def solve(model: MIOModel, time_limit_s: float | None = None,
@@ -409,35 +401,35 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
     """Branch-and-bound solve (HiGHS backend), checked against the QP flows
     and repeated with pooling cuts until the topology pools into one component.
 
-    HiGHS solves the model in the merged variables of ``_aggregation``: rows,
-    objective and cuts are mapped through P, and its solution is expanded
-    with ``x = P y`` before the checks.
+    HiGHS solves the model in the merged variables of ``_aggregation``: each
+    merged column of a row, cut or the objective sums its model columns'
+    coefficients times their weights, in column order, and the solution is
+    expanded with ``x = weight * y[col]`` before the checks.
     ``time_limit_s`` bounds all rounds together, ``node_limit`` each round.
     Flows and objective are those of the QP flows of the returned topology.
     """
-    from scipy import optimize as sopt
+    col, weight, kept = _aggregation(model)
 
-    p, kept = _aggregation(model)
-    constraints = []
-    if model.a_eq:
-        b = np.array([rhs for _, rhs, _ in model.a_eq])
-        constraints.append(sopt.LinearConstraint(_stack(model.a_eq) @ p, b, b))
-    if model.a_ub:
-        constraints.append(sopt.LinearConstraint(
-            _stack(model.a_ub) @ p, -np.inf, [rhs for _, rhs, _ in model.a_ub]))
-    problem = (-(p.T @ model.objective), model.integrality[kept],
-               sopt.Bounds(model.lower[kept], model.upper[kept]))
+    def block(rows, equal):
+        # (A, lower, upper) of rows (row, rhs, ...) over the merged columns
+        dense = np.array([row for row, *_ in rows])
+        i, j = _nonzero(dense)
+        a = np.zeros((len(rows), len(kept)))
+        np.add.at(a, (i, col[j]), dense[i, j] * weight[j])
+        rhs = np.array([rhs for _, rhs, *_ in rows])
+        return a, rhs if equal else np.full(len(rows), -np.inf), rhs
+
+    constraints = [block(model.a_eq, True), block(model.a_ub, False)]
+    problem = (-np.bincount(col, weights=weight * model.objective), model.integrality[kept],
+               (model.lower[kept], model.upper[kept]))
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
     cuts = []                        # (row, rhs): row @ x <= rhs
     nodes = 0
     for rounds in range(1, MAX_CUT_ROUNDS + 1):
-        round_constraints = list(constraints)
-        if cuts:
-            round_constraints.append(sopt.LinearConstraint(
-                np.array([row for row, _ in cuts]) @ p, -np.inf, [rhs for _, rhs in cuts]))
-        res = _milp(problem, round_constraints, deadline, node_limit, rounds)
-        nodes += int(getattr(res, "mip_node_count", 0) or 0)
-        topology, flows, deviation = _qp_flows(model, p @ res.x)
+        res = _round(problem, constraints + [block(cuts, False)] if cuts else constraints,
+                     deadline, node_limit, rounds)
+        nodes += res.mip_node_count
+        topology, flows, deviation = _qp_flows(model, weight * res.x[col])
         components = crp_components(model.instance, topology, flows)
         if components.count == 1:
             break
@@ -447,51 +439,45 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
                                    f"{MAX_CUT_ROUNDS} cut rounds")
     objective = float(np.sum(model.tau.tau * flows.f))
     value = policy_value(flows, model.tau, model.instance)
-    dual_bound = getattr(res, "mip_dual_bound", None)
     stats = {
-        "status": int(res.status),
+        "status": res.status,
         "message": res.message,
         "nodes": nodes,
-        "gap": float(getattr(res, "mip_gap", 0.0) or 0.0),
-        "dual_bound": None if dual_bound is None else -float(dual_bound),
+        "gap": float(res.mip_gap),
+        "dual_bound": -float(res.mip_dual_bound),
         "rounds": rounds,
         "flow_deviation": deviation,
     }
     return OptimizationResult(topology, flows, objective, value, stats)
 
 
-def _stack(rows):
-    from scipy import sparse
+def _nonzero(a):
+    """``np.nonzero`` of a 2-D array, in the same row-major order, through
+    flat indices: several times faster on the model's rows."""
+    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
 
-    return sparse.csr_matrix(np.array([r for r, _, _ in rows]))
 
-
-def _milp(problem, constraints, deadline, node_limit, rounds):
+def _round(problem, constraints, deadline, node_limit, rounds):
     """One HiGHS solve of (c, integrality, bounds), minimized; raises when it
     yields no incumbent."""
-    from scipy import optimize as sopt
-
     c, integrality, bounds = problem
-    options = {"mip_rel_gap": 0.0, "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL}
+    options = {"log_to_console": False, "mip_rel_gap": 0.0,
+               "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL}
     if deadline is not None:
         remaining = deadline - time.perf_counter()
         if remaining <= 0:
             raise SolverLimitError(f"time limit reached after {rounds - 1} cut rounds")
         options["time_limit"] = remaining
     if node_limit is not None:
-        options["node_limit"] = node_limit
-    # HiGHS prints some diagnostics to fd 1 whatever its output options say;
-    # they go to stderr so the caller's stdout stays its own
+        options["mip_max_nodes"] = node_limit
+    # HiGHS prints some diagnostics to fd 1 whatever its output options say,
+    # and option errors before its console log is off; they go to stderr so
+    # the caller's stdout stays its own
     sys.stdout.flush()
     stdout = os.dup(1)
     os.dup2(2, 1)
     try:
-        with warnings.catch_warnings():
-            # scipy passes HiGHS's own option names through, with this warning
-            warnings.filterwarnings("ignore", "Unrecognized options detected",
-                                    RuntimeWarning)
-            res = sopt.milp(c, constraints=constraints, integrality=integrality,
-                            bounds=bounds, options=options)
+        res = _highs(c, constraints, integrality, bounds, options)
     finally:
         os.dup2(stdout, 1)
         os.close(stdout)
@@ -502,6 +488,111 @@ def _milp(problem, constraints, deadline, node_limit, rounds):
     if res.x is None:
         raise SolverLimitError(f"no incumbent found: {res.message}")
     return res
+
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """HiGHS's pybind11 binding as scipy ships it, loaded from its file so
+    that ``scipy.optimize``'s package ``__init__``, some 300 modules, never
+    runs. It is registered under its own name, which a later ``import
+    scipy.optimize`` reuses: pybind11 registers its types once per process."""
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    for base in scipy.submodule_search_locations if scipy else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "optimize", "_highspy", "_core" + suffix)
+            if os.path.exists(path):
+                spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+                core = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(core)
+                sys.modules[_HIGHS_CORE] = core
+                return core
+    raise ImportError(f"no HiGHS binding {_HIGHS_CORE} found; the MIO solve needs "
+                      "scipy >= 1.17.1, which ships it")
+
+
+@dataclass
+class _HighsResult:
+    """One solve as ``scipy.optimize.milp`` reports it, under its names."""
+    status: int
+    message: str
+    x: np.ndarray | None = None
+    mip_node_count: int | None = None
+    mip_dual_bound: float | None = None
+    mip_gap: float | None = None
+
+
+# milp's status code and message head for each HiGHS model status; a status
+# not listed here gets _UNLISTED_STATUS
+_MILP_STATUS = {
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kModelError": (2, ""),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError",
+                     "kPostsolveError", "kModelEmpty", "kObjectiveBound",
+                     "kObjectiveTarget"), (4, "")),
+}
+_UNLISTED_STATUS = (4, "The HiGHS status code was not recognized. ")
+
+
+def _highs(c, constraints, integrality, bounds, options):
+    """HiGHS on min ``c @ x`` subject to ``lower <= A @ x <= upper`` for each
+    dense block (A, lower, upper) of ``constraints``, ``bounds[0] <= x <=
+    bounds[1]`` and the integer columns of ``integrality``, under HiGHS's own
+    ``options``. The result is what ``scipy.optimize.milp`` gives for the same
+    problem, x included for the same statuses: an optimum, or a limit reached
+    with an incumbent. An option HiGHS rejects raises ValueError."""
+    h = _highs_core()
+    a = np.vstack([block[0] for block in constraints])
+    rows, cols = _nonzero(a)
+    order = np.argsort(cols, kind="stable")     # CSC: by column, rows ascending
+    rows, cols = rows[order], cols[order]
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[1]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(a.shape[1] + 1))
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a[rows, cols]
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = bounds
+    lp.row_lower_ = np.concatenate([block[1] for block in constraints])
+    lp.row_upper_ = np.concatenate([block[2] for block in constraints])
+    lp.integrality_ = [h.HighsVarType(int(kind)) for kind in integrality]
+    highs = h._Highs()
+    for key, value in options.items():
+        if highs.setOptionValue(key, value) != h.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects the option {key} = {value!r}")
+    res = {}
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        status = h.HighsModelStatus.kModelError
+        text = highs.modelStatusToString(status)
+    elif highs.run() == h.HighsStatus.kError:
+        status = highs.getModelStatus()
+        text = highs.modelStatusToString(status)
+    else:
+        status, info = highs.getModelStatus(), highs.getInfo()
+        limits = (h.HighsModelStatus.kTimeLimit, h.HighsModelStatus.kIterationLimit,
+                  h.HighsModelStatus.kSolutionLimit)
+        if status == h.HighsModelStatus.kOptimal or (
+                status in limits and info.objective_function_value != h.kHighsInf):
+            text = highs.modelStatusToString(status)
+            res = {"x": np.array(highs.getSolution().col_value),
+                   "mip_node_count": info.mip_node_count,
+                   "mip_dual_bound": info.mip_dual_bound, "mip_gap": info.mip_gap}
+        else:
+            text = (f"model_status is {highs.modelStatusToString(status)}; primal_status "
+                    f"is {highs.solutionStatusToString(info.primal_solution_status)}")
+    code, head = _MILP_STATUS.get(status.name, _UNLISTED_STATUS)
+    return _HighsResult(code, f"{head}(HiGHS Status {int(status)}: {text})", **res)
 
 
 def _qp_flows(model, x):

@@ -552,17 +552,22 @@ class TestExitCodes:
         (["optimize"], {"solver": {"time_limit_s": -1}},
          "solver.time_limit_s must be null or a number >= 0, not -1"),
         (["optimize"], {"solver": {"node_limit": "x"}},
-         "solver.node_limit must be a non-negative integer, not 'x'"),
+         "solver.node_limit must be null or an integer in [0, 2147483647], not 'x'"),
         (["optimize"], {"solver": {"node_limit": 2.5}},
-         "solver.node_limit must be a non-negative integer, not 2.5"),
+         "solver.node_limit must be null or an integer in [0, 2147483647], not 2.5"),
         (["optimize"], {"solver": {"node_limit": True}},
-         "solver.node_limit must be a non-negative integer, not True"),
+         "solver.node_limit must be null or an integer in [0, 2147483647], not True"),
         (["optimize"], {"solver": {"node_limit": -1}},
-         "solver.node_limit must be a non-negative integer, not -1"),
+         "solver.node_limit must be null or an integer in [0, 2147483647], not -1"),
+        # these once ended in a traceback, exit 1
+        (["optimize"], {"solver": {"time_limit_s": 10**400}},
+         f"solver.time_limit_s must be null or a number >= 0, not {10**400}"),
+        (["optimize"], {"solver": {"node_limit": 2**31}},
+         "solver.node_limit must be null or an integer in [0, 2147483647], not 2147483648"),
     ], ids=["synth-float", "synth-zero", "synth-string", "experiment-bool",
             "seeds-string", "seeds-zero", "time-string", "time-nan", "time-bool",
             "time-negative", "nodes-string", "nodes-float", "nodes-bool",
-            "nodes-negative"])
+            "nodes-negative", "time-beyond-float", "nodes-beyond-int32"])
     def test_bad_count_or_limit(self, tmp_path, capsys, argv, config, shown):
         """Checked before anything is read or written: ``optimize`` names the
         solver key, not the missing record."""
@@ -593,6 +598,8 @@ class TestExitCodes:
          "simulate.horizon_days must be finite and > 0, not True"),
         (["simulate"], {"simulate": {"horizon_days": "500"}},
          "simulate.horizon_days must be finite and > 0, not '500'"),
+        (["simulate"], {"simulate": {"horizon_days": 10**400}},
+         f"simulate.horizon_days must be finite and > 0, not {10**400}"),
         (["simulate"], {"simulate": {"warmup_fraction": False}},
          "simulate.warmup_fraction must lie in [0, 1), not False"),
         (["optimize"], {"fairness": {"kind": "maximin_outcome", "dimension": "race",
@@ -605,6 +612,9 @@ class TestExitCodes:
         (["optimize"], {"fairness": {"kind": "maximin_outcome", "dimension": "race",
                                      "bound": "0.3"}},
          "fairness.bound must be a finite number, not '0.3'"),
+        (["optimize"], {"fairness": {"kind": "maximin_outcome", "dimension": "race",
+                                     "bound": -10**400}},
+         f"fairness.bound must be a finite number, not {-10**400}"),
         (["optimize"], {"non_affirmative": "no", "fairness": {"dimension": "race"}},
          "non_affirmative must be true or false, not 'no'"),
         # a bool, or an int for a flag, and a numeric string for each other key
@@ -644,8 +654,8 @@ class TestExitCodes:
          "maximin_outcome, parity_outcome, not 'true'"),
     ], ids=["threshold-string", "threshold-bool", "size-string", "size-bool",
             "nuisance-depth-float", "honest-string", "features-typo", "horizon-bool",
-            "horizon-string", "warmup-bool", "bound-bool", "bound-nan", "bound-inf",
-            "bound-string", "linked-string", "experiment-threshold-bool",
+            "horizon-string", "horizon-beyond-float", "warmup-bool", "bound-bool",
+            "bound-nan", "bound-inf", "bound-string", "bound-beyond-float", "linked-string", "experiment-threshold-bool",
             "features-bool", "experiment-features-string", "nuisance-size-bool",
             "nuisance-size-string", "depth-bool", "depth-string",
             "nuisance-depth-bool", "nuisance-depth-string", "honest-int",

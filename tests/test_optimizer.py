@@ -1,12 +1,14 @@
+import importlib.util
 import itertools
 import os
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from _oracles import random_instance, union_find_components
 from conftest import make_instance
@@ -242,13 +244,13 @@ class TestPostSolve:
     def test_inexact_flows_raise(self, monkeypatch):
         inst, tau = planted_instance()
         model = optimizer.build_mio(inst, tau)
-        milp = optimizer.sopt.milp
+        highs = optimizer._highs
 
-        def off_by_a_little(*args, **kwargs):
-            res = milp(*args, **kwargs)
+        def off_by_a_little(*args):
+            res = highs(*args)
             res.x[model.idx_f[0, 1]] += 1e-6
             return res
-        monkeypatch.setattr(optimizer.sopt, "milp", off_by_a_little)
+        monkeypatch.setattr(optimizer, "_highs", off_by_a_little)
         with pytest.raises(optimizer.InexactFlowError):
             optimizer.solve(model)
 
@@ -256,13 +258,13 @@ class TestPostSolve:
         # a solver that ignores the cuts returns the split every round
         inst, tau = planted_instance()
         model = optimizer.build_mio(inst, tau)
-        milp = optimizer.sopt.milp
+        highs = optimizer._highs
         calls = []
 
-        def without_cuts(c, constraints, **kwargs):
+        def without_cuts(c, constraints, *args):
             calls.append(len(constraints))
-            return milp(c, constraints=constraints[:2], **kwargs)
-        monkeypatch.setattr(optimizer.sopt, "milp", without_cuts)
+            return highs(c, constraints[:2], *args)
+        monkeypatch.setattr(optimizer, "_highs", without_cuts)
         monkeypatch.setattr(optimizer, "MAX_CUT_ROUNDS", 3)
         with pytest.raises(optimizer.PoolingCutLimitError):
             optimizer.solve(model)
@@ -275,7 +277,7 @@ class TestPostSolve:
 
     def test_solver_output_kept_off_stdout(self, capfd):
         # on this 18-queue instance HiGHS prints a diagnostic line to fd 1
-        # although scipy runs it with its output off
+        # although it runs with its console log off
         data = synth.generate(synth.SynthParams(
             n=20_000, seed=0, group_probs={"race": {"A": 0.5, "B": 0.5}}))
         learned = causal.learn(data, group_dimension="race")
@@ -287,14 +289,14 @@ class TestPostSolve:
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_stdout_restored_after_solve(self, capfd, monkeypatch, fails):
-        milp = optimizer.sopt.milp
+        highs = optimizer._highs
 
-        def noisy(*args, **kwargs):
+        def noisy(*args):
             os.write(1, b"solver noise\n")
             if fails:
                 raise RuntimeError("solver failed")
-            return milp(*args, **kwargs)
-        monkeypatch.setattr(optimizer.sopt, "milp", noisy)
+            return highs(*args)
+        monkeypatch.setattr(optimizer, "_highs", noisy)
         model = optimizer.build_mio(two_by_two_instance(),
                                     effects([[0.0, 0.4], [0.0, -0.2]]))
         if fails:
@@ -544,8 +546,8 @@ class TestNonAffirmativeLinks:
                              [Fraction(8, 5), Fraction(8, 5)])
         model = optimizer.add_non_affirmative_links(
             optimizer.build_mio(inst, core.CATEMatrix(np.zeros((5, 2)))), cells)
-        p, kept = optimizer._aggregation(model)
-        x = p @ np.arange(1.0, len(kept) + 1)
+        col, weight, kept = optimizer._aggregation(model)
+        x = weight * np.arange(1.0, len(kept) + 1)[col]
         # q0..q3 share one row of m, z and nu and one theta; q4 keeps its own
         for idx in (model.idx_m, model.idx_z, model.idx_nu):
             assert (x[idx[:4]] == x[idx[0]]).all()
@@ -556,30 +558,59 @@ class TestNonAffirmativeLinks:
         assert np.allclose(f[:4] / f[:4].sum(axis=0), np.array([1, 2, 3, 4])[:, None] / 10)
         assert len(kept) == model.n_vars - 3 * (4 * 2 + 1)   # 3 queues merged away
 
+    def test_merged_problem_is_the_sparse_product(self, monkeypatch):
+        """The rows and objective HiGHS gets are the model's through the map
+        x = P y, bit for bit as scipy.sparse multiplies them: a merged column
+        sums three queues' terms here, in column order."""
+        from scipy import sparse
+
+        inst = make_instance([Fraction(k, 13) for k in (1, 2, 3, 4, 5)],
+                             [Fraction(9, 10), Fraction(7, 10)])
+        tau = core.CATEMatrix(np.array([[0.0, 0.3], [0.0, -0.7], [0.0, 0.11],
+                                        [0.0, 0.9], [0.0, -0.2]]))
+        model = optimizer.add_non_affirmative_links(
+            optimizer.build_mio(inst, tau), [["q0", "q1", "q2"], ["q3", "q2"]])
+        col, weight, kept = optimizer._aggregation(model)
+        p = sparse.csr_array((weight, (np.arange(model.n_vars), col)),
+                             shape=(model.n_vars, len(kept)))
+        highs, seen = optimizer._highs, []
+
+        def capture(c, constraints, *args):
+            seen.append((c, constraints))
+            return highs(c, constraints, *args)
+        monkeypatch.setattr(optimizer, "_highs", capture)
+        optimizer.solve(model)
+        (c, (eq, ub)), = seen
+        assert c.tobytes() == (-(p.T @ model.objective)).tobytes()
+        for (a, _, _), rows in ((eq, model.a_eq), (ub, model.a_ub)):
+            product = (sparse.csr_array(np.array([row for row, _, _ in rows])) @ p).toarray()
+            assert (a + 0.0).tobytes() == (product + 0.0).tobytes()
+
     def test_unlinked_model_gives_highs_the_model_itself(self, monkeypatch):
         model = optimizer.build_mio(two_by_two_instance(),
                                     effects([[0.0, 0.4], [0.0, -0.2]]))
-        p, kept = optimizer._aggregation(model)
-        assert (p != sparse.identity(model.n_vars, format="csr")).nnz == 0
+        col, weight, kept = optimizer._aggregation(model)
+        assert col.tolist() == list(range(model.n_vars)) and (weight == 1).all()
         assert kept.tolist() == list(range(model.n_vars))
-        milp = optimizer.sopt.milp
+        highs = optimizer._highs
         seen = []
 
-        def capture(c, constraints, integrality, bounds, **kwargs):
+        def capture(c, constraints, integrality, bounds, options):
             seen.append((c, constraints, integrality, bounds))
-            return milp(c, constraints=constraints, integrality=integrality,
-                        bounds=bounds, **kwargs)
-        monkeypatch.setattr(optimizer.sopt, "milp", capture)
+            return highs(c, constraints, integrality, bounds, options)
+        monkeypatch.setattr(optimizer, "_highs", capture)
         optimizer.solve(model)
-        (c, (eq, ub), integrality, bounds), = seen
+        (c, (eq, ub), integrality, (lower, upper)), = seen
         assert np.array_equal(c, -model.objective)
         assert np.array_equal(integrality, model.integrality)
-        assert np.array_equal(bounds.lb, model.lower)
-        assert np.array_equal(bounds.ub, model.upper)
-        for con, rows in ((eq, model.a_eq), (ub, model.a_ub)):
-            a = con.A.toarray()
+        assert np.array_equal(lower, model.lower)
+        assert np.array_equal(upper, model.upper)
+        for (a, row_lower, row_upper), rows, equal in ((eq, model.a_eq, True),
+                                                       (ub, model.a_ub, False)):
             assert np.array_equal(a, np.array([row for row, _, _ in rows]))
-            assert con.A.nnz == np.count_nonzero(a)
+            assert np.array_equal(row_upper, [rhs for _, rhs, _ in rows])
+            assert np.array_equal(row_lower, row_upper if equal else
+                                  np.full(len(rows), -np.inf))
 
     def test_grouped_50k_linked_optimum(self):
         # 82 queues in 41 linked score cells; given the links as equality rows
@@ -641,3 +672,103 @@ class TestOracle:
         block_obj = float(np.sum(
             tau.tau * queuing.steady_state_flows(inst, block).f))
         assert result.objective < block_obj
+
+
+@pytest.fixture(scope="module")
+def grouped_18():
+    """The 18-queue instance learned from 20,000 records grouped by race."""
+    data = synth.generate(synth.SynthParams(
+        n=20_000, seed=0, group_probs={"race": {"A": 0.5, "B": 0.5}}))
+    return causal.learn(data, group_dimension="race")
+
+
+def _maximin(learned, bound):
+    spec = optimizer.FairnessSpec("maximin_outcome", bound, "race", learned.groups)
+    return optimizer.build_mio(learned.instance, learned.tau, spec)
+
+
+def _linked(learned):
+    cells = [[q for q in c if q in learned.instance.queues]
+             for c in learned.partition.score_cells.values()]
+    return optimizer.add_non_affirmative_links(
+        optimizer.build_mio(learned.instance, learned.tau), [c for c in cells if len(c) > 1])
+
+
+# model, solve arguments, HiGHS options put over solve's own, and the milp
+# status of each HiGHS run
+_MILP_CASES = {
+    "planted": (lambda g: optimizer.build_mio(*planted_instance()), {}, {}, [0] * 4),
+    "two-by-two": (lambda g: optimizer.build_mio(two_by_two_instance(),
+                                                 effects([[0.0, 0.4], [0.0, -0.2]])),
+                   {}, {}, [0]),
+    "maximin-0.36": (lambda g: _maximin(g, 0.36), {}, {}, [0]),
+    "maximin-0.39": (lambda g: _maximin(g, 0.39), {}, {}, [0]),
+    "linked": (_linked, {}, {}, [0]),
+    "infeasible": (lambda g: optimizer.build_mio(
+        two_by_two_instance(), effects([[0.0, 0.6], [0.0, 0.1]]),
+        optimizer.FairnessSpec("maximin_outcome", 5.0, "race", {"A": ["q0"], "B": ["q1"]})),
+        {}, {}, [2]),
+    # the 8-node solve stopped after its first node, with an incumbent
+    "node-limit": (lambda g: _maximin(g, 0.39), {"node_limit": 1}, {}, [4]),
+    # stopped by HiGHS's clock before it has an incumbent
+    "time-limit": (lambda g: _maximin(g, 0.39), {}, {"time_limit": 1e-4}, [1]),
+}
+
+
+def _milp(c, constraints, integrality, bounds, options):
+    """scipy.optimize.milp on the problem given to ``optimizer._highs``."""
+    from scipy import optimize as sopt
+
+    with warnings.catch_warnings():
+        # milp passes HiGHS's own option names through, with this warning
+        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
+        return sopt.milp(c, constraints=[sopt.LinearConstraint(*con) for con in constraints],
+                         integrality=integrality, bounds=sopt.Bounds(*bounds),
+                         options=dict(options))
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+class TestHighsMatchesMilp:
+    @pytest.mark.parametrize("case", list(_MILP_CASES))
+    def test_same_result_bit_for_bit(self, monkeypatch, grouped_18, case):
+        """Every HiGHS run of a solve gives what scipy.optimize.milp gives on
+        the same problem and options: x, status, message, node count, dual
+        bound and gap."""
+        build, kwargs, override, statuses = _MILP_CASES[case]
+        highs, runs = optimizer._highs, []
+
+        def recorded(c, constraints, integrality, bounds, options):
+            args = (c, constraints, integrality, bounds, {**options, **override})
+            runs.append((args, highs(*args)))
+            return runs[-1][1]
+        monkeypatch.setattr(optimizer, "_highs", recorded)
+        try:
+            optimizer.solve(build(grouped_18), **kwargs)
+        except (optimizer.InfeasibleModelError, optimizer.SolverLimitError):
+            pass
+        assert [res.status for _, res in runs] == statuses
+        for args, res in runs:
+            ref = _milp(*args)
+            assert (res.status, res.message, res.mip_node_count) == \
+                (ref.status, ref.message, ref.mip_node_count)
+            for name in ("x", "mip_dual_bound", "mip_gap"):
+                assert _bits(getattr(res, name)) == _bits(getattr(ref, name)), name
+
+    def test_rejected_option_raises(self, capfd):
+        # HiGHS's node limit is a 32-bit int; nothing of its refusal reaches stdout
+        model = optimizer.build_mio(two_by_two_instance(),
+                                    effects([[0.0, 0.4], [0.0, -0.2]]))
+        assert optimizer.solve(model, node_limit=2**31 - 1).solver_stats["status"] == 0
+        capfd.readouterr()
+        with pytest.raises(ValueError, match="mip_max_nodes = 2147483648"):
+            optimizer.solve(model, node_limit=2**31)
+        assert capfd.readouterr().out == ""
+
+    def test_missing_binding_is_named(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core"):
+            optimizer._highs_core()
