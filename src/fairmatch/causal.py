@@ -739,9 +739,9 @@ def tree_from_json(obj: dict) -> DecisionTree:
                         obj["n_features"], obj["classes"])
 
 
-def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list,
-                settings: dict | None = None):
-    """The models as JSON, with the ``learn`` params they were fit with, if given."""
+def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list):
+    """The models as compact JSON, through json's C encoder (``json.dump``
+    to a file runs its pure-Python one)."""
     payload = {
         "propensity": {"tree": tree_to_json(prop.tree), "resources": prop.resources,
                        "feature_mode": prop.feature_mode},
@@ -753,10 +753,8 @@ def save_models(path, prop: PropensityModel, out: OutcomeModel, trees: list,
                           "min_node_size": t.min_node_size,
                           "feature_mode": t.feature_mode} for t in trees],
     }
-    if settings is not None:
-        payload["settings"] = settings
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(json.dumps(payload))
 
 
 def load_models(path):

@@ -17,9 +17,12 @@ saved causal trees. A verb checks each scalar setting it reads, by that
 setting's rule in ``SETTINGS``, before it reads or writes any file.
 
 Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
-the MIO, 2 configuration error, 3 data error, 4 optimization infeasible, 5
-solver limit reached without a proven optimum, 6 post-solve check failed
-(inexact MIO flows, or no single pooled component within the cut rounds).
+the MIO, 2 configuration error, 3 data error, 4 infeasible model, 5 HiGHS
+stopped without a proven optimum, with or without an incumbent, 6 post-solve
+check failed (inexact MIO flows, or no single pooled component within the cut
+rounds). On exits 4 to 6 ``optimize`` writes nothing. ``topology.json``'s
+``solver_stats.status`` is HiGHS's model status in its own words, ``Optimal``
+for every topology written; there is no ``message``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,6 @@ DEFAULT_CONFIG = {
                    "n": 10000, "n_seeds": 10},
 }
 
-# what fit records in models.json beside the models
-FIT_SETTINGS = ("rho", "positivity_threshold")
 # fit's record: what the later verbs read instead of learning again
 RECORD_JSON, RECORD_ARRAYS = "record.json", "record.npz"
 RECORD_KEYS = {"dataset_sha256", "arrays_sha256", "partition", "instance", "rho"}
@@ -223,8 +224,7 @@ def cmd_fit(cfg) -> int:
     learned = causal.learn(dataset, params, seed)
     instance = learned.instance
     out = _out_dir(cfg)
-    causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees,
-                       {key: cfg[key] for key in FIT_SETTINGS})
+    causal.save_models(out / "models.json", learned.prop, learned.out, learned.trees)
     _write_record(out, cfg, learned)
     counts = np.bincount(learned.rows, minlength=instance.n_queues).tolist()
     _write_json(out / "fit_report.json", {

@@ -9,7 +9,8 @@ The big-Ms are per cell: with ``B = sum_r 1/mu_r`` over the balanced rates,
 cell (q, r)'s KKT rows use ``lam_q mu_r B`` and its multiplier ``nu`` is capped
 at ``B``; ``compute_bigM`` proves that they keep every pooled KKT point.
 
-``solve`` verifies every HiGHS solution after the fact. HiGHS runs with a
+``solve`` takes a solution from HiGHS only when HiGHS has proved it optimal,
+and verifies it after the fact. HiGHS runs with a
 ``mip_feasibility_tolerance`` of 1e-9, because a binary that is 1e-6 off
 integral opens a big-M KKT row by 1e-6 times the big-M, and the flows then
 stop being the QP flows of the topology. The QP flows of the returned
@@ -91,6 +92,8 @@ class FairnessSpec:
     def __post_init__(self):
         if self.kind not in FAIRNESS_KINDS:
             raise ValueError(f"unknown fairness kind: {self.kind}")
+        if not np.isfinite(self.bound):
+            raise ValueError(f"fairness bound is not finite: {self.bound}")
         seen = set()
         for queues in self.group_to_queues.values():
             qs = set(queues)
@@ -314,6 +317,8 @@ def _append_extra(model: MIOModel, entry):
     rr = np.zeros(model.n_vars)
     for name, coef in coeffs.items():
         rr[pos[name]] = coef
+    if not (np.isfinite(rr).all() and np.isfinite(rhs)):
+        raise ValueError(f"extra_linear row is not finite: {coeffs} {sense} {rhs}")
     if sense == "<=":
         model.a_ub.append((rr, rhs, "extra"))
     elif sense == ">=":
@@ -441,7 +446,6 @@ def solve(model: MIOModel, time_limit_s: float | None = None,
     value = policy_value(flows, model.tau, model.instance)
     stats = {
         "status": res.status,
-        "message": res.message,
         "nodes": nodes,
         "gap": float(res.mip_gap),
         "dual_bound": -float(res.mip_dual_bound),
@@ -458,8 +462,9 @@ def _nonzero(a):
 
 
 def _round(problem, constraints, deadline, node_limit, rounds):
-    """One HiGHS solve of (c, integrality, bounds), minimized; raises when it
-    yields no incumbent."""
+    """One HiGHS solve of (c, integrality, bounds), minimized. Only an
+    optimum HiGHS has proved is returned: an infeasible verdict raises
+    InfeasibleModelError and every other status SolverLimitError, naming it."""
     c, integrality, bounds = problem
     options = {"log_to_console": False, "mip_rel_gap": 0.0,
                "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL}
@@ -481,13 +486,18 @@ def _round(problem, constraints, deadline, node_limit, rounds):
     finally:
         os.dup2(stdout, 1)
         os.close(stdout)
-    if res.status == 2:
+    if res.status == "Optimal":
+        return res
+    if res.status == "Infeasible":
         raise InfeasibleModelError("matching optimization is infeasible" if rounds == 1
                                    else "no single-component topology satisfies "
                                         f"the constraints ({rounds - 1} cut rounds)")
-    if res.x is None:
-        raise SolverLimitError(f"no incumbent found: {res.message}")
-    return res
+    message = f"HiGHS stopped without a proven optimum: {res.status}"
+    if res.mip_gap is not None and np.isfinite(res.mip_gap):
+        message += f"; gap {res.mip_gap:.3g}"
+    if res.mip_dual_bound is not None and np.isfinite(res.mip_dual_bound):
+        message += f"; dual bound {-res.mip_dual_bound:.9g}"
+    raise SolverLimitError(message)
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -517,39 +527,21 @@ def _highs_core():
 
 @dataclass
 class _HighsResult:
-    """One solve as ``scipy.optimize.milp`` reports it, under its names."""
-    status: int
-    message: str
+    """One HiGHS run: its model status as ``modelStatusToString`` words it,
+    the solution when HiGHS has one, and its node count, dual bound and gap."""
+    status: str
     x: np.ndarray | None = None
     mip_node_count: int | None = None
     mip_dual_bound: float | None = None
     mip_gap: float | None = None
 
 
-# milp's status code and message head for each HiGHS model status; a status
-# not listed here gets _UNLISTED_STATUS
-_MILP_STATUS = {
-    "kOptimal": (0, "Optimization terminated successfully. "),
-    "kTimeLimit": (1, "Time limit reached. "),
-    "kIterationLimit": (1, "Iteration limit reached. "),
-    "kModelError": (2, ""),
-    "kInfeasible": (2, "The problem is infeasible. "),
-    "kUnbounded": (3, "The problem is unbounded. "),
-    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
-    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError",
-                     "kPostsolveError", "kModelEmpty", "kObjectiveBound",
-                     "kObjectiveTarget"), (4, "")),
-}
-_UNLISTED_STATUS = (4, "The HiGHS status code was not recognized. ")
-
-
 def _highs(c, constraints, integrality, bounds, options):
     """HiGHS on min ``c @ x`` subject to ``lower <= A @ x <= upper`` for each
     dense block (A, lower, upper) of ``constraints``, ``bounds[0] <= x <=
     bounds[1]`` and the integer columns of ``integrality``, under HiGHS's own
-    ``options``. The result is what ``scipy.optimize.milp`` gives for the same
-    problem, x included for the same statuses: an optimum, or a limit reached
-    with an incumbent. An option HiGHS rejects raises ValueError."""
+    ``options``. A model HiGHS refuses gets the status of a model error, and a
+    failed run no solution; an option HiGHS rejects raises ValueError."""
     h = _highs_core()
     a = np.vstack([block[0] for block in constraints])
     rows, cols = _nonzero(a)
@@ -571,28 +563,14 @@ def _highs(c, constraints, integrality, bounds, options):
     for key, value in options.items():
         if highs.setOptionValue(key, value) != h.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects the option {key} = {value!r}")
-    res = {}
     if highs.passModel(lp) == h.HighsStatus.kError:
-        status = h.HighsModelStatus.kModelError
-        text = highs.modelStatusToString(status)
-    elif highs.run() == h.HighsStatus.kError:
-        status = highs.getModelStatus()
-        text = highs.modelStatusToString(status)
-    else:
-        status, info = highs.getModelStatus(), highs.getInfo()
-        limits = (h.HighsModelStatus.kTimeLimit, h.HighsModelStatus.kIterationLimit,
-                  h.HighsModelStatus.kSolutionLimit)
-        if status == h.HighsModelStatus.kOptimal or (
-                status in limits and info.objective_function_value != h.kHighsInf):
-            text = highs.modelStatusToString(status)
-            res = {"x": np.array(highs.getSolution().col_value),
-                   "mip_node_count": info.mip_node_count,
-                   "mip_dual_bound": info.mip_dual_bound, "mip_gap": info.mip_gap}
-        else:
-            text = (f"model_status is {highs.modelStatusToString(status)}; primal_status "
-                    f"is {highs.solutionStatusToString(info.primal_solution_status)}")
-    code, head = _MILP_STATUS.get(status.name, _UNLISTED_STATUS)
-    return _HighsResult(code, f"{head}(HiGHS Status {int(status)}: {text})", **res)
+        return _HighsResult(highs.modelStatusToString(h.HighsModelStatus.kModelError))
+    if highs.run() == h.HighsStatus.kError:     # its info need not be valid then
+        return _HighsResult(highs.modelStatusToString(highs.getModelStatus()))
+    info, solution = highs.getInfo(), highs.getSolution()
+    return _HighsResult(highs.modelStatusToString(highs.getModelStatus()),
+                        np.array(solution.col_value) if solution.value_valid else None,
+                        info.mip_node_count, info.mip_dual_bound, info.mip_gap)
 
 
 def _qp_flows(model, x):
@@ -666,8 +644,7 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
     objective, _, topology, flows = best
     return OptimizationResult(topology, flows, objective,
                               policy_value(flows, tau, instance),
-                              {"status": 0, "message": "exhaustive", "nodes": 0,
-                               "gap": 0.0})
+                              {"status": "exhaustive", "nodes": 0, "gap": 0.0})
 
 
 def _fairness_ok(f, fairness, groups, tau, lam, tol=1e-7):

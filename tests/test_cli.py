@@ -115,6 +115,27 @@ class TestOptimize:
         assert 0.0 <= stats["flow_deviation"] <= 1e-9 * lam_total
         assert stats["dual_bound"] == pytest.approx(payload["objective"], abs=1e-6)
 
+    def test_unproven_incumbent_exits_5_and_writes_nothing(self, tmp_path, capsys):
+        """HiGHS stops this 8-node solve after its first node, with an
+        incumbent it has not proved optimal: the outputs of the earlier
+        solve stay as they were."""
+        cfg = {"synth": {"n": 20000, "group_probs": {"race": {"A": 0.5, "B": 0.5}}}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        base = ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path),
+                "--dataset", str(tmp_path / "dataset.csv")]
+        fairness = ["--fairness", "maximin_outcome:race:0.39"]
+        for argv in (["synth"], ["fit"], ["optimize"] + fairness):
+            assert cli.main(argv + base) == 0
+        written = ("topology.json", "eligibility.txt")
+        before = [(tmp_path / name).read_bytes() for name in written]
+        (tmp_path / "config.json").write_text(json.dumps({**cfg, "solver": {"node_limit": 1}}))
+        capsys.readouterr()
+        assert cli.main(["optimize"] + fairness + base) == cli.EXIT_LIMITS
+        err = capsys.readouterr().err
+        assert "without a proven optimum: Solution limit reached; gap 0.000118" in err
+        assert "dual bound 0.425" in err
+        assert [(tmp_path / name).read_bytes() for name in written] == before
+
     def test_oracle_cross_check_matches_milp_route(self, workspace, tmp_path, oracles):
         root, base = workspace_copy(workspace, tmp_path)
         assert cli.main(["optimize", "--oracle"] + base) == 0
@@ -707,6 +728,25 @@ class TestExitCodes:
             assert cli.main(argv + base) == 0
         assert set(documented) == set(cli.SETTINGS)
         assert checked == documented
+
+    @pytest.mark.parametrize("source", ["README", "cli docstring"])
+    def test_each_exit_code_is_documented_with_its_meaning(self, source):
+        meaning = {0: "success", 1: "the `optimize --oracle` cross-check disagreed",
+                   cli.EXIT_CONFIG: "configuration error", cli.EXIT_DATA: "data error",
+                   cli.EXIT_INFEASIBLE: "infeasible model",
+                   cli.EXIT_LIMITS: "HiGHS stopped without a proven optimum, with or "
+                                    "without an incumbent",
+                   cli.EXIT_POSTSOLVE: "post-solve check failed"}
+        assert len(meaning) == 2 + sum(name.startswith("EXIT_") for name in vars(cli))
+        text = ((Path(__file__).parents[1] / "README.md").read_text()
+                if source == "README" else cli.__doc__)
+        text = " ".join(text.split())
+        sentence = re.search(r"Exit codes: (.+?)\. ", text).group(1)
+        documented = dict(item.split(" ", 1) for item in re.split(r", (?=\d )", sentence))
+        assert list(documented) == [str(code) for code in sorted(meaning)]
+        for code, words in meaning.items():
+            assert documented[str(code)].startswith(words)
+        assert f"On exits {cli.EXIT_INFEASIBLE} to {cli.EXIT_POSTSOLVE}" in text
 
     def test_malformed_dataset_is_data_error(self, tmp_path):
         path = tmp_path / "dataset.csv"

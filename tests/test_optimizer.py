@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import os
@@ -102,6 +103,13 @@ class TestFairnessSpec:
     def test_none_spec(self):
         assert optimizer.FairnessSpec.none().kind == "none"
 
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, bound):
+        # a NaN bound used to reach HiGHS and come back as an infeasible model
+        with pytest.raises(ValueError, match="not finite"):
+            optimizer.FairnessSpec("maximin_outcome", bound, "race",
+                                   {"A": ["q0"], "B": ["q1"]})
+
 
 class TestModelStructure:
     def test_two_by_two_counts(self):
@@ -136,6 +144,14 @@ class TestModelStructure:
         with pytest.raises(ValueError):
             optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]),
                                 extra_linear=[({"f[0,1]": 1.0}, "<", 0.1)])
+
+    @pytest.mark.parametrize("coef, sense, rhs", [(np.nan, "<=", 0.5), (np.inf, "==", 0.5),
+                                                  (1.0, ">=", -np.inf), (1.0, "<=", np.nan)])
+    def test_non_finite_extra_row_rejected(self, one_queue_instance, coef, sense, rhs):
+        # a NaN coefficient used to solve and report an optimum
+        with pytest.raises(ValueError, match="not finite"):
+            optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]),
+                                extra_linear=[({"f[0,0]": 0.5, "f[0,1]": coef}, sense, rhs)])
 
 
 class TestSolve:
@@ -269,6 +285,14 @@ class TestPostSolve:
         with pytest.raises(optimizer.PoolingCutLimitError):
             optimizer.solve(model)
         assert calls == [2, 3, 3]
+
+    def test_model_highs_refuses_is_no_infeasible_verdict(self, one_queue_instance):
+        # HiGHS refuses a coefficient of 1e300 as a model error, which says
+        # nothing of feasibility
+        model = optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]),
+                                    extra_linear=[({"f[0,1]": 1e300}, "<=", 1.0)])
+        with pytest.raises(optimizer.SolverLimitError, match="Model error"):
+            optimizer.solve(model)
 
     def test_time_limit_covers_all_rounds(self):
         inst, tau = planted_instance()
@@ -694,24 +718,26 @@ def _linked(learned):
         optimizer.build_mio(learned.instance, learned.tau), [c for c in cells if len(c) > 1])
 
 
-# model, solve arguments, HiGHS options put over solve's own, and the milp
-# status of each HiGHS run
+# model, solve arguments, HiGHS options put over solve's own, and HiGHS's
+# model status of each run
 _MILP_CASES = {
-    "planted": (lambda g: optimizer.build_mio(*planted_instance()), {}, {}, [0] * 4),
+    "planted": (lambda g: optimizer.build_mio(*planted_instance()), {}, {}, ["Optimal"] * 4),
     "two-by-two": (lambda g: optimizer.build_mio(two_by_two_instance(),
                                                  effects([[0.0, 0.4], [0.0, -0.2]])),
-                   {}, {}, [0]),
-    "maximin-0.36": (lambda g: _maximin(g, 0.36), {}, {}, [0]),
-    "maximin-0.39": (lambda g: _maximin(g, 0.39), {}, {}, [0]),
-    "linked": (_linked, {}, {}, [0]),
+                   {}, {}, ["Optimal"]),
+    "maximin-0.36": (lambda g: _maximin(g, 0.36), {}, {}, ["Optimal"]),
+    "maximin-0.39": (lambda g: _maximin(g, 0.39), {}, {}, ["Optimal"]),
+    "linked": (_linked, {}, {}, ["Optimal"]),
     "infeasible": (lambda g: optimizer.build_mio(
         two_by_two_instance(), effects([[0.0, 0.6], [0.0, 0.1]]),
         optimizer.FairnessSpec("maximin_outcome", 5.0, "race", {"A": ["q0"], "B": ["q1"]})),
-        {}, {}, [2]),
+        {}, {}, ["Infeasible"]),
     # the 8-node solve stopped after its first node, with an incumbent
-    "node-limit": (lambda g: _maximin(g, 0.39), {"node_limit": 1}, {}, [4]),
+    "node-limit": (lambda g: _maximin(g, 0.39), {"node_limit": 1}, {},
+                   ["Solution limit reached"]),
     # stopped by HiGHS's clock before it has an incumbent
-    "time-limit": (lambda g: _maximin(g, 0.39), {}, {"time_limit": 1e-4}, [1]),
+    "time-limit": (lambda g: _maximin(g, 0.39), {}, {"time_limit": 1e-4},
+                   ["Time limit reached"]),
 }
 
 
@@ -735,8 +761,8 @@ class TestHighsMatchesMilp:
     @pytest.mark.parametrize("case", list(_MILP_CASES))
     def test_same_result_bit_for_bit(self, monkeypatch, grouped_18, case):
         """Every HiGHS run of a solve gives what scipy.optimize.milp gives on
-        the same problem and options: x, status, message, node count, dual
-        bound and gap."""
+        the same problem and options: x, and the node count, dual bound and
+        gap wherever milp reports them, which it does only with an x."""
         build, kwargs, override, statuses = _MILP_CASES[case]
         highs, runs = optimizer._highs, []
 
@@ -752,16 +778,18 @@ class TestHighsMatchesMilp:
         assert [res.status for _, res in runs] == statuses
         for args, res in runs:
             ref = _milp(*args)
-            assert (res.status, res.message, res.mip_node_count) == \
-                (ref.status, ref.message, ref.mip_node_count)
-            for name in ("x", "mip_dual_bound", "mip_gap"):
-                assert _bits(getattr(res, name)) == _bits(getattr(ref, name)), name
+            assert _bits(res.x) == _bits(ref.x)
+            for name in ("mip_node_count", "mip_dual_bound", "mip_gap"):
+                if ref.x is None:
+                    assert getattr(ref, name) is None, name
+                else:
+                    assert _bits(getattr(res, name)) == _bits(getattr(ref, name)), name
 
     def test_rejected_option_raises(self, capfd):
         # HiGHS's node limit is a 32-bit int; nothing of its refusal reaches stdout
         model = optimizer.build_mio(two_by_two_instance(),
                                     effects([[0.0, 0.4], [0.0, -0.2]]))
-        assert optimizer.solve(model, node_limit=2**31 - 1).solver_stats["status"] == 0
+        assert optimizer.solve(model, node_limit=2**31 - 1).solver_stats["status"] == "Optimal"
         capfd.readouterr()
         with pytest.raises(ValueError, match="mip_max_nodes = 2147483648"):
             optimizer.solve(model, node_limit=2**31)
@@ -772,3 +800,46 @@ class TestHighsMatchesMilp:
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
         with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core"):
             optimizer._highs_core()
+
+
+class TestStatusRule:
+    """Only an optimum HiGHS has proved leaves ``solve`` as a result."""
+
+    def test_each_model_status_has_one_outcome(self, monkeypatch):
+        """Each status the binding defines, put on a run that found the
+        optimum: kOptimal gives a result, kInfeasible InfeasibleModelError,
+        and every other status SolverLimitError, naming it."""
+        h = optimizer._highs_core()
+        model = optimizer.build_mio(two_by_two_instance(), effects([[0.0, 0.4], [0.0, -0.2]]))
+        highs, outcomes = optimizer._highs, {}
+        for name, member in h.HighsModelStatus.__members__.items():
+            text = h._Highs().modelStatusToString(member)
+            monkeypatch.setattr(optimizer, "_highs", lambda *args, text=text:
+                                dataclasses.replace(highs(*args), status=text))
+            try:
+                outcomes[name] = optimizer.solve(model).solver_stats["status"]
+            except optimizer.InfeasibleModelError:
+                outcomes[name] = "infeasible"
+            except optimizer.SolverLimitError as exc:
+                assert text in str(exc)
+                outcomes[name] = "limit"
+        assert len(outcomes) >= 20
+        assert outcomes == {name: {"kOptimal": "Optimal", "kInfeasible": "infeasible"}
+                            .get(name, "limit") for name in outcomes}
+
+    def test_unproven_incumbent_raises_with_gap_and_bound(self, monkeypatch, grouped_18):
+        # the 8-node solve stops after its first node with an incumbent at a
+        # relative gap of 1.18e-4
+        highs, runs = optimizer._highs, []
+
+        def recorded(*args):
+            runs.append(highs(*args))
+            return runs[-1]
+        monkeypatch.setattr(optimizer, "_highs", recorded)
+        with pytest.raises(optimizer.SolverLimitError) as exc:
+            optimizer.solve(_maximin(grouped_18, 0.39), node_limit=1)
+        [res] = runs
+        assert res.x is not None and res.mip_gap == pytest.approx(1.18e-4, rel=0.01)
+        assert str(exc.value) == ("HiGHS stopped without a proven optimum: Solution limit "
+                                  f"reached; gap {res.mip_gap:.3g}; dual bound "
+                                  f"{-res.mip_dual_bound:.9g}")
