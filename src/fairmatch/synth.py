@@ -56,13 +56,6 @@ def alpha_variant(params: SynthParams, alpha: float) -> SynthParams:
     return replace(params, propensity_table=table)
 
 
-def _stratum(scores):
-    out = np.full(len(scores), "high", dtype=object)
-    out[scores <= PROPENSITY_STRATA[1]] = "mid"
-    out[scores <= PROPENSITY_STRATA[0]] = "low"
-    return out
-
-
 def outcome_mean(resource: str, scores, outcome_means=None):
     """Step-function success probability for one resource over the score."""
     steps = (outcome_means or OUTCOME_MEANS)[resource]
@@ -76,10 +69,12 @@ def outcome_mean(resource: str, scores, outcome_means=None):
 
 
 def true_propensity(scores, propensity_table=None):
-    """Generator propensity vectors over (SO, RRH, PSH) per record."""
+    """Generator propensity vectors over (SO, RRH, PSH) per record. A score
+    on a stratum edge falls in the lower stratum, and NaN in ``high``."""
     table = propensity_table or DEFAULT_PROPENSITY
-    strata = _stratum(np.asarray(scores, dtype=float))
-    return np.array([table[s] for s in strata])
+    rows = np.array([table["low"], table["mid"], table["high"]], dtype=float)
+    return rows[np.searchsorted(PROPENSITY_STRATA, np.asarray(scores, dtype=float),
+                                side="left")]
 
 
 def generate(params: SynthParams) -> Dataset:

@@ -843,3 +843,43 @@ class TestStatusRule:
         assert str(exc.value) == ("HiGHS stopped without a proven optimum: Solution limit "
                                   f"reached; gap {res.mip_gap:.3g}; dual bound "
                                   f"{-res.mip_dual_bound:.9g}")
+
+
+_SEARCH_TREE_CASES = {
+    "unconstrained": lambda g: optimizer.build_mio(g.instance, g.tau),
+    "maximin-0.36": lambda g: _maximin(g, 0.36),
+    "maximin-0.39": lambda g: _maximin(g, 0.39),
+    "linked": _linked,
+}
+
+
+class TestHighsOptions:
+    @pytest.mark.parametrize("case", list(_SEARCH_TREE_CASES))
+    def test_feasibility_jump_off_keeps_the_search_tree(self, monkeypatch, grouped_18, case):
+        """Feasibility jump finds no incumbent on these models, so turning it
+        off leaves the topology, the objective's bits and the node count as
+        they are."""
+        model = _SEARCH_TREE_CASES[case](grouped_18)
+        highs, seen = optimizer._highs, []
+
+        def recorded(c, constraints, integrality, bounds, options):
+            seen.append(dict(options))
+            return highs(c, constraints, integrality, bounds, options)
+        monkeypatch.setattr(optimizer, "_highs", recorded)
+        off = optimizer.solve(model)
+        assert seen and all(o["mip_heuristic_run_feasibility_jump"] is False for o in seen)
+        monkeypatch.setattr(optimizer, "_highs", lambda *args: highs(
+            *args[:4], {**args[4], "mip_heuristic_run_feasibility_jump": True}))
+        on = optimizer.solve(model)
+        assert np.array_equal(off.topology.m, on.topology.m)
+        assert _bits(off.objective) == _bits(on.objective)
+        assert off.solver_stats["nodes"] == on.solver_stats["nodes"]
+
+    def test_optimal_is_proven_to_an_absolute_gap_of_1e6(self, grouped_18):
+        # solve sets mip_rel_gap to 0 but leaves HiGHS's default mip_abs_gap
+        # of 1e-6, so "Optimal" can stop short of the dual bound; here it
+        # does, by 2.9e-7 (a relative gap of 6.87e-7)
+        result = optimizer.solve(_maximin(grouped_18, 0.36))
+        assert result.solver_stats["status"] == "Optimal"
+        assert 0 < result.solver_stats["dual_bound"] - result.objective <= 1e-6
+        assert result.solver_stats["gap"] > 0

@@ -18,6 +18,13 @@ class TestStaticTables:
         assert tuple(probs[1]) == (0.3, 0.4, 0.3)
         assert tuple(probs[2]) == (0.3, 0.4, 0.3)     # 0.2 still mid
         assert tuple(probs[3]) == (0.3, 0.2, 0.5)
+        probs = synth.true_propensity([-0.0, np.nan])
+        assert tuple(probs[0]) == (0.3, 0.3, 0.4)     # -0.0 is 0.0 -> low
+        assert tuple(probs[1]) == (0.3, 0.2, 0.5)     # NaN -> high
+        table = synth.alpha_variant(synth.SynthParams(), 0.05).propensity_table
+        probs = synth.true_propensity([-0.3, 0.0, 0.2, 0.5, np.nan], table)
+        assert [tuple(p) for p in probs] == [table["low"], table["low"], table["mid"],
+                                             table["high"], table["high"]]
 
     def test_alpha_variant_table(self):
         p = synth.alpha_variant(synth.SynthParams(), 0.05)
