@@ -129,12 +129,17 @@ class _Gini(_Cart):
                 / (len(y) + LAPLACE_ALPHA * self.n_classes))
 
     def impurities(self, ys, k, rest):
-        # exact class counts up to each position
-        cums = np.column_stack([np.cumsum(ys == c) for c in range(self.n_classes)])
+        # exact class counts up to each position, a class per column
+        cums = np.empty((len(ys), self.n_classes), dtype=np.intp)
+        for c in range(self.n_classes):
+            np.cumsum(ys == c, out=cums[:, c])
         total = cums[-1]
-        return (1.0 - np.sum((total / len(ys)) ** 2),
-                1.0 - np.sum((cums[:-1] / k[:, None]) ** 2, axis=-1),
-                1.0 - np.sum(((total - cums[:-1]) / rest[:, None]) ** 2, axis=-1))
+        shares = cums[:-1] / k[:, None]          # squared in place, then reused
+        left = 1.0 - np.sum(np.square(shares, out=shares), axis=-1)
+        np.subtract(total, cums[:-1], out=shares, dtype=float)
+        shares /= rest[:, None]
+        right = 1.0 - np.sum(np.square(shares, out=shares), axis=-1)
+        return 1.0 - np.sum((total / len(ys)) ** 2), left, right
 
 
 class _Mse(_Cart):

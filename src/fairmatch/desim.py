@@ -16,10 +16,20 @@ ends (the later arrival would have taken the earlier), so an arrival at a
 node with a non-empty line joins its end, and one at a node with an empty
 line is matched at once, as the line's next index, or starts the line.
 
-The arrivals are merged and matched one time window at a time, so that only
-the per-node streams (8 bytes an arrival) and one window of Python objects are
-held at once. Every node's sorted stream is cut at the same bounds, a uniform
-grid over the horizon, and an arrival exactly at a bound goes to the later
+The arrivals are merged and matched one time window at a time, and no
+node's stream is ever held whole. ``simulate`` first draws every node's
+arrivals once, node by node from one generator, only to count them and to
+keep the generator's state where each node's draws begin. Each window then
+replays every node's arrivals up to the window's bound from that node's own
+generator, into a buffer reused from window to window, bit for bit the times
+of the first pass. A buffer holds its node's waiting line, its arrivals in
+the window and at most one block of ``_BLOCK`` times drawn ahead, so memory
+does not grow with the horizon, beyond the waiting lines themselves and,
+with ``audit=True``, the event log, which keeps one entry per match by
+design.
+
+Every node's sorted stream is cut at the same bounds, a uniform grid over
+the horizon, and an arrival exactly at a bound goes to the later
 window for every node. Each window then holds every arrival in its half-open
 interval, and the windows laid end to end are the whole horizon's (time, node)
 order, ties included. A window's arrivals are merged by numpy's unstable sort
@@ -63,6 +73,8 @@ from .core import MCMSInstance, MatchingTopology, stable_order
 from .queuing import check_admissible
 
 _WINDOW_EVENTS = 1 << 16      # arrivals merged and walked per window, on average
+_BLOCK = 1 << 12              # arrival times a replayed stream draws at a time
+_COUNT_BLOCK = 1 << 19        # gaps drawn at a time while counting a stream's arrivals
 
 
 @dataclass(frozen=True)
@@ -77,15 +89,130 @@ class SimulationStats:
     event_log: tuple = field(default=(), repr=False)
 
 
-def _poisson_stream(rng, rate: float, horizon: float) -> np.ndarray:
-    if rate <= 0:
-        return np.empty(0)
-    n_expect = rate * horizon
-    times = np.cumsum(rng.exponential(1.0 / rate, size=int(n_expect + 6 * np.sqrt(n_expect) + 20)))
-    while times.size and times[-1] < horizon:
-        extra = np.cumsum(rng.exponential(1.0 / rate, size=max(16, int(0.1 * n_expect))))
-        times = np.concatenate([times, times[-1] + extra])
-    return times[times < horizon]
+def _draw_sizes(n_expect):
+    """How many gaps a node's stream draws at first, when it expects
+    ``n_expect`` arrivals, and how many more each time its last arrival is
+    still before the horizon."""
+    return int(n_expect + 6 * np.sqrt(n_expect) + 20), max(16, int(0.1 * n_expect))
+
+
+class _Stream:
+    """A node's arrival times in order, held in a reused buffer from the head
+    of its waiting line to the last time drawn. A subclass writes the
+    stream's next times into the array that ``_draw`` is given."""
+
+    def __init__(self, n):
+        self.n = n                       # arrivals before the horizon
+        self.buf = np.empty(min(n, _BLOCK))
+        self.start = 0                   # arrivals dropped before buf[0]
+        self.held = 0                    # buf[:held] holds times
+        self.cut = 0                     # buf[cut:held] is in no window yet
+
+    def window(self, bound, head):
+        """Hold every time before ``bound``, dropping times before the buffer
+        index ``head`` when the buffer is full. Return how many times were
+        dropped and the new window's slice of the buffer, the times from the
+        last window's end up to ``bound``."""
+        dropped = 0
+        while self.start + self.held < self.n and (
+                not self.held or self.buf[self.held - 1] < bound):
+            k = min(_BLOCK, self.n - self.start - self.held)
+            if self.held + k > self.buf.size:
+                dropped += self._make_room(head - dropped, k)
+            self._draw(self.buf[self.held:self.held + k])
+            self.held += k
+        lo = self.cut - dropped
+        self.cut = lo + int(self.buf[lo:self.held].searchsorted(bound))
+        return dropped, lo, self.cut
+
+    def _make_room(self, head, k):
+        """Move buf[head:held] to the front and return ``head``. When those
+        times and ``k`` more would fill over half the buffer, they move to
+        a new one twice their size, so that a time is moved about once."""
+        keep = self.held - head
+        buf = self.buf
+        if 2 * (keep + k) > buf.size:
+            buf = np.empty(2 * (keep + k))
+        buf[:keep] = self.buf[head:self.held]
+        self.buf, self.start, self.held = buf, self.start + head, keep
+        return head
+
+
+class _Given(_Stream):
+    """Arrival times given as one sorted array."""
+
+    def __init__(self, times):
+        super().__init__(times.size)
+        self.times = times
+
+    def _draw(self, out):
+        at = self.start + self.held
+        out[:] = self.times[at:at + out.size]
+
+
+class _Replay(_Stream):
+    """A node's Poisson arrivals before the horizon, drawn twice from the
+    generator's state at the start of the node's draws: once here, through
+    ``scratch``, to count them and to move the shared generator past them,
+    and again block by block as the windows need them.
+
+    The times are the running sums of exponential gaps, drawn in two or more
+    parts: first ``_draw_sizes(rate * horizon)[0]`` gaps, then more parts of
+    the second size while the last time is still before the horizon. Each
+    later part is its own running sum added to the last time before it, so
+    its times round as those sums do, not as one running sum would."""
+
+    def __init__(self, rng, rate, horizon, scratch):
+        if rate <= 0:
+            super().__init__(0)
+            return
+        self.scale, self.sizes = 1.0 / rate, _draw_sizes(rate * horizon)
+        replay = np.random.default_rng(0)
+        replay.bit_generator.state = rng.bit_generator.state      # the stream's start
+        self._rewind(rng)
+        n, part_left = 0, self.sizes[0]
+        while part_left:
+            block = scratch[:min(part_left, scratch.size)]
+            self._draw(block)
+            n += int(block.searchsorted(horizon))
+            part_left -= block.size
+            if not part_left and self.last < horizon:
+                part_left = self.sizes[1]
+        super().__init__(n)
+        self._rewind(replay)
+
+    def _rewind(self, rng):
+        self.rng, self.left, self.carry, self.base, self.last = rng, self.sizes[0], 0.0, 0.0, 0.0
+
+    def _draw(self, out):
+        # exponential(scale) is scale * standard_exponential, and a running
+        # sum started from the carry repeats the whole part's, bit for bit
+        i = 0
+        while i < out.size:
+            if not self.left:                # the next part starts at the last time
+                self.left, self.carry, self.base = self.sizes[1], 0.0, self.last
+            part = out[i:i + self.left]
+            self.rng.standard_exponential(out=part)
+            part *= self.scale
+            part[0] += self.carry
+            np.cumsum(part, out=part)
+            self.carry = part[-1]
+            if self.base:
+                part += self.base
+            self.last = part[-1]
+            self.left -= part.size
+            i += part.size
+
+
+def _replays(rng, rates, horizon):
+    """Each node's `_Replay`, counted in turn on ``rng`` through one scratch
+    block of up to ``_COUNT_BLOCK`` gaps. A large block means fewer calls,
+    and once glibc's malloc has freed a block this large it keeps the
+    windows' arrays on its heap, instead of mapping them and faulting their
+    pages in again every window."""
+    first = max((_draw_sizes(r * horizon)[0] for r in rates if r > 0), default=0)
+    scratch = np.empty(min(_COUNT_BLOCK, first))
+    return [_Replay(rng, r, horizon, scratch) for r in rates]
 
 
 def _merged_events(streams_q, streams_r):
@@ -105,16 +232,21 @@ def _merged_events(streams_q, streams_r):
 
 
 def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, audit):
-    """FCFS matching of the arrival streams on the topology, and its statistics."""
-    streams = list(streams_q) + list(streams_r)
-    n_windows = max(1, sum(s.size for s in streams) // _WINDOW_EVENTS)
-    bounds = np.linspace(0.0, horizon, n_windows + 1)[1:-1]
-    cuts = [[0, *np.searchsorted(s, bounds, side="left").tolist(), s.size]
-            for s in streams]
+    """FCFS matching of the given sorted arrival streams on the topology, and
+    its statistics."""
+    streams = [_Given(np.asarray(s, dtype=float)) for s in [*streams_q, *streams_r]]
+    return _match(streams, topology, warmup_end, horizon, seed, audit)
+
+
+def _match(streams, topology, warmup_end, horizon, seed, audit):
+    """FCFS matching of every node's ``_Stream`` on the topology, queues
+    first, and its statistics."""
+    n_windows = max(1, sum(s.n for s in streams) // _WINDOW_EVENTS)
+    bounds = [*np.linspace(0.0, horizon, n_windows + 1)[1:-1].tolist(), np.inf]
     fcfs = _FCFS(streams, topology.m, warmup_end, audit)
-    for w in range(n_windows):
-        fcfs.window([c[w] for c in cuts], [c[w + 1] for c in cuts])
-    n_q = len(streams_q)
+    for bound in bounds:
+        fcfs.window(bound)
+    waiting = [s.n - s.start - h for s, h in zip(streams[:fcfs.n_q], fcfs.head)]
     counts, wait_sum = np.array(fcfs.counts, dtype=np.int64), np.array(fcfs.wait_sum)
     wait_n = counts.sum(axis=1)
     measured = horizon - warmup_end
@@ -127,7 +259,7 @@ def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, au
         avg_wait_per_queue=avg_wait,
         overall_avg_wait=overall,
         matched_count=total,
-        expired_horizon_count=sum(s.size - h for s, h in zip(streams, fcfs.head[:n_q])),
+        expired_horizon_count=sum(waiting),
         horizon=float(measured),
         seed=seed,
         event_log=tuple(fcfs.log or ()),
@@ -135,24 +267,34 @@ def _match_streams(streams_q, streams_r, topology, warmup_end, horizon, seed, au
 
 
 class _FCFS:
-    """FCFS matching state carried from one window to the next: where each
-    node's waiting line starts in its stream, and the tallies."""
+    """FCFS matching state carried from one window to the next: each node's
+    stream, where its waiting line starts in the stream's buffer, and the
+    tallies."""
 
-    def __init__(self, streams, m, warmup_end, audit):
-        self.streams = streams
+    def __init__(self, sources, m, warmup_end, audit):
+        self.sources = sources
+        self.streams = [None] * len(sources)      # each source's held times, per window
         self.n_q, self.n_r = n_q, n_r = m.shape
         self.neighbours = ([(n_q + np.flatnonzero(row)).tolist() for row in m]
                            + [np.flatnonzero(col).tolist() for col in m.T])
-        self.bits = [1 << j for j in range(len(streams))]
+        self.bits = [1 << j for j in range(len(sources))]
         self.masks = [sum(self.bits[j] for j in nb) for nb in self.neighbours]
-        self.head = [0] * len(streams)       # line j is streams[j][head[j]:arrived_j]
+        self.head = [0] * len(sources)       # line j is streams[j][head[j]:arrived_j]
         self.counts = [[0] * n_r for _ in range(n_q)]   # lists: cheaper per match than numpy
         self.wait_sum = [0.0] * n_q
         self.warmup_end = warmup_end
         self.log = [] if audit else None
 
-    def window(self, lo, hi):
-        """Match the arrivals streams[j][lo[j]:hi[j]] of every node j."""
+    def window(self, bound):
+        """Match every node's arrivals before ``bound`` that no earlier
+        window matched."""
+        lo, hi = [], []
+        for j, source in enumerate(self.sources):
+            dropped, a, b = source.window(bound, self.head[j])
+            self.head[j] -= dropped
+            self.streams[j] = source.buf[:source.held]
+            lo.append(a)
+            hi.append(b)
         window = [s[a:b] for s, a, b in zip(self.streams, lo, hi)]
         times, nodes = _merged_events(window[:self.n_q], window[self.n_q:])
         start = self._stretch(times, nodes, lo, hi)
@@ -327,7 +469,11 @@ class _FCFS:
 
 def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: float,
              warmup_fraction: float = 0.2, seed: int = 0, audit: bool = False) -> SimulationStats:
-    """Simulate Poisson arrivals on both sides and FCFS matching on the topology."""
+    """Simulate Poisson arrivals on both sides and FCFS matching on the topology.
+
+    Memory does not grow with the horizon, except for the waiting lines
+    and, with ``audit``, ``event_log``, which keeps one entry for every
+    match."""
     topology.check_shape(instance)
     if not 0 < horizon_days < np.inf:
         raise ValueError("horizon must be finite and positive")
@@ -336,7 +482,5 @@ def simulate(instance: MCMSInstance, topology: MatchingTopology, horizon_days: f
     if not check_admissible(instance, topology):
         raise ValueError("topology is not admissible")
     rng = np.random.default_rng(seed)
-    streams_q = [_poisson_stream(rng, float(x), horizon_days) for x in instance.lam]
-    streams_r = [_poisson_stream(rng, float(x), horizon_days) for x in instance.mu]
-    return _match_streams(streams_q, streams_r, topology,
-                          warmup_fraction * horizon_days, horizon_days, seed, audit)
+    streams = _replays(rng, [float(x) for x in [*instance.lam, *instance.mu]], horizon_days)
+    return _match(streams, topology, warmup_fraction * horizon_days, horizon_days, seed, audit)

@@ -16,7 +16,9 @@ The simulator's matching loop is kept the same way: ``reference_match_streams``
 runs the earlier matcher, which writes the FCFS rule out once for arriving
 individuals and once for arriving resources, so that a test can require the
 single node loop in ``fairmatch.desim`` to give identical statistics and
-event logs.
+event logs. ``reference_poisson_stream`` is the earlier arrival generator,
+which drew each node's whole-horizon stream at once, so that a test can
+require the simulator's replayed arrivals to be the same times, bit for bit.
 
 ``reference_from_csv`` is the earlier dataset reader, which parses with the
 csv module one row at a time and converts each field with ``float`` or
@@ -316,6 +318,23 @@ def reference_fit_causal_tree(dataset, resource, params=None, features="all", se
         root = _grow_effect_tree(X, y, w, params, 0)
     tree = DecisionTree(root, "binary-regression", X.shape[1])
     return CausalTree(tree, resource, baseline, params["honest"], mns, features)
+
+
+def reference_poisson_stream(rng, rate, horizon, first=None):
+    """A node's Poisson arrival times before the horizon, drawn at once.
+    ``first`` replaces the size of the first draw, so that a test can reach
+    the extension branch, which adds each extra running sum to the last time
+    without carrying it."""
+    if rate <= 0:
+        return np.empty(0)
+    n_expect = rate * horizon
+    if first is None:
+        first = int(n_expect + 6 * np.sqrt(n_expect) + 20)
+    times = np.cumsum(rng.exponential(1.0 / rate, size=first))
+    while times.size and times[-1] < horizon:
+        extra = np.cumsum(rng.exponential(1.0 / rate, size=max(16, int(0.1 * n_expect))))
+        times = np.concatenate([times, times[-1] + extra])
+    return times[times < horizon]
 
 
 def _merged_events(streams_q, streams_r):

@@ -15,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+from _oracles import reference_poisson_stream  # noqa: E402
 
 
 def test_spanned_names_exist():
@@ -53,25 +54,22 @@ def test_tree_lookups_do_not_call_each_other(monkeypatch, called):
 
 
 def _events_seen(monkeypatch):
-    """simulate on a 2x2 instance, with the arrivals each stream generated and
-    the lengths that a wrapped `desim._merged_events` returned."""
-    generated, seen = [], []
-    stream, merged = desim._poisson_stream, desim._merged_events
-
-    def counted_stream(*args):
-        times = stream(*args)
-        generated.append(times.size)
-        return times
+    """simulate on a 2x2 instance, with the arrivals of each stream that the
+    earlier whole-horizon generator draws for it, and the lengths that a
+    wrapped `desim._merged_events` returned."""
+    seen, merged = [], desim._merged_events
 
     def merged_events(streams_q, streams_r):
         out = merged(streams_q, streams_r)
         seen.append(len(out[0]))
         return out
-    monkeypatch.setattr(desim, "_poisson_stream", counted_stream)
     monkeypatch.setattr(desim, "_merged_events", merged_events)
     inst = core.MCMSInstance(("q0", "q1"), ("r0", "r1"), (Fraction(1), Fraction(1)),
                              (Fraction(101, 100), Fraction(101, 100)), 0.99)
     desim.simulate(inst, core.MatchingTopology.fully_connected(2, 2), 200.0, seed=0)
+    rng = np.random.default_rng(0)
+    generated = [reference_poisson_stream(rng, float(x), 200.0).size
+                 for x in [*inst.lam, *inst.mu]]
     assert len(generated) == 4 and sum(generated) > 0
     return generated, seen
 

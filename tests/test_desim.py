@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import random_instance, reference_match_streams
+from _oracles import random_instance, reference_match_streams, reference_poisson_stream
 from conftest import make_instance
 from fairmatch import core, desim, queuing
 
@@ -101,6 +101,63 @@ class TestMatchingDiscipline:
         # resources of both types wait; the earlier-arrived type must be used
         counts, *_ = _match([[3.0]], [[2.0], [1.0]], [[1, 1]], 4.0)
         assert counts[0, 1] == 1 and counts[0, 0] == 0
+
+
+def _set_block(mp, block):
+    """Draw and count every stream ``block`` times at a time."""
+    mp.setattr(desim, "_BLOCK", block)
+    mp.setattr(desim, "_COUNT_BLOCK", block)
+
+
+def _replayed(rng, rates, horizon):
+    """Every arrival of each node's `_Replay`, counted on ``rng`` and then
+    replayed to its end."""
+    out = []
+    for stream in desim._replays(rng, rates, horizon):
+        _, lo, hi = stream.window(np.inf, 0)
+        assert hi - lo == stream.n
+        out.append(stream.buf[lo:hi])
+    return out
+
+
+def _same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+class TestReplay:
+    """Each node's arrivals, counted and then replayed a block at a time
+    from its saved generator state, are the earlier generator's whole-horizon
+    stream bit for bit, and counting moves the shared generator as far as
+    drawing that stream did."""
+
+    @pytest.fixture(params=[1, 7, None], autouse=True,
+                    ids=["block1", "block7", "default"])
+    def block(self, request, monkeypatch):
+        if request.param:
+            _set_block(monkeypatch, request.param)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streams(self, seed):
+        # no draw at rate 0, and at 1e-4 a day one arrival at most, if any
+        rates = [0.0, 1e-4, 0.37, 2.0, 0.0, 5.5, 1.0]
+        rng, draws = np.random.default_rng(seed), np.random.default_rng(seed)
+        for got, rate in zip(_replayed(rng, rates, 700.0), rates, strict=True):
+            _same_bits(got, reference_poisson_stream(draws, rate, 700.0))
+        assert rng.bit_generator.state == draws.bit_generator.state
+
+    @pytest.mark.parametrize("first", [1, 5, 40])
+    def test_extension_branch(self, monkeypatch, first):
+        """With too few gaps drawn first, the stream adds more parts, each
+        its own running sum added to the last time before it."""
+        sizes = desim._draw_sizes
+        monkeypatch.setattr(desim, "_draw_sizes", lambda n_expect: (first, sizes(n_expect)[1]))
+        rates = [0.5, 3.0, 1.0]
+        rng, draws = np.random.default_rng(first), np.random.default_rng(first)
+        for got, rate in zip(_replayed(rng, rates, 400.0), rates, strict=True):
+            want = reference_poisson_stream(draws, rate, 400.0, first=first)
+            assert want.size > first
+            _same_bits(got, want)
+        assert rng.bit_generator.state == draws.bit_generator.state
 
 
 def _same_stats(a, b):
@@ -216,25 +273,32 @@ class TestAgainstReference:
         assert np.array_equal(got_nodes, nodes[order])
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_simulate(self, monkeypatch, seed):
+    def test_simulate(self, seed):
+        """simulate matches the earlier generator's whole-horizon streams as
+        the earlier matcher does."""
         rng = np.random.default_rng(seed)
         n_q, n_r = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         lam, mu = random_instance(rng, n_q, n_r)
         inst = make_instance(lam, mu)
         m = core.MatchingTopology.fully_connected(n_q, n_r)
         got = desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True)
-        monkeypatch.setattr(desim, "_match_streams", reference_match_streams)
-        _same_stats(got, desim.simulate(inst, m, 300.0, 0.3, seed=seed, audit=True))
+        draws = np.random.default_rng(seed)
+        streams = [reference_poisson_stream(draws, float(x), 300.0)
+                   for x in [*inst.lam, *inst.mu]]
+        _same_stats(got, reference_match_streams(streams[:n_q], streams[n_q:], m,
+                                                 0.3 * 300.0, 300.0, seed, True))
 
 
 class TestInSmallWindows(TestAgainstReference):
     """The reference comparisons again, with windows of a few arrivals, so
-    that window bounds often fall on tied arrival times."""
+    that window bounds often fall on tied arrival times, and with streams
+    drawn a few times at a time, so that their buffers often move and grow."""
 
     @pytest.fixture(scope="class", params=[1, 3, 16], autouse=True)
     def window(self, request):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(desim, "_WINDOW_EVENTS", request.param)
+            _set_block(mp, {1: 7, 3: 1, 16: 7}[request.param])
             yield
 
     test_merge_order_on_ties = None     # the merge itself never sees the window
@@ -265,29 +329,31 @@ def test_window_bounds_on_tied_arrivals(monkeypatch):
 
 @pytest.fixture
 def arrivals(monkeypatch):
-    """The arrival count of each stream that `simulate` draws."""
-    sizes, stream = [], desim._poisson_stream
+    """The arrival count of each window that `simulate` merges, read as
+    perfbench counts `desim.events`: the length of the times that a wrapped
+    `desim._merged_events` returns."""
+    sizes, merged = [], desim._merged_events
 
-    def counted_stream(*args):
-        times = stream(*args)
-        sizes.append(times.size)
-        return times
-    monkeypatch.setattr(desim, "_poisson_stream", counted_stream)
+    def merged_events(streams_q, streams_r):
+        times, nodes = merged(streams_q, streams_r)
+        sizes.append(len(times))
+        return times, nodes
+    monkeypatch.setattr(desim, "_merged_events", merged_events)
     return sizes
 
 
-def _peak_memory(inst, m):
+def _peak_memory(inst, m, horizon=50_000.0):
     tracemalloc.start()
     try:
-        desim.simulate(inst, m, 50_000.0, 0.2, seed=0)
+        desim.simulate(inst, m, horizon, 0.2, seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_memory_holds_one_window(monkeypatch, arrivals):
-    """Past the streams themselves (8 bytes an arrival), the simulator holds
-    one window of Python objects, not the whole horizon's."""
+    """The simulator holds one window of arrivals and Python objects, not
+    the whole horizon's."""
     monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
     inst = make_instance([1, 1], [Fraction(101, 100), Fraction(101, 100)])
     peak = _peak_memory(inst, core.MatchingTopology.fully_connected(2, 2))
@@ -302,6 +368,20 @@ def test_memory_holds_one_window_beside_a_long_line(monkeypatch, arrivals):
     inst = make_instance([1, 1], [10, Fraction(101, 100)])
     peak = _peak_memory(inst, topo([[1, 1], [0, 1]]))
     assert peak < 24 * sum(arrivals)
+
+
+def test_memory_does_not_grow_with_the_horizon(monkeypatch):
+    """No whole stream is held: at ten times the horizon, 400k arrivals
+    instead of 40k, the peak stays within 64 kB of the peak at one. With
+    windows of 4096 arrivals both horizons span many windows, and a counting
+    block of 4096 gaps is the same size at both (by default it grows with
+    the horizon up to its cap of 4 MB)."""
+    monkeypatch.setattr(desim, "_WINDOW_EVENTS", 4096)
+    monkeypatch.setattr(desim, "_COUNT_BLOCK", 4096)
+    inst = make_instance([1, 1], [Fraction(101, 100), Fraction(101, 100)])
+    m = core.MatchingTopology.fully_connected(2, 2)
+    peak = _peak_memory(inst, m, 10_000.0)
+    assert _peak_memory(inst, m, 100_000.0) < peak + 64 * 1024
 
 
 @pytest.mark.parametrize("seed", range(3))
