@@ -432,7 +432,7 @@ def cmd_optimize(cfg, cross_check=False) -> int:
     fitted = _fitted(cfg, ["DR"])
     instance = fitted.instance
     tau = causal.effects(fitted.table, instance.n_queues)
-    fairness, dim = optimizer.FairnessSpec.none(), cfg["fairness"]["dimension"]
+    fairness, dim = optimizer.FairnessSpec(), cfg["fairness"]["dimension"]
     if bound is not None:
         if not fitted.groups:
             raise ValueError(f"fairness needs two or more {dim} labels among the kept records")
@@ -449,7 +449,7 @@ def cmd_optimize(cfg, cross_check=False) -> int:
     payload = _topology_payload(instance, result, tau)
     if cross_check:
         if instance.n_queues * instance.n_resources <= optimizer.MAX_ORACLE_CELLS:
-            oracle = optimizer.enumerate_oracle(instance, tau, fairness, cells)
+            oracle = optimizer.enumerate_oracle(model)
             payload["oracle_objective"] = oracle.objective
             payload["oracle_match"] = bool(abs(oracle.objective - result.objective) <= 1e-6)
         else:

@@ -2,8 +2,15 @@
 
 The model maximizes flow-weighted treatment effects subject to flow balance,
 big-M linearized KKT conditions of the steady-state flow QP, and optional
-fairness constraints. Resource rates are rebalanced to the total individual
-arrival rate, matching the flow solver.
+side constraints over the flows. Resource rates are rebalanced to the total
+individual arrival rate, matching the flow solver.
+
+Every side constraint is one row ``(A, sense, rhs, label)`` over the (Q, R)
+flow matrix f, meaning ``sum(A * f) sense rhs`` with sense ``"<="``, ``">="``
+or ``"=="``. ``build_mio`` compiles the fairness kind's rows and then each
+``extra_linear`` entry ``(A, sense, rhs)``, A a (Q, R) array, into
+``MIOModel.side``, and places them through ``idx_f``; ``enumerate_oracle``
+checks the same rows.
 
 The big-Ms are per cell: with ``B = sum_r 1/mu_r`` over the balanced rates,
 cell (q, r)'s KKT rows use ``lam_q mu_r B`` and its multiplier ``nu`` is capped
@@ -37,8 +44,7 @@ the solve: theta, and the rows of nu, m and z, with their flows split in
 proportion to lam. The merge is exact: the KKT point of the instance in which
 a linked group is one queue, expanded by lam, is the KKT point of the linked
 topology, so no linked single-component optimum is lost (the proof is in
-``add_non_affirmative_links``). A row of ``extra_linear`` that names nu, z or
-theta of a linked queue constrains the shared variable.
+``add_non_affirmative_links``).
 
 HiGHS runs through the pybind11 binding that scipy ships,
 ``scipy.optimize._highspy._core``, loaded by the first ``solve`` from its file
@@ -112,10 +118,6 @@ class FairnessSpec:
                 raise ValueError("fairness groups must map to disjoint queue sets")
             seen |= qs
 
-    @staticmethod
-    def none() -> "FairnessSpec":
-        return FairnessSpec()
-
 
 def compute_bigM(instance: MCMSInstance) -> BigMConstants:
     """Per-cell big-M constants from the exact rational rates, with the
@@ -144,7 +146,7 @@ def compute_bigM(instance: MCMSInstance) -> BigMConstants:
 class MIOModel:
     instance: MCMSInstance
     tau: CATEMatrix
-    fairness: FairnessSpec
+    side: list                       # (A over the (Q, R) flows, sense, rhs, label)
     constants: BigMConstants
     objective: np.ndarray            # coefficients, maximization sense
     a_eq: list                       # (row array, rhs, label)
@@ -152,7 +154,6 @@ class MIOModel:
     integrality: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    var_names: list
     n_vars: int
     idx_f: np.ndarray                # (Q, R) index maps
     idx_nu: np.ndarray
@@ -175,25 +176,32 @@ class OptimizationResult:
 def build_mio(instance: MCMSInstance, tau: CATEMatrix,
               fairness: FairnessSpec | None = None,
               extra_linear=None) -> MIOModel:
-    """Assemble the full constraint system over (f, nu, gamma, theta, m, z)."""
-    fairness = fairness or FairnessSpec.none()
+    """Assemble the full constraint system over (f, nu, gamma, theta, m, z).
+
+    The side rows, ``model.side``, are the fairness kind's and then one per
+    ``extra_linear`` entry ``(A, sense, rhs)``: ``sum(A * f) sense rhs``, A
+    a (Q, R) array over the flows and sense ``"<="``, ``">="`` or ``"=="``.
+    Each is placed through ``idx_f``: a ``"<="`` row in ``a_ub``, a ``">="``
+    row negated in ``a_ub``, an ``"=="`` row in ``a_eq``.
+    """
+    fairness = fairness or FairnessSpec()
     n_q, n_r = instance.n_queues, instance.n_resources
     if tau.tau.shape != (n_q, n_r):
         raise ValueError("effect matrix shape does not match the instance")
+    side = _side_rows(instance, tau, fairness, extra_linear)
     consts = compute_bigM(instance)
     z_big = np.array(consts.z, dtype=float)
     nu_cap = float(consts.b)
     lam = instance.lam_f
     mu = instance.balanced_mu_f()
 
-    names = []
-    idx_f = _add_block(names, "f", (n_q, n_r))
-    idx_nu = _add_block(names, "nu", (n_q, n_r))
-    idx_gamma = _add_block(names, "gamma", (n_r,))
-    idx_theta = _add_block(names, "theta", (n_q,))
-    idx_m = _add_block(names, "m", (n_q, n_r))
-    idx_z = _add_block(names, "z", (n_q, n_r))
-    n_vars = len(names)
+    # one block of consecutive columns per variable, in this order
+    shapes = [(n_q, n_r), (n_q, n_r), (n_r,), (n_q,), (n_q, n_r), (n_q, n_r)]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    n_vars = sum(sizes)
+    idx_f, idx_nu, idx_gamma, idx_theta, idx_m, idx_z = (
+        cols.reshape(shape) for cols, shape in
+        zip(np.split(np.arange(n_vars), np.cumsum(sizes)[:-1]), shapes))
 
     lower = np.zeros(n_vars)
     upper = np.full(n_vars, np.inf)
@@ -254,21 +262,17 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
             rr[idx_z[q, r]] = nu_cap
             a_ub.append((rr, nu_cap, f"multiplier_complementarity[{q},{r}]"))
 
-    _add_fairness_rows(a_ub, fairness, instance, tau, idx_f, lam, n_vars)
+    for a, sense, rhs, label in side:
+        rr = row()
+        rr[idx_f] = a
+        if sense == "==":
+            a_eq.append((rr, rhs, label))
+        else:
+            a_ub.append((rr, rhs, label) if sense == "<=" else (-rr, -rhs, label))
 
-    model = MIOModel(instance, tau, fairness, consts, objective, a_eq, a_ub,
-                     integrality, lower, upper, names, n_vars, idx_f, idx_nu,
-                     idx_gamma, idx_theta, idx_m, idx_z)
-    for entry in extra_linear or []:
-        _append_extra(model, entry)
-    return model
-
-
-def _add_block(names, base, shape):
-    start = len(names)
-    for key in itertools.product(*(range(s) for s in shape)):
-        names.append(f"{base}[{','.join(map(str, key))}]")
-    return np.arange(start, len(names)).reshape(shape)
+    return MIOModel(instance, tau, side, consts, objective, a_eq, a_ub,
+                    integrality, lower, upper, n_vars, idx_f, idx_nu,
+                    idx_gamma, idx_theta, idx_m, idx_z)
 
 
 def _group_queue_indices(fairness, instance):
@@ -282,62 +286,52 @@ def _group_queue_indices(fairness, instance):
     return out
 
 
-def _add_fairness_rows(a_ub, fairness, instance, tau, idx_f, lam, n_vars):
-    if fairness.kind == "none":
-        return
-    groups = _group_queue_indices(fairness, instance)
-    bound = fairness.bound
-    n_r = instance.n_resources
-    if fairness.kind == "maximin_allocation":
-        for g, qs in groups.items():
-            for r in range(n_r):
-                rr = np.zeros(n_vars)
-                rr[idx_f[qs, r]] = -1.0
-                a_ub.append((rr, -bound, f"fair_maximin_alloc[{g},{r}]"))
-    elif fairness.kind == "parity_allocation":
-        for (g1, q1), (g2, q2) in itertools.combinations(groups.items(), 2):
-            for r in range(n_r):
-                rr = np.zeros(n_vars)
-                rr[idx_f[q1, r]] += 1.0
-                rr[idx_f[q2, r]] -= 1.0
-                a_ub.append((rr, bound, f"fair_parity_alloc[{g1},{g2},{r}]"))
-                a_ub.append((-rr, bound, f"fair_parity_alloc[{g2},{g1},{r}]"))
-    elif fairness.kind == "maximin_outcome":
-        for g, qs in groups.items():
-            lam_g = lam[qs].sum()
-            rr = np.zeros(n_vars)
-            for q in qs:
-                rr[idx_f[q, :]] = -tau.tau[q, :] / lam_g
-            a_ub.append((rr, -bound, f"fair_maximin_outcome[{g}]"))
-    elif fairness.kind == "parity_outcome":
-        for (g1, q1), (g2, q2) in itertools.combinations(groups.items(), 2):
-            rr = np.zeros(n_vars)
-            for q in q1:
-                rr[idx_f[q, :]] += tau.tau[q, :] / lam[q1].sum()
-            for q in q2:
-                rr[idx_f[q, :]] -= tau.tau[q, :] / lam[q2].sum()
-            a_ub.append((rr, bound, f"fair_parity_outcome[{g1},{g2}]"))
-            a_ub.append((-rr, bound, f"fair_parity_outcome[{g2},{g1}]"))
+def _side_rows(instance, tau, fairness, extra_linear):
+    """``build_mio``'s side rows ``(A, sense, rhs, label)``: the fairness
+    kind's, then ``extra_linear``'s.
 
-
-def _append_extra(model: MIOModel, entry):
-    """Append one user constraint: ({var_name: coef}, sense, rhs) with
-    sense one of '<=', '>=', '=='."""
-    coeffs, sense, rhs = entry
-    pos = {n: i for i, n in enumerate(model.var_names)}
-    rr = np.zeros(model.n_vars)
-    for name, coef in coeffs.items():
-        rr[pos[name]] = coef
-    if not (np.isfinite(rr).all() and np.isfinite(rhs)):
-        raise ValueError(f"extra_linear row is not finite: {coeffs} {sense} {rhs}")
-    if sense == "<=":
-        model.a_ub.append((rr, rhs, "extra"))
-    elif sense == ">=":
-        model.a_ub.append((-rr, -rhs, "extra"))
-    elif sense == "==":
-        model.a_eq.append((rr, rhs, "extra"))
-    else:
-        raise ValueError(f"unknown sense: {sense}")
+    A group's measure ``sum(A_g * f)`` is its flow to one resource (the
+    allocation kinds, one measure per resource) or its mean effect per
+    arrival, ``sum_{q in g} tau_q . f_q / sum_{q in g} lam_q`` (the outcome
+    kinds). Maximin bounds each measure from below, parity the difference of
+    each pair of groups' measures from both sides.
+    """
+    shape = (instance.n_queues, instance.n_resources)
+    side = []
+    if fairness.kind != "none":
+        lam, bound = instance.lam_f, fairness.bound
+        name = "fair_" + fairness.kind.replace("allocation", "alloc")
+        measures = {}                # group -> [(label suffix, A_g)]
+        for g, qs in _group_queue_indices(fairness, instance).items():
+            if fairness.kind.endswith("allocation"):
+                measures[g] = []
+                for r in range(shape[1]):
+                    a = np.zeros(shape)
+                    a[qs, r] = 1.0
+                    measures[g].append((f",{r}", a))
+            else:
+                a = np.zeros(shape)
+                a[qs] = tau.tau[qs] / lam[qs].sum()
+                measures[g] = [("", a)]
+        if fairness.kind.startswith("maximin"):
+            for g, rows in measures.items():
+                for key, a in rows:
+                    side.append((-a, "<=", -bound, f"{name}[{g}{key}]"))
+        else:
+            for (g1, rows1), (g2, rows2) in itertools.combinations(measures.items(), 2):
+                for (key, a1), (_, a2) in zip(rows1, rows2):
+                    side.append((a1 - a2, "<=", bound, f"{name}[{g1},{g2}{key}]"))
+                    side.append((a2 - a1, "<=", bound, f"{name}[{g2},{g1}{key}]"))
+    for a, sense, rhs in extra_linear or ():
+        a = np.array(a, dtype=float)
+        if a.shape != shape:
+            raise ValueError(f"extra_linear row has shape {a.shape}, not {shape}")
+        if not (np.isfinite(a).all() and np.isfinite(rhs)):
+            raise ValueError(f"extra_linear row is not finite: {a.tolist()} {sense} {rhs}")
+        if sense not in ("<=", ">=", "=="):
+            raise ValueError(f"unknown sense: {sense}")
+        side.append((a, sense, rhs, "extra"))
+    return side
 
 
 def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
@@ -347,8 +341,7 @@ def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
     queues they join, transitively, into one set of variables: a merged group
     G shares theta, nu[q, :], m[q, :] and z[q, :], and its flows split by
     arrival rate, ``f[q, r] = (lam_q / lam_G) fbar[G, r]`` with ``lam_G`` the
-    group's total rate. A row of ``extra_linear`` that names nu, z or theta
-    of a linked queue therefore constrains the variable the group shares.
+    group's total rate.
 
     The merge keeps every optimum. Take the KKT point (fbar, thetabar,
     gamma, nubar) of the instance in which G is one queue of rate lam_G, and
@@ -619,23 +612,19 @@ def _pooling_cuts(model, m, components):
     return cuts
 
 
-def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
-                     fairness: FairnessSpec | None = None,
-                     cells=()) -> OptimizationResult:
-    """Exhaustive search over topologies: admissible, single pooled component,
-    fairness-feasible, the queues of each of ``cells`` on one eligibility row
-    (as ``add_non_affirmative_links`` forces), maximum flow-weighted effect."""
-    fairness = fairness or FairnessSpec.none()
+def enumerate_oracle(model: MIOModel) -> OptimizationResult:
+    """Exhaustive search over the topologies of the model ``solve`` solves:
+    admissible, one pooled component, the queues of each ``model.links``
+    cell on one eligibility row, and every ``model.side`` row met within
+    1e-7; of these, the one of maximum flow-weighted effect."""
+    instance, tau = model.instance, model.tau
     n_q, n_r = instance.n_queues, instance.n_resources
     if n_q * n_r > MAX_ORACLE_CELLS:
         raise ValueError(f"oracle limited to {MAX_ORACLE_CELLS} topology cells")
-    groups = _group_queue_indices(fairness, instance)
-    links = [[instance.queues.index(q) for q in cell] for cell in cells]
-    lam = instance.lam_f
     best = None
     for bits in itertools.product((0, 1), repeat=n_q * n_r):
         m = np.array(bits, dtype=int).reshape(n_q, n_r)
-        if any((m[qs] != m[qs[0]]).any() for qs in links):
+        if any((m[qs] != m[qs[0]]).any() for qs in model.links):
             continue
         topology = MatchingTopology(m)
         try:
@@ -644,7 +633,7 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
             continue
         if crp_components(instance, topology, flows).count != 1:
             continue
-        if not _fairness_ok(flows.f, fairness, groups, tau, lam):
+        if not _side_met(flows.f, model.side):
             continue
         objective = float(np.sum(tau.tau * flows.f))
         if best is None or (objective > best[0] + 1e-12) or \
@@ -659,24 +648,12 @@ def enumerate_oracle(instance: MCMSInstance, tau: CATEMatrix,
                               {"status": "exhaustive", "nodes": 0, "gap": 0.0})
 
 
-def _fairness_ok(f, fairness, groups, tau, lam, tol=1e-7):
-    if fairness.kind == "none":
-        return True
-    bound = fairness.bound
-    if fairness.kind == "maximin_allocation":
-        return all(f[qs, r].sum() >= bound - tol
-                   for qs in groups.values() for r in range(f.shape[1]))
-    if fairness.kind == "parity_allocation":
-        for q1, q2 in itertools.combinations(groups.values(), 2):
-            for r in range(f.shape[1]):
-                if abs(f[q1, r].sum() - f[q2, r].sum()) > bound + tol:
-                    return False
-        return True
-    values = {g: float(np.sum(f[qs] * tau.tau[qs]) / lam[qs].sum())
-              for g, qs in groups.items()}
-    if fairness.kind == "maximin_outcome":
-        return all(v >= bound - tol for v in values.values())
-    for v1, v2 in itertools.combinations(values.values(), 2):
-        if abs(v1 - v2) > bound + tol:
+def _side_met(f, side, tol=1e-7):
+    """Whether the flows f meet every side row within ``tol``. A slack
+    ``sum(A * f) - rhs`` above tol breaks a "<=" or "==" row, one below
+    -tol a ">=" or "==" row."""
+    for a, sense, rhs, _ in side:
+        slack = float(np.sum(a * f)) - rhs
+        if (slack > tol and sense != ">=") or (slack < -tol and sense != "<="):
             return False
     return True

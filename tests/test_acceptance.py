@@ -91,7 +91,7 @@ def test_criterion_03_mio_matches_exhaustive_search():
         t[:, 0] = 0.0
         tau = core.CATEMatrix(t)
         try:
-            oracle = optimizer.enumerate_oracle(inst, tau)
+            oracle = optimizer.enumerate_oracle(optimizer.build_mio(inst, tau))
         except (optimizer.InfeasibleModelError, ValueError):
             continue
         result = optimizer.solve(optimizer.build_mio(inst, tau))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fairmatch
-from fairmatch import causal, cli, core, desim, ope
+from fairmatch import causal, cli, core, desim, ope, optimizer
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -87,6 +87,37 @@ def test_event_count_sums_over_windows(monkeypatch):
     monkeypatch.setattr(desim, "_WINDOW_EVENTS", 64)
     generated, seen = _events_seen(monkeypatch)
     assert len(seen) > 1 and sum(seen) == sum(generated)
+
+
+class _Maxima(spans.NullTracer):
+    def __init__(self):
+        self.maxima = {}
+
+    def maximum(self, name, value):
+        self.maxima[name] = value
+
+
+@pytest.mark.parametrize("kind", ["maximin_allocation", "parity_allocation",
+                                  "maximin_outcome", "parity_outcome"])
+def test_model_rows_are_what_the_build_stats_read(kind):
+    """The trace unpacks each `a_eq` and `a_ub` entry of a built model as
+    (row, rhs, label) and counts the row's nonzeros: every entry of a grouped
+    fairness model with extra rows holds a 1-D float row over all columns."""
+    inst = core.MCMSInstance(("q0", "q1", "q2"), ("r0", "r1"),
+                             (Fraction(1, 2), Fraction(1, 4), Fraction(1, 5)),
+                             (Fraction(1, 2), Fraction(1, 2)), 0.99)
+    tau = core.CATEMatrix(np.array([[0.0, 0.3], [0.0, -0.2], [0.0, 0.1]]))
+    spec = optimizer.FairnessSpec(kind, 0.1, "race", {"A": ["q0"], "B": ["q1", "q2"]})
+    extra = [(np.ones((3, 2)), ">=", 0.5), (np.eye(3, 2), "==", 0.4)]
+    tracer = _Maxima()
+    model = spans._with_build_stats(tracer, optimizer.build_mio)(inst, tau, spec, extra)
+    entries = model.a_eq + model.a_ub
+    assert len(model.side) > len(extra)
+    for row, rhs, label in entries:
+        assert isinstance(row, np.ndarray) and row.dtype == float
+        assert row.shape == (model.n_vars,), label
+    assert tracer.maxima["optimizer.rows"] == len(entries)
+    assert tracer.maxima["optimizer.nnz"] == sum(np.count_nonzero(r) for r, _, _ in entries)
 
 
 def test_fairness_sweep_setup_passes_learning_checks(tmp_path):

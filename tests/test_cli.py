@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import shutil
@@ -143,6 +144,23 @@ class TestOptimize:
         [oracle] = oracles
         assert oracle.objective == pytest.approx(milp["objective"], abs=1e-6)
         assert milp["oracle_objective"] == oracle.objective
+
+    def test_oracle_disagreement_exits_1(self, workspace, tmp_path, monkeypatch, capsys):
+        """An oracle whose optimum differs from the MIO's by more than 1e-6
+        fails the run with exit 1 once topology.json records the mismatch."""
+        root, base = workspace_copy(workspace, tmp_path)
+        enumerate_oracle = optimizer.enumerate_oracle
+
+        def worse(model):
+            result = enumerate_oracle(model)
+            return dataclasses.replace(result, objective=result.objective - 0.01)
+        monkeypatch.setattr(optimizer, "enumerate_oracle", worse)
+        capsys.readouterr()
+        assert cli.main(["optimize", "--oracle"] + base) == 1
+        assert "oracle cross-check FAILED" in capsys.readouterr().err
+        payload = json.loads((root / "topology.json").read_text())
+        assert payload["oracle_match"] is False
+        assert payload["oracle_objective"] == pytest.approx(payload["objective"] - 0.01)
 
 
 class TestSimulateAndEvaluate:

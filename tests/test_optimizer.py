@@ -101,7 +101,7 @@ class TestFairnessSpec:
                                    {"A": ["q0"], "B": ["q0", "q1"]})
 
     def test_none_spec(self):
-        assert optimizer.FairnessSpec.none().kind == "none"
+        assert optimizer.FairnessSpec().kind == "none"
 
     @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
     def test_non_finite_bound_rejected(self, bound):
@@ -130,20 +130,20 @@ class TestModelStructure:
         tau = effects([[0.0, 0.5]])
         # non-binding cap: solve still lands on the balanced flows
         model = optimizer.build_mio(one_queue_instance, tau,
-                                    extra_linear=[({"f[0,1]": 1.0}, "<=", 0.5),
-                                                  ({"f[0,1]": 1.0}, ">=", 0.3)])
+                                    extra_linear=[(np.array([[0.0, 1.0]]), "<=", 0.5),
+                                                  (np.array([[0.0, 1.0]]), ">=", 0.3)])
         result = optimizer.solve(model)
         assert result.flows.f[0, 1] == pytest.approx(0.4, abs=1e-6)
         # column balance pins f[0,1] at 0.4, so a 0.1 cap is contradictory
         tight = optimizer.build_mio(one_queue_instance, tau,
-                                    extra_linear=[({"f[0,1]": 1.0}, "<=", 0.1)])
+                                    extra_linear=[(np.array([[0.0, 1.0]]), "<=", 0.1)])
         with pytest.raises(optimizer.InfeasibleModelError):
             optimizer.solve(tight)
 
     def test_unknown_sense_rejected(self, one_queue_instance):
         with pytest.raises(ValueError):
             optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]),
-                                extra_linear=[({"f[0,1]": 1.0}, "<", 0.1)])
+                                extra_linear=[(np.array([[0.0, 1.0]]), "<", 0.1)])
 
     @pytest.mark.parametrize("coef, sense, rhs", [(np.nan, "<=", 0.5), (np.inf, "==", 0.5),
                                                   (1.0, ">=", -np.inf), (1.0, "<=", np.nan)])
@@ -151,7 +151,7 @@ class TestModelStructure:
         # a NaN coefficient used to solve and report an optimum
         with pytest.raises(ValueError, match="not finite"):
             optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]),
-                                extra_linear=[({"f[0,0]": 0.5, "f[0,1]": coef}, sense, rhs)])
+                                extra_linear=[(np.array([[0.5, coef]]), sense, rhs)])
 
 
 class TestSolve:
@@ -173,7 +173,7 @@ class TestSolve:
             t[:, 0] = 0.0
             tau = core.CATEMatrix(t)
             try:
-                oracle = optimizer.enumerate_oracle(inst, tau)
+                oracle = optimizer.enumerate_oracle(optimizer.build_mio(inst, tau))
             except optimizer.InfeasibleModelError:
                 continue
             result = optimizer.solve(optimizer.build_mio(inst, tau))
@@ -223,7 +223,7 @@ class TestPostSolve:
         model = optimizer.build_mio(inst, tau)
         n_ub = len(model.a_ub)
         result = optimizer.solve(model)
-        oracle = optimizer.enumerate_oracle(inst, tau)
+        oracle = optimizer.enumerate_oracle(optimizer.build_mio(inst, tau))
         assert result.topology.m.tolist() == [[1, 1], [1, 1]]
         assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
         assert queuing.crp_components(inst, result.topology).count == 1
@@ -290,7 +290,7 @@ class TestPostSolve:
         # HiGHS refuses a coefficient of 1e300 as a model error, which says
         # nothing of feasibility
         model = optimizer.build_mio(one_queue_instance, effects([[0.0, 0.5]]),
-                                    extra_linear=[({"f[0,1]": 1e300}, "<=", 1.0)])
+                                    extra_linear=[(np.array([[0.0, 1e300]]), "<=", 1.0)])
         with pytest.raises(optimizer.SolverLimitError, match="Model error"):
             optimizer.solve(model)
 
@@ -354,8 +354,12 @@ _KINDS_AND_BOUNDS = {
 
 @st.composite
 def _instances(draw):
-    """Small instances with grid or large-denominator rates, random effects
-    and one fairness constraint over two queue groups."""
+    """Small instances with grid or large-denominator rates, random effects,
+    one fairness constraint over two queue groups and one ``extra_linear``
+    row over the flows with small integer coefficients. Its right-hand side
+    lies on a grid of hundredths, from 0.1 tighter to 0.2 looser than the
+    row's value at the fully connected topology's flows, so that the row
+    often binds."""
     kind = draw(st.sampled_from(optimizer.FAIRNESS_KINDS))
     n_q = draw(st.integers(1 if kind == "none" else 2, 3))
     n_r = draw(st.integers(2, 3))
@@ -368,7 +372,12 @@ def _instances(draw):
     groups = {"A": list(inst.queues[:cut]), "B": list(inst.queues[cut:])}
     spec = optimizer.FairnessSpec(kind, draw(_KINDS_AND_BOUNDS[kind]), "g",
                                   groups if kind != "none" else {})
-    return inst, core.CATEMatrix(t), spec
+    a = rng.integers(-2, 3, size=(n_q, n_r)).astype(float)
+    pooled = queuing.steady_state_flows(inst, core.MatchingTopology.fully_connected(n_q, n_r))
+    sense = draw(st.sampled_from(["<=", ">="]))
+    slack = draw(st.integers(-10, 20)) * (1 if sense == "<=" else -1)
+    rhs = (np.round(100 * np.sum(a * pooled.f)) + slack) / 100
+    return inst, core.CATEMatrix(t), spec, [(a, sense, rhs)]
 
 
 def _block_balanced_rates(draw, n_q, n_r):
@@ -404,7 +413,7 @@ def _linked_instances(draw):
     queues = list(inst.queues)
     cells = draw(st.lists(st.lists(st.sampled_from(queues), min_size=2, max_size=n_q,
                                    unique=True), min_size=1, max_size=2))
-    spec = optimizer.FairnessSpec.none()
+    spec = optimizer.FairnessSpec()
     if draw(st.booleans()):
         cut = draw(st.integers(1, n_q - 1))
         spec = optimizer.FairnessSpec("maximin_outcome",
@@ -447,14 +456,15 @@ class TestMatchesOracle:
     @given(case=_instances())
     @settings(max_examples=150, deadline=None)
     def test_objective_flows_and_pooling(self, case):
-        inst, tau, spec = case
+        inst, tau, spec, extra = case
+        model = optimizer.build_mio(inst, tau, spec, extra)
         try:
-            oracle = optimizer.enumerate_oracle(inst, tau, spec)
+            oracle = optimizer.enumerate_oracle(model)
         except optimizer.InfeasibleModelError:
             with pytest.raises(optimizer.InfeasibleModelError):
-                optimizer.solve(optimizer.build_mio(inst, tau, spec))
+                optimizer.solve(model)
             return
-        result = optimizer.solve(optimizer.build_mio(inst, tau, spec))
+        result = optimizer.solve(model)
         assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
         qp = queuing.steady_state_flows(inst, result.topology).f
         assert np.max(np.abs(result.flows.f - qp)) <= 1e-9
@@ -468,17 +478,14 @@ class TestMatchesOracle:
         """The merged-variable solve of a linked model against exhaustive
         search over the linked topologies, overlapping cells included."""
         inst, tau, spec, cells = case
-
-        def linked_solve():
-            return optimizer.solve(optimizer.add_non_affirmative_links(
-                optimizer.build_mio(inst, tau, spec), cells))
+        model = optimizer.add_non_affirmative_links(optimizer.build_mio(inst, tau, spec), cells)
         try:
-            oracle = optimizer.enumerate_oracle(inst, tau, spec, cells=cells)
+            oracle = optimizer.enumerate_oracle(model)
         except optimizer.InfeasibleModelError:
             with pytest.raises(optimizer.InfeasibleModelError):
-                linked_solve()
+                optimizer.solve(model)
             return
-        result = linked_solve()
+        result = optimizer.solve(model)
         assert result.objective == pytest.approx(oracle.objective, abs=1e-7)
         m = result.topology.m
         for cell in cells:
@@ -514,8 +521,9 @@ class TestFairnessConstraints:
                  ("maximin_outcome", 0.04), ("parity_outcome", 0.3)]
         for kind, bound in cases:
             spec = optimizer.FairnessSpec(kind, bound, "race", self._groups())
-            oracle = optimizer.enumerate_oracle(inst, tau, spec)
-            result = optimizer.solve(optimizer.build_mio(inst, tau, spec))
+            model = optimizer.build_mio(inst, tau, spec)
+            oracle = optimizer.enumerate_oracle(model)
+            result = optimizer.solve(model)
             assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
 
     def test_infeasible_bound_raises_in_both_routes(self):
@@ -525,7 +533,7 @@ class TestFairnessConstraints:
         with pytest.raises(optimizer.InfeasibleModelError):
             optimizer.solve(optimizer.build_mio(inst, tau, spec))
         with pytest.raises(optimizer.InfeasibleModelError):
-            optimizer.enumerate_oracle(inst, tau, spec)
+            optimizer.enumerate_oracle(optimizer.build_mio(inst, tau, spec))
 
     def test_unknown_queue_in_group_rejected(self):
         inst, tau = self._instance(), self._tau()
@@ -661,13 +669,15 @@ class TestNonAffirmativeLinks:
     def test_oracle_enumerates_linked_topologies_only(self):
         inst = two_by_two_instance()
         tau = effects([[0.0, 0.6], [0.0, -0.6]])
-        mio = optimizer.solve(optimizer.add_non_affirmative_links(
-            optimizer.build_mio(inst, tau), [["q0", "q1"]]))
-        oracle = optimizer.enumerate_oracle(inst, tau, cells=[["q0", "q1"]])
+        model = optimizer.add_non_affirmative_links(optimizer.build_mio(inst, tau),
+                                                    [["q0", "q1"]])
+        mio = optimizer.solve(model)
+        oracle = optimizer.enumerate_oracle(model)
         assert np.array_equal(oracle.topology.m, mio.topology.m)
         assert (oracle.objective, oracle.policy_value) == (mio.objective,
                                                            mio.policy_value)
-        assert optimizer.enumerate_oracle(inst, tau).objective > oracle.objective + 1e-6
+        assert optimizer.enumerate_oracle(
+            optimizer.build_mio(inst, tau)).objective > oracle.objective + 1e-6
 
     def test_duplicate_queue_in_cell_rejected(self):
         model = optimizer.build_mio(two_by_two_instance(),
@@ -676,21 +686,115 @@ class TestNonAffirmativeLinks:
             optimizer.add_non_affirmative_links(model, [["q0", "q0"]])
 
 
+class TestSideRows:
+    """The compiled side rows against values computed by hand from flows:
+    ``enumerate_oracle`` reads the same rows as the MIO, so it cannot check
+    them."""
+
+    @staticmethod
+    def _case(seed):
+        """Random rates and effects on 2-4 queues and 2-3 resources, the
+        queues split into two or three groups, and random nonnegative flows."""
+        rng = np.random.default_rng(seed)
+        n_q, n_r = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        inst = make_instance(*random_instance(rng, n_q, n_r))
+        n_g = int(rng.integers(2, min(3, n_q) + 1))
+        label = rng.permutation(np.arange(n_q) % n_g)
+        groups = {f"g{k}": [inst.queues[q] for q in range(n_q) if label[q] == k]
+                  for k in range(n_g)}
+        t = rng.normal(size=(n_q, n_r))
+        t[:, 0] = 0.0
+        return rng, inst, core.CATEMatrix(t), groups, rng.uniform(0.0, 1.0, size=(n_q, n_r))
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", optimizer.FAIRNESS_KINDS[1:])
+    def test_fairness_rows_give_the_hand_slack(self, kind, seed):
+        """sum(A * f) - rhs of each "<=" row, in row order: the bound less a
+        group's flow to r or mean effect per arrival (maximin), or each
+        ordered pair's difference less the bound (parity)."""
+        rng, inst, tau, groups, f = self._case(seed)
+        bound = float(rng.uniform(-0.5, 0.5))
+        spec = optimizer.FairnessSpec(kind, bound, "g", groups)
+        lam = [float(x) for x in inst.lam]
+        n_r = inst.n_resources
+        qsets = [[inst.queues.index(q) for q in qs] for qs in groups.values()]
+        pairs = list(itertools.combinations(qsets, 2))
+
+        def flow(qs, r):
+            return sum(f[q, r] for q in qs)
+
+        def mean(qs):
+            total = sum(tau.tau[q, r] * f[q, r] for q in qs for r in range(n_r))
+            return total / sum(lam[q] for q in qs)
+        expected = {
+            "maximin_allocation": [bound - flow(qs, r) for qs in qsets for r in range(n_r)],
+            "parity_allocation": [sign * (flow(q1, r) - flow(q2, r)) - bound
+                                  for q1, q2 in pairs for r in range(n_r) for sign in (1, -1)],
+            "maximin_outcome": [bound - mean(qs) for qs in qsets],
+            "parity_outcome": [sign * (mean(q1) - mean(q2)) - bound
+                               for q1, q2 in pairs for sign in (1, -1)],
+        }[kind]
+        side = optimizer.build_mio(inst, tau, spec).side
+        assert [sense for _, sense, _, _ in side] == ["<="] * len(expected)
+        assert [np.sum(a * f) - rhs for a, _, rhs, _ in side] == \
+            pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_extra_rows_give_the_hand_slack(self, seed):
+        """Each extra row keeps its sense and right-hand side, and reaches
+        the MIO through the flow columns alone: as it is, negated (">="),
+        or among the equality rows ("==")."""
+        rng, inst, tau, _, f = self._case(seed)
+        n_q, n_r = f.shape
+        extra = [(rng.normal(size=(n_q, n_r)), sense, float(rng.normal()))
+                 for sense in ("<=", ">=", "==")]
+        model = optimizer.build_mio(inst, tau, extra_linear=extra)
+        expected = [sum(a[q, r] * f[q, r] for q in range(n_q) for r in range(n_r)) - rhs
+                    for a, _, rhs in extra]
+        assert [(sense, rhs) for _, sense, rhs, _ in model.side] == \
+            [(sense, rhs) for _, sense, rhs in extra]
+        assert [np.sum(a * f) - rhs for a, _, rhs, _ in model.side] == \
+            pytest.approx(expected, rel=1e-12, abs=1e-12)
+        x = rng.normal(size=model.n_vars)
+        x[model.idx_f] = f
+        (le, le_rhs, _), (ge, ge_rhs, _) = model.a_ub[-2:]
+        eq, eq_rhs, _ = model.a_eq[-1]
+        assert [le @ x - le_rhs, -(ge @ x - ge_rhs), eq @ x - eq_rhs] == \
+            pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 class TestOracle:
+    @pytest.mark.parametrize("sign, sense, rhs", [(1, "<=", 0.5), (-1, ">=", -0.5),
+                                                  (1, "==", 0.2)])
+    def test_honours_extra_linear(self, sign, sense, rhs):
+        """A row that cuts off the unconstrained optimum (f[0, 1] = 1 on
+        [[1, 1], [1, 0]]) lowers the objective alike in the MIO and in the
+        oracle, which both search the same model."""
+        inst, tau = two_by_two_instance(), effects([[0.0, 0.6], [0.0, 0.1]])
+        free = optimizer.solve(optimizer.build_mio(inst, tau))
+        assert free.flows.f[0, 1] == pytest.approx(1.0)
+        model = optimizer.build_mio(inst, tau, extra_linear=[
+            (sign * np.array([[0.0, 1.0], [0.0, 0.0]]), sense, rhs)])
+        oracle = optimizer.enumerate_oracle(model)
+        result = optimizer.solve(model)
+        assert oracle.objective < free.objective - 0.1
+        assert result.objective == pytest.approx(oracle.objective, abs=1e-6)
+        assert np.array_equal(result.topology.m, oracle.topology.m)
+
     def test_cell_cap_enforced(self):
         lam = [Fraction(1, 10)] * 3
         mu = [Fraction(1, 10)] * 6
         inst = make_instance(lam, mu)
         tau = core.CATEMatrix(np.zeros((3, 6)))
         with pytest.raises(ValueError):
-            optimizer.enumerate_oracle(inst, tau)
+            optimizer.enumerate_oracle(optimizer.build_mio(inst, tau))
 
     def test_prefers_pooled_topology_despite_richer_split(self):
         # effects reward the block-diagonal split, but it has two pooled
         # components, so the oracle must return a connected topology instead
         inst = make_instance([1, 2], [Fraction(101, 100), Fraction(101, 50)])
         tau = effects([[0.0, -1.0], [0.0, 1.0]])
-        result = optimizer.enumerate_oracle(inst, tau)
+        result = optimizer.enumerate_oracle(optimizer.build_mio(inst, tau))
         assert queuing.crp_components(inst, result.topology).count == 1
         block = core.MatchingTopology(np.array([[1, 0], [0, 1]]))
         block_obj = float(np.sum(
