@@ -479,7 +479,8 @@ class PartitionFunction:
     queues: list                  # queue ids in stable order
     feature_mode: str = "all"
     group_dimension: str | None = None
-    score_cells: dict = field(default_factory=dict)  # base tuple -> list of queue ids
+    score_cells: dict = field(default_factory=dict)  # queue id -> its split queue ids
+    groups: dict = field(default_factory=dict)       # label -> its split queue ids
 
     def assign_dataset(self, dataset: Dataset) -> np.ndarray:
         """Queue id of every record, looked up once per distinct key."""
@@ -519,23 +520,67 @@ def intersect_partitions(trees: list, dataset: Dataset,
 def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
                           group_dimension: str) -> PartitionFunction:
     """Refine queues into (queue, group label) cells observed in the data."""
-    if group_dimension not in dataset.groups:
-        raise ValueError(f"unknown group dimension: {group_dimension}")
-    seen, _ = _cell_keys(partition.trees, dataset.design(partition.feature_mode),
-                         dataset.groups[group_dimension])
-    unseen = sorted({tup for tup, _ in seen} - set(partition.queue_table))
+    keys, inverse = _cell_keys(partition.trees, dataset.design(partition.feature_mode))
+    unseen = sorted(set(keys) - set(partition.queue_table))
     if unseen:
         raise ValueError(f"records fall in cells the partition never saw: {unseen}")
-    if len({g for _, g in seen}) == 1:
-        return partition
-    table = {}
-    cells = {}
-    for tup, g in sorted(seen):
-        qid = f"{partition.queue_table[tup]}:{g}"
-        table[(tup, g)] = qid
-        cells.setdefault(partition.queue_table[tup], []).append(qid)
+    row = {key: i for i, key in enumerate(partition.queue_table)}
+    rows = np.array([row[key] for key in keys], dtype=np.int64)[inverse]
+    return _split_partition(partition, rows, dataset, group_dimension)[0]
+
+
+def split_by_label(rows, labels, queues):
+    """The one rule that splits queues by group label: the record in row
+    ``rows[i]`` of ``queues`` with label ``labels[i]`` falls in the split
+    queue (that row, ``str(label)``), with id ``"{queue}:{label}"``. Returns
+    ({(row, label): id} by row, then label; each label's ids; each queue's
+    ids, its score cell; each record's row among the ids), or None when one
+    label is present: then nothing splits."""
+    labels = np.asarray(labels).tolist()
+    names = sorted({str(g) for g in set(labels)})
+    if len(names) == 1:
+        return None
+    code = {g: names.index(str(g)) for g in set(labels)}
+    # widened first: a uint8 row, as fit's record holds it, times len(names) wraps
+    cells, rows = np.unique(np.asarray(rows, dtype=np.int64) * len(names) + np.fromiter(
+        map(code.__getitem__, labels), dtype=np.int64, count=len(labels)), return_inverse=True)
+    ids, groups, score_cells = {}, {}, {}
+    for q, g in zip(*(a.tolist() for a in np.divmod(cells, len(names)))):
+        ids[(q, names[g])] = qid = f"{queues[q]}:{names[g]}"
+        groups.setdefault(names[g], []).append(qid)
+        score_cells.setdefault(queues[q], []).append(qid)
+    return ids, groups, score_cells, rows
+
+
+def _split_partition(partition, rows, dataset, group_dimension):
+    """``partition`` and each record's row in it, split by the records'
+    labels through ``split_by_label``, keyed by (leaf tuple, label)."""
+    if group_dimension not in dataset.groups:
+        raise ValueError(f"unknown group dimension: {group_dimension}")
+    split = split_by_label(rows, dataset.groups[group_dimension], partition.queues)
+    if split is None:
+        return partition, rows
+    ids, groups, score_cells, rows = split
+    tuples = list(partition.queue_table)
+    table = {(tuples[q], g): qid for (q, g), qid in ids.items()}
     return PartitionFunction(partition.trees, table, list(table.values()),
-                             partition.feature_mode, group_dimension, cells)
+                             partition.feature_mode, group_dimension, score_cells,
+                             groups), rows
+
+
+def split_instance(instance: MCMSInstance, rows, labels) -> tuple:
+    """``instance``, whose queues hold the records in ``rows``, split by their
+    ``labels`` through ``split_by_label``: a split queue's exact rate is its
+    queue's times its share of the queue's records. Returns (instance, rows,
+    each label's queues, score cells), as given and empty if nothing splits."""
+    split = split_by_label(rows, labels, instance.queues)
+    if split is None:
+        return instance, rows, {}, {}
+    ids, groups, score_cells, split_rows = split
+    sizes, split_sizes = np.bincount(rows).tolist(), np.bincount(split_rows).tolist()
+    lam = [instance.lam[q] * n / sizes[q] for (q, _), n in zip(ids, split_sizes)]
+    return (MCMSInstance(tuple(ids.values()), instance.resources, tuple(lam), instance.mu,
+                         instance.rho), split_rows, groups, score_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -582,21 +627,21 @@ def arrival_rates(dataset: Dataset, partition: PartitionFunction,
                   observation_window_days: float, rho: float = 0.99) -> MCMSInstance:
     """Empirical per-queue and per-resource rates; the baseline resource rate
     is set so total supply is total demand divided by rho."""
-    return _rates(dataset, partition, partition.assign_dataset(dataset),
-                  observation_window_days, rho)
+    rows = ope._queue_rows(partition.assign_dataset(dataset), partition.queues)
+    return _rates(dataset, partition.queues, rows, observation_window_days, rho)
 
 
-def _rates(dataset, partition, queue_ids, observation_window_days, rho):
-    """``arrival_rates`` with each record's queue id given."""
+def _rates(dataset, queues, rows, observation_window_days, rho):
+    """``arrival_rates`` with each record's row in ``queues`` given; queues
+    without records are dropped."""
     if observation_window_days <= 0:
         raise ValueError("observation window must be positive")
     window = rationalize(observation_window_days)
-    names, sizes = np.unique(np.asarray(queue_ids), return_counts=True)
-    size = dict(zip(names.tolist(), sizes.tolist()))
-    queues = [q for q in partition.queues if q in size]
-    if not queues:
+    sizes = np.bincount(rows, minlength=len(queues)).tolist()
+    populated = [(q, Fraction(n) / window) for q, n in zip(queues, sizes) if n]
+    if not populated:
         raise ValueError("no populated queues")
-    lam = [Fraction(size[q]) / window for q in queues]
+    queues, lam = zip(*populated)
     rho_frac = rationalize(rho)
     lam_total = sum(lam, Fraction(0))
     resources = list(dataset.resource_set)
@@ -610,7 +655,7 @@ def _rates(dataset, partition, queue_ids, observation_window_days, rho):
     non_base = sum((x for x in mu if x is not None), Fraction(0))
     base_rate = lam_total / rho_frac - non_base
     mu[resources.index(baseline)] = base_rate if base_rate > 0 else MIN_BASE_RATE
-    return MCMSInstance(tuple(queues), tuple(resources), tuple(lam), tuple(mu),
+    return MCMSInstance(queues, tuple(resources), lam, tuple(mu),
                         float(lam_total / sum(mu, Fraction(0))))
 
 
@@ -638,20 +683,15 @@ class Learned:
     kept: Dataset                 # records that passed the positivity screen
     n_screened: int
     partition: PartitionFunction
-    queue_ids: np.ndarray         # queue of each kept record
+    rows: np.ndarray              # each kept record's row in ``instance.queues``
     instance: MCMSInstance
     kept_mask: np.ndarray | None = None
 
     @functools.cached_property
     def scores(self) -> ope.ScoreTable:
         """Per-record scores of ``kept`` for every estimator, built on first read."""
-        return ope.score_table(self.kept, self.queue_ids, self.instance.queues,
-                               self.out, self.prop)
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """Each kept record's row in ``instance.queues``."""
-        return ope._queue_rows(self.queue_ids, self.instance.queues)
+        return ope.ScoreTable.of(ope.score_inputs(self.kept, self.out, self.prop),
+                                 self.rows, self.kept.groups)
 
     @functools.cached_property
     def tau(self) -> CATEMatrix:
@@ -660,34 +700,8 @@ class Learned:
 
     @property
     def groups(self) -> dict:
-        """Group label -> its queue ids in ``instance.queues`` order; empty
-        when the partition is not split by group."""
-        return queue_groups(self.partition, self.instance.queues)
-
-
-def queue_groups(partition: PartitionFunction, queues) -> dict:
-    """Group label -> its ids among ``queues``, in their order; empty when
-    ``partition`` is not split by group."""
-    if partition.group_dimension is None:
-        return {}
-    label = {q: g for (_, g), q in partition.queue_table.items()}
-    groups = {}
-    for q in queues:
-        groups.setdefault(label[q], []).append(q)
-    return groups
-
-
-def queue_instance(kept: Dataset, partition: PartitionFunction,
-                   group_dimension: str | None, rho: float) -> tuple:
-    """The tail of ``learn``: ``partition`` split by ``group_dimension`` when
-    given, each kept record's queue, and the arrival rates over the kept
-    records' window, from one assignment of the kept records. Returns
-    (partition, queue ids, instance)."""
-    if group_dimension:
-        partition = split_queues_by_group(partition, kept, group_dimension)
-    queue_ids = partition.assign_dataset(kept)
-    return partition, queue_ids, _rates(kept, partition, queue_ids,
-                                        float(kept.arrival_time.max()), rho)
+        """Group label -> its queue ids in order; empty when nothing split."""
+        return self.partition.groups
 
 
 def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
@@ -705,10 +719,13 @@ def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
     kept = dataset.subset(keep)
     trees = [fit_causal_tree(kept, r, p["tree_params"], features, seed)
              for r in dataset.resource_set[1:]]
-    partition, queue_ids, instance = queue_instance(
-        kept, intersect_partitions(trees, kept, features), group_dimension, p["rho"])
-    return Learned(prop, out, trees, kept, len(dataset) - len(kept), partition,
-                   queue_ids, instance, keep)
+    partition = intersect_partitions(trees, kept, features)
+    rows = ope._queue_rows(partition.assign_dataset(kept), partition.queues)
+    if group_dimension:
+        partition, rows = _split_partition(partition, rows, kept, group_dimension)
+    instance = _rates(kept, partition.queues, rows, float(kept.arrival_time.max()), p["rho"])
+    return Learned(prop, out, trees, kept, len(dataset) - len(kept), partition, rows,
+                   instance, keep)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ Only ``fit`` learns. Beside ``models.json`` it writes its record,
 partition, the queueing instance, and per kept record its queue, score and
 estimator inputs. ``optimize`` and ``evaluate`` read the record, so they
 solve and value the instance ``fit`` learned, whatever the config says of the
-settings only ``fit`` reads. They refuse a dataset file whose
-sha256 differs from the record's. Without ``fairness.dimension`` they do not
-parse the dataset; with it they parse it once for its labels. Fairness and
-non-affirmative runs split ``fit``'s queues by those labels, through the
-saved causal trees. A verb checks each scalar setting it reads, by that
+settings only ``fit`` reads. They refuse a dataset file whose sha256
+differs from the record's, and ``resources`` other than ``fit``'s, in its
+order. Without ``fairness.dimension`` they do not parse the dataset; with it
+they parse it once for its labels. Fairness and non-affirmative runs split
+the record's queue rows by those labels (``causal.split_instance``) and
+read no ``models.json``. A verb checks each scalar setting it reads, by that
 setting's rule in ``SETTINGS``, before it reads or writes any file.
 
 Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
@@ -307,7 +308,8 @@ def _write_record(out, cfg, learned):
 
 def _read_record(cfg):
     """fit's record in the output directory, checked whole and against the
-    dataset file. Returns (its JSON part, its arrays)."""
+    dataset file and the configured resources. Returns (its JSON part, its
+    arrays)."""
     out = Path(cfg["out_dir"])
     try:
         with open(out / RECORD_JSON) as fh:
@@ -326,6 +328,11 @@ def _read_record(cfg):
     if _sha256(cfg["dataset"]) != record["dataset_sha256"]:
         raise ConfigError(f"{cfg['dataset']} is not the dataset `fit` learned from "
                           "(its sha256 differs); re-run `fit` on it")
+    fitted = record["instance"]["resources"]
+    if cfg["resources"] != fitted:
+        # their order fixes the baseline resource
+        raise ConfigError(f"resources must be fit's {fitted}, in that order, "
+                          f"not {cfg['resources']!r}; re-run `fit` to change them")
     return record, np.load(io.BytesIO(data))
 
 
@@ -368,26 +375,13 @@ def _fitted(cfg, names=None, labels=False) -> _Fitted:
                              arrays["outcome"], *(arrays[k][arrays[f"{k}_codes"]]
                                                   for k in ("yhat", "pbar")),
                              arrays.get("po"))
-    score = arrays["score"]
-    if not split:
-        dim = cfg["fairness"]["dimension"] if labels else ""
-        groups = {dim: _load_dataset(cfg).groups[dim][arrays["kept"]]} if dim else {}
-        table = ope.ScoreTable.of(inputs, arrays["rows"], groups, names)
-        return _Fitted(instance, table, score, {}, {})
-    kept = _load_dataset(cfg).subset(arrays["kept"])
-    try:
-        _, _, trees = causal.load_models(Path(cfg["out_dir"]) / "models.json")
-    except FileNotFoundError:
-        raise ConfigError("models.json not found; run `fit` first")
-    saved = record["partition"]["queue_table"]
-    partition = causal.PartitionFunction(trees, {tuple(k): q for k, q in saved},
-                                         [q for _, q in saved],
-                                         record["partition"]["feature_mode"])
-    partition, queue_ids, instance = causal.queue_instance(kept, partition, split,
-                                                           record["rho"])
-    table = ope.score_table(kept, queue_ids, instance.queues, names=names, inputs=inputs)
-    return _Fitted(instance, table, score, causal.queue_groups(partition, instance.queues),
-                   partition.score_cells)
+    dim = split or (cfg["fairness"]["dimension"] if labels else "")
+    groups = {dim: _load_dataset(cfg).groups[dim][arrays["kept"]]} if dim else {}
+    instance, rows, by_label, score_cells = (
+        causal.split_instance(instance, arrays["rows"], groups[dim]) if split
+        else (instance, arrays["rows"], {}, {}))
+    table = ope.ScoreTable.of(inputs, rows, groups, names)
+    return _Fitted(instance, table, arrays["score"], by_label, score_cells)
 
 
 def _topology_payload(instance, result, tau):
@@ -437,11 +431,7 @@ def cmd_optimize(cfg, cross_check=False) -> int:
         if not fitted.groups:
             raise ValueError(f"fairness needs two or more {dim} labels among the kept records")
         fairness = optimizer.FairnessSpec(kind, bound, dim, fitted.groups)
-    cells = []
-    if linked:
-        cells = [[q for q in c if q in instance.queues]
-                 for c in fitted.score_cells.values()]
-        cells = [c for c in cells if len(c) > 1]
+    cells = [c for c in fitted.score_cells.values() if len(c) > 1] if linked else []
     model = optimizer.add_non_affirmative_links(
         optimizer.build_mio(instance, tau, fairness), cells)
     result = optimizer.solve(model, time_limit_s=time_limit, node_limit=node_limit)

@@ -126,14 +126,12 @@ def score_inputs(dataset: Dataset, out=None, prop=None, names=None) -> ScoreInpu
 
 
 def score_table(dataset: Dataset, queue_ids, queues, out=None, prop=None,
-                names=None, inputs: ScoreInputs | None = None) -> ScoreTable:
+                names=None) -> ScoreTable:
     """Score matrices of the named estimators (by default all, GT when the
     records carry potential outcomes) over ``dataset``, whose records sit in
-    ``queue_ids`` among ``queues``. The scores come from ``inputs`` when given,
-    or else from ``score_inputs``."""
-    if inputs is None:
-        inputs = score_inputs(dataset, out, prop, names)
-    return ScoreTable.of(inputs, _queue_rows(queue_ids, queues), dataset.groups, names)
+    ``queue_ids`` among ``queues``."""
+    return ScoreTable.of(score_inputs(dataset, out, prop, names),
+                         _queue_rows(queue_ids, queues), dataset.groups, names)
 
 
 def _estimate(name, dataset, policy, queue_ids, instance, out=None, prop=None):

@@ -66,7 +66,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology, policy_value
-from .queuing import FlowSolveError, crp_components, steady_state_flows
+from .queuing import FlowSolveError, _support_components, crp_components, steady_state_flows
 
 MAX_ORACLE_CELLS = 16
 MAX_CUT_ROUNDS = 100             # solves per call before PoolingCutLimitError
@@ -377,24 +377,17 @@ def _aggregation(model: MIOModel):
     model's: each model column's merged column ``col`` and its ``weight``,
     and the model columns kept in y.
 
-    Queues joined by ``model.links`` merge by union-find, since cells may
-    overlap, each group onto the columns of its lowest-indexed queue; without
-    links the map is the identity.
+    Queues joined by ``model.links`` merge by connected components of the
+    queue x cell membership graph, since cells may overlap, each component
+    onto the columns of its lowest-indexed queue; without links the map is
+    the identity.
     """
     n_q = model.instance.n_queues
-    root = list(range(n_q))
-
-    def find(q):
-        while root[q] != q:
-            root[q] = root[root[q]]
-            q = root[q]
-        return q
-
-    for cell in model.links:
-        for q in cell[1:]:
-            a, b = sorted((find(cell[0]), find(q)))
-            root[b] = a
-    rep = np.array([find(q) for q in range(n_q)], dtype=int)
+    member = np.zeros((n_q, len(model.links)), dtype=bool)
+    for c, cell in enumerate(model.links):
+        member[cell, c] = True
+    comp, _, _ = _support_components(member)
+    rep = np.unique(comp, return_index=True)[1][comp]
     lam = model.instance.lam_f
     source = np.arange(model.n_vars)           # the model column each one maps onto
     for idx in (model.idx_f, model.idx_nu, model.idx_theta, model.idx_m, model.idx_z):

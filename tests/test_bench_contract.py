@@ -125,6 +125,19 @@ def test_fairness_sweep_setup_passes_learning_checks(tmp_path):
     workload._check_learning()
 
 
+def test_fairness_sweep_setup_is_what_learn_learns(tmp_path):
+    """The fairness-sweep set-up wires the learning stages by hand; it must
+    learn what `causal.learn` learns with the group dimension, bit for bit."""
+    workload = workloads.FairnessSweep(0, tmp_path, spans.NullTracer())
+    learned = causal.learn(workload.data, seed=workloads.TRAIN_SEED, group_dimension="race")
+    assert learned.partition.queue_table == workload.partition.queue_table
+    assert learned.partition.score_cells == workload.partition.score_cells
+    assert learned.instance == workload.instance
+    assert np.array_equal(learned.tau.tau, workload.tau.tau)
+    assert learned.tau.baseline_mean == workload.tau.baseline_mean
+    assert learned.groups == workload.groups
+
+
 def test_each_verb_parses_the_dataset_once(tmp_path, monkeypatch):
     """`core.from_csv_s` times `Dataset.from_csv` wrapped on its class, as
     perfbench/spans.py wraps it. `fit` parses the dataset once; `optimize`

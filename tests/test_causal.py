@@ -455,6 +455,32 @@ class TestPartitions:
         with pytest.raises(ValueError, match="never saw"):
             causal.split_queues_by_group(base, ds, "race")
 
+    @pytest.mark.parametrize("n_queues", [129, 200, 256])
+    def test_split_rule_on_uint8_rows_as_the_record_holds_them(self, n_queues):
+        """fit's record holds rows as uint8 below 256 queues; the rule splits
+        them as it splits the same rows as int64, and each record lands in
+        (its queue, its label)."""
+        rng = np.random.default_rng(n_queues)
+        queues = [f"q{i}" for i in range(n_queues)]
+        rows = np.concatenate([np.arange(n_queues), rng.integers(0, n_queues, 3000)])
+        labels = rng.choice(np.array(["A", "B"], dtype=object), len(rows))
+        small = rows.astype(np.uint8)
+        assert np.array_equal(small, rows)
+        split, wide = (causal.split_by_label(r, labels, queues) for r in (small, rows))
+        assert split[:3] == wide[:3]
+        assert np.array_equal(split[3], wide[3])
+        ids = list(split[0].values())
+        assert [ids[i] for i in split[3]] == [f"q{q}:{g}" for q, g in zip(rows, labels)]
+        lam = tuple(Fraction(1 + i % 7, 3) for i in range(n_queues))
+        instance = core.MCMSInstance(tuple(queues), ("a", "b"), lam,
+                                     (Fraction(1), Fraction(2)), 0.5)
+        narrow_split, wide_split = (causal.split_instance(instance, r, labels)
+                                    for r in (small, rows))
+        assert narrow_split[0] == wide_split[0]
+        assert narrow_split[0].lam_total == instance.lam_total
+        assert np.array_equal(narrow_split[1], wide_split[1])
+        assert narrow_split[2:] == wide_split[2:] == split[1:3]
+
     def test_group_split_constant_group_unchanged(self):
         scores = np.linspace(0, 1, 20)
         ds = make_dataset(scores, ["a", "b"] * 10, [0, 1] * 10,
@@ -767,8 +793,8 @@ class TestLearn:
     @pytest.mark.parametrize("dim", [None, "race"])
     def test_matches_hand_wired_stages(self, tmp_path, loaded, dim):
         """``learn``, and with ``loaded`` the route of the later CLI verbs:
-        saved models, the kept records, and ``queue_instance`` on the
-        partition of the saved trees."""
+        saved models, and the rows and instance of an ungrouped ``learn``
+        split by the kept records' labels through ``split_instance``."""
         ds = self._data()
         models = None
         if loaded:
@@ -777,10 +803,15 @@ class TestLearn:
                                fitted.trees)
             models = prop, out, trees = causal.load_models(tmp_path / "models.json")
             kept = ds.subset(fitted.kept_mask)
-            part, queue_ids, inst = causal.queue_instance(
-                kept, causal.intersect_partitions(trees, kept, "score"), dim, 0.99)
+            part = causal.intersect_partitions(trees, kept, "score")
+            inst, rows = fitted.instance, fitted.rows
+            if dim:
+                inst, rows, groups, cells = causal.split_instance(inst, rows,
+                                                                  kept.groups[dim])
+                part = causal.split_queues_by_group(part, kept, dim)
+                assert (groups, cells) == (part.groups, part.score_cells)
             learned = causal.Learned(prop, out, trees, kept, fitted.n_screened, part,
-                                     queue_ids, inst)
+                                     rows, inst)
         else:
             learned = causal.learn(ds, self.PARAMS, 3, dim)
         prop, out, trees, kept, n_screened, part, inst, tau = self._by_hand(ds, models, dim)
@@ -794,7 +825,8 @@ class TestLearn:
         assert np.array_equal(learned.kept.ids, kept.ids)
         assert learned.partition.queue_table == part.queue_table
         assert learned.partition.group_dimension == dim
-        assert np.array_equal(learned.queue_ids, part.assign_dataset(kept))
+        queue_ids = np.array(learned.instance.queues)[learned.rows]
+        assert np.array_equal(queue_ids, part.assign_dataset(kept))
         assert learned.instance == inst
         assert np.array_equal(learned.tau.tau, tau.tau)
         assert learned.tau.baseline_mean == tau.baseline_mean
@@ -803,15 +835,15 @@ class TestLearn:
         if dim:
             labels = kept.groups[dim]
             for q in inst.queues:
-                (label,) = set(labels[learned.queue_ids == q].tolist())
+                (label,) = set(labels[queue_ids == q].tolist())
                 expected.setdefault(label, []).append(q)
         assert list(learned.groups.items()) == list(expected.items())
 
     def test_effects_estimated_once_on_first_read(self, monkeypatch):
         calls = []
-        score_table = ope.score_table
-        monkeypatch.setattr(ope, "score_table",
-                            lambda *args: calls.append(1) or score_table(*args))
+        score_inputs = ope.score_inputs
+        monkeypatch.setattr(ope, "score_inputs",
+                            lambda *args: calls.append(1) or score_inputs(*args))
         learned = causal.learn(self._data(), self.PARAMS)
         assert calls == []
         assert learned.tau is learned.tau

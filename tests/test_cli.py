@@ -344,6 +344,61 @@ class TestRecord:
         assert (f"{name} not found" in err if damage.startswith("no")
                 else "incomplete; re-run `fit`" in err)
 
+    @pytest.mark.parametrize("flags", [[], ["--non-affirmative"]])
+    def test_resources_other_than_fits_are_refused(self, workspace, tmp_path, capsys,
+                                                   flags):
+        """The order of ``resources`` fixes the baseline, so a config whose
+        list is not fit's, order included, exits 2 and names fit's list."""
+        root, base = workspace_copy(workspace, tmp_path, fairness={"dimension": "race"},
+                                    resources=["RRH", "SO", "PSH"])
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["optimize"] + flags + base) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "resources must be fit's ['SO', 'RRH', 'PSH']" in err
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    def test_grouped_verbs_read_only_the_record_and_labels(self, tmp_path, monkeypatch):
+        """Fairness, non-affirmative and oracle runs split fit's recorded rows
+        by label: with ``models.json`` gone and no tree walked, they write
+        the bytes of a run that has it."""
+        root = tmp_path / "with"
+        root.mkdir()
+        (root / "config.json").write_text(json.dumps({
+            "synth": {"n": 6000, "group_probs": {"race": {"A": 0.5, "B": 0.5}}},
+            "tree_params": {"min_node_size": 1500, "max_depth": 1},
+            "fairness": {"dimension": "race"}}))
+        base = ["--config", str(root / "config.json"), "--out", str(root),
+                "--dataset", str(root / "dataset.csv")]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["fit"] + base) == 0
+        runs = [("optimize", ["--fairness", "maximin_outcome:race:0.3"]),
+                ("evaluate", ["--fairness", "maximin_outcome:race:0.3"]),
+                ("optimize", ["--non-affirmative", "--oracle"]),
+                ("evaluate", ["--non-affirmative"])]
+        outputs = []
+        for name in ("with", "without"):
+            run = tmp_path / f"run-{name}"
+            shutil.copytree(root, run)
+            args = ["--config", str(run / "config.json"), "--out", str(run),
+                    "--dataset", str(run / "dataset.csv")]
+            if name == "without":
+                (run / "models.json").unlink()
+
+                def refuse(*args, **kwargs):
+                    raise AssertionError("a grouped verb read the models")
+                monkeypatch.setattr(causal, "load_models", refuse)
+                monkeypatch.setattr(causal.DecisionTree, "leaf_ids", refuse)
+                monkeypatch.setattr(causal.DecisionTree, "predict", refuse)
+            files = {}
+            for verb, flags in runs:
+                assert cli.main([verb] + flags + args) == 0
+                files.update({p.name: p.read_bytes() for p in run.iterdir()
+                              if p.name != "models.json"})
+            outputs.append(files)
+        assert len(json.loads(outputs[0]["topology.json"])["queues"]) * 3 <= 16
+        assert outputs[0] == outputs[1]
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10**6), share=st.sampled_from([0.3, 0.5, 1.0]))
     def test_grouped_verbs_split_what_learn_splits(self, seed, share):

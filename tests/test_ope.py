@@ -324,7 +324,8 @@ class TestScoreTableMatchesOracle:
         assert kept == sorted(instance.queues)
         assert np.array_equal(tau.tau, reference.tau)
         assert tau.baseline_mean == reference.baseline_mean
-        learned = causal.Learned(prop, out, [], ds, 0, None, queue_ids, instance)
+        learned = causal.Learned(prop, out, [], ds, 0, None,
+                                 ope._queue_rows(queue_ids, instance.queues), instance)
         reference = reference_cate_dr(ds, queue_ids, instance.queues, out, prop)
         assert np.array_equal(learned.tau.tau, reference.tau)
         assert learned.tau.baseline_mean == reference.baseline_mean
