@@ -465,7 +465,7 @@ def _cell_keys(trees: list, X, labels=None):
 
 @dataclass
 class PartitionFunction:
-    """Maps feature vectors (and optionally a group label) to queue identifiers.
+    """Maps feature vectors (and optionally a group label) to rows of ``queues``.
 
     Queues are the leaf-id tuples observed in training, intersected across the
     per-resource causal trees; a grouped partition keys them by (tuple,
@@ -475,30 +475,38 @@ class PartitionFunction:
     """
 
     trees: list
-    queue_table: dict             # observed tuple (+ group) -> queue id
+    queue_table: dict             # observed tuple (+ group) -> queue id, in row order
     queues: list                  # queue ids in stable order
     feature_mode: str = "all"
     group_dimension: str | None = None
     score_cells: dict = field(default_factory=dict)  # queue id -> its split queue ids
     groups: dict = field(default_factory=dict)       # label -> its split queue ids
 
+    @functools.cached_property
+    def key_rows(self) -> dict:
+        """Each observed key's row in ``queues``."""
+        return {key: i for i, key in enumerate(self.queue_table)}
+
     def assign_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Queue id of every record, looked up once per distinct key."""
+        """Each record's row in ``queues`` (int64), looked up once per distinct key."""
         labels = dataset.groups[self.group_dimension] if self.group_dimension else None
         keys, inverse = _cell_keys(self.trees, dataset.design(self.feature_mode), labels)
-        queues = [self.queue_table[k] if k in self.queue_table else self._nearest(k)
-                  for k in keys]
-        return np.array(queues, dtype=str)[inverse]
+        rows = self.key_rows
+        rows = {**rows, **self._nearest([k for k in keys if k not in rows])}
+        return np.array([rows[k] for k in keys], dtype=np.int64)[inverse]
 
-    def _nearest(self, key):
+    def _nearest(self, keys) -> dict:
+        """The row of the observed key nearest each of the unseen ``keys``."""
         # ungrouped keys get the label "", so one rule serves both kinds
         cell = (lambda k: k) if self.group_dimension else (lambda k: (k, ""))
-        tup, g = cell(key)
-        observed = {cell(k): q for k, q in self.queue_table.items()}
-        candidates = [k for k in observed if k[1] == g] or list(observed)
-        best = min(candidates,
-                   key=lambda k: (sum(a != b for a, b in zip(k[0], tup)), k))
-        return observed[best]
+        observed = [(cell(k), row) for k, row in self.key_rows.items()]
+        pools = {g: [o for o in observed if o[0][1] == g] for g in {c[1] for c, _ in observed}}
+        nearest = {}
+        for key in keys:
+            tup, g = cell(key)
+            nearest[key] = min(pools.get(g, observed), key=lambda o: (
+                sum(a != b for a, b in zip(o[0][0], tup)), o[0]))[1]
+        return nearest
 
     @property
     def n_queues(self):
@@ -507,24 +515,30 @@ class PartitionFunction:
 
 def intersect_partitions(trees: list, dataset: Dataset,
                          feature_mode: str = "all") -> PartitionFunction:
-    """Queues from the intersection of the trees' leaf partitions."""
+    """Queues from the intersection of the trees' leaf partitions: the
+    distinct leaf tuples of ``dataset``'s records, in sorted order."""
+    return _intersect(trees, dataset, feature_mode)[0]
+
+
+def _intersect(trees, dataset, feature_mode):
+    """``intersect_partitions`` and its ``_cell_keys`` inverse, each record's row."""
     if not trees:
         raise ValueError("at least one tree required")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    observed, _ = _cell_keys(trees, dataset.design(feature_mode))
-    table = {tup: f"q{i}" for i, tup in enumerate(sorted(observed))}
-    return PartitionFunction(list(trees), table, list(table.values()), feature_mode)
+    keys, rows = _cell_keys(trees, dataset.design(feature_mode))
+    table = {tup: f"q{i}" for i, tup in enumerate(keys)}
+    return PartitionFunction(list(trees), table, list(table.values()), feature_mode), rows
 
 
 def split_queues_by_group(partition: PartitionFunction, dataset: Dataset,
                           group_dimension: str) -> PartitionFunction:
     """Refine queues into (queue, group label) cells observed in the data."""
     keys, inverse = _cell_keys(partition.trees, dataset.design(partition.feature_mode))
-    unseen = sorted(set(keys) - set(partition.queue_table))
+    row = partition.key_rows
+    unseen = sorted(set(keys) - set(row))
     if unseen:
         raise ValueError(f"records fall in cells the partition never saw: {unseen}")
-    row = {key: i for i, key in enumerate(partition.queue_table)}
     rows = np.array([row[key] for key in keys], dtype=np.int64)[inverse]
     return _split_partition(partition, rows, dataset, group_dimension)[0]
 
@@ -604,11 +618,9 @@ def estimate_cate_dr(dataset: Dataset, partition: PartitionFunction,
 
     Returns (CATEMatrix, kept queue ids); queues with no records are dropped.
     """
-    assignments = np.asarray(partition.assign_dataset(dataset))
-    present = set(np.unique(assignments).tolist())
-    kept = [q for q in partition.queues if q in present]
-    table = ope.score_table(dataset, assignments, kept, out, prop, ["DR"])
-    return effects(table, len(kept)), kept
+    kept, rows = np.unique(partition.assign_dataset(dataset), return_inverse=True)
+    table = ope.ScoreTable.of(ope.score_inputs(dataset, out, prop, ["DR"]), rows, {}, ["DR"])
+    return effects(table, len(kept)), [partition.queues[q] for q in kept]
 
 
 def _positive(dataset: Dataset, prop: PropensityModel, threshold: float) -> np.ndarray:
@@ -627,8 +639,8 @@ def arrival_rates(dataset: Dataset, partition: PartitionFunction,
                   observation_window_days: float, rho: float = 0.99) -> MCMSInstance:
     """Empirical per-queue and per-resource rates; the baseline resource rate
     is set so total supply is total demand divided by rho."""
-    rows = ope._queue_rows(partition.assign_dataset(dataset), partition.queues)
-    return _rates(dataset, partition.queues, rows, observation_window_days, rho)
+    return _rates(dataset, partition.queues, partition.assign_dataset(dataset),
+                  observation_window_days, rho)
 
 
 def _rates(dataset, queues, rows, observation_window_days, rho):
@@ -719,8 +731,7 @@ def learn(dataset: Dataset, params: dict | None = None, seed: int = 0,
     kept = dataset.subset(keep)
     trees = [fit_causal_tree(kept, r, p["tree_params"], features, seed)
              for r in dataset.resource_set[1:]]
-    partition = intersect_partitions(trees, kept, features)
-    rows = ope._queue_rows(partition.assign_dataset(kept), partition.queues)
+    partition, rows = _intersect(trees, kept, features)
     if group_dimension:
         partition, rows = _split_partition(partition, rows, kept, group_dimension)
     instance = _rates(kept, partition.queues, rows, float(kept.arrival_time.max()), p["rho"])

@@ -464,9 +464,9 @@ def _load_topology(cfg):
     except FileNotFoundError:
         raise ConfigError("topology.json not found; run `optimize` first")
     instance = _instance_of(payload)
+    edges = np.array(payload["edges"], dtype=str).reshape(-1, 2).T
     m = np.zeros((instance.n_queues, instance.n_resources), dtype=int)
-    for q, r in payload["edges"]:
-        m[instance.queues.index(q), instance.resources.index(r)] = 1
+    m[core.rows_of(edges[0], instance.queues), core.rows_of(edges[1], instance.resources)] = 1
     return instance, core.MatchingTopology(m), np.array(payload["flows"]), payload
 
 

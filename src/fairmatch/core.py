@@ -31,17 +31,25 @@ def stable_order(values) -> tuple:
 def rationalize(x, cap: int = DENOMINATOR_CAP) -> Fraction:
     """Convert a rate to an exact rational, capping the denominator.
 
-    Accepts ints, floats, strings like "1/3", Fractions, or (num, den) pairs.
+    Accepts ints, floats, strings like "1/3", or Fractions.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, tuple):
-        return Fraction(x[0], x[1])
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     return Fraction(float(x)).limit_denominator(cap)
+
+
+def rows_of(names, listed) -> np.ndarray:
+    """Each name's row in ``listed``, an instance's queue or resource ids;
+    a name not listed raises ValueError."""
+    names, row = np.asarray(names).tolist(), {name: i for i, name in enumerate(listed)}
+    unknown = [name for name in dict.fromkeys(names) if name not in row]
+    if unknown:
+        raise ValueError(f"ids absent from instance: {unknown}")
+    return np.array([row[name] for name in names], dtype=np.int64)
 
 
 class Dataset:

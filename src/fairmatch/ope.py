@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, MCMSInstance, Policy, policy_from_flows, policy_value
+from .core import Dataset, MCMSInstance, Policy, policy_from_flows, policy_value, rows_of
 
 ESTIMATORS = ("CT", "DM", "DR", "IPW", "GT")
 
@@ -64,17 +64,6 @@ _ESTIMATORS = {
 
 def _names(with_gt: bool) -> list:
     return [n for n in _ESTIMATORS if n != "GT" or with_gt]
-
-
-def _queue_rows(queue_ids, queues) -> np.ndarray:
-    """Each record's row in ``queues``, looked up once per distinct queue id."""
-    index = {q: i for i, q in enumerate(queues)}
-    names, inverse = np.unique(np.asarray(queue_ids), return_inverse=True)
-    try:
-        rows = np.array([index[q] for q in names.tolist()], dtype=int)
-    except KeyError as exc:
-        raise ValueError(f"record mapped to queue absent from instance: {exc}")
-    return rows[inverse.reshape(-1)]
 
 
 @dataclass(frozen=True)
@@ -131,7 +120,7 @@ def score_table(dataset: Dataset, queue_ids, queues, out=None, prop=None,
     records carry potential outcomes) over ``dataset``, whose records sit in
     ``queue_ids`` among ``queues``."""
     return ScoreTable.of(score_inputs(dataset, out, prop, names),
-                         _queue_rows(queue_ids, queues), dataset.groups, names)
+                         rows_of(queue_ids, queues), dataset.groups, names)
 
 
 def _estimate(name, dataset, policy, queue_ids, instance, out=None, prop=None):

@@ -65,7 +65,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology, policy_value
+from .core import (CATEMatrix, FlowMatrix, MCMSInstance, MatchingTopology, policy_value,
+                   rows_of)
 from .queuing import FlowSolveError, _support_components, crp_components, steady_state_flows
 
 MAX_ORACLE_CELLS = 16
@@ -182,12 +183,16 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
     ``extra_linear`` entry ``(A, sense, rhs)``: ``sum(A * f) sense rhs``, A
     a (Q, R) array over the flows and sense ``"<="``, ``">="`` or ``"=="``.
     Each is placed through ``idx_f``: a ``"<="`` row in ``a_ub``, a ``">="``
-    row negated in ``a_ub``, an ``"=="`` row in ``a_eq``.
+    row negated in ``a_ub``, an ``"=="`` row in ``a_eq``. Effects, side
+    rows and bounds that are not finite raise ValueError.
     """
     fairness = fairness or FairnessSpec()
     n_q, n_r = instance.n_queues, instance.n_resources
     if tau.tau.shape != (n_q, n_r):
         raise ValueError("effect matrix shape does not match the instance")
+    # HiGHS does not return, time limit or not, from a NaN objective
+    if not (np.isfinite(tau.tau).all() and np.isfinite(tau.baseline_mean)):
+        raise ValueError(f"effects are not finite (baseline mean {tau.baseline_mean})")
     side = _side_rows(instance, tau, fairness, extra_linear)
     consts = compute_bigM(instance)
     z_big = np.array(consts.z, dtype=float)
@@ -275,17 +280,6 @@ def build_mio(instance: MCMSInstance, tau: CATEMatrix,
                     idx_gamma, idx_theta, idx_m, idx_z)
 
 
-def _group_queue_indices(fairness, instance):
-    queue_pos = {q: i for i, q in enumerate(instance.queues)}
-    out = {}
-    for g, queues in fairness.group_to_queues.items():
-        unknown = [q for q in queues if q not in queue_pos]
-        if unknown:
-            raise ValueError(f"fairness group {g} references unknown queues {unknown}")
-        out[g] = [queue_pos[q] for q in queues]
-    return out
-
-
 def _side_rows(instance, tau, fairness, extra_linear):
     """``build_mio``'s side rows ``(A, sense, rhs, label)``: the fairness
     kind's, then ``extra_linear``'s.
@@ -302,7 +296,8 @@ def _side_rows(instance, tau, fairness, extra_linear):
         lam, bound = instance.lam_f, fairness.bound
         name = "fair_" + fairness.kind.replace("allocation", "alloc")
         measures = {}                # group -> [(label suffix, A_g)]
-        for g, qs in _group_queue_indices(fairness, instance).items():
+        for g, queues in fairness.group_to_queues.items():
+            qs = rows_of(queues, instance.queues)
             if fairness.kind.endswith("allocation"):
                 measures[g] = []
                 for r in range(shape[1]):
@@ -360,12 +355,8 @@ def add_non_affirmative_links(model: MIOModel, cells) -> MIOModel:
     Conversely every merged solution is a solution of the full model, since
     its rows are the full model's rows evaluated at ``x = P y``.
     """
-    queue_pos = {q: i for i, q in enumerate(model.instance.queues)}
     for cell in cells:
-        unknown = [q for q in cell if q not in queue_pos]
-        if unknown:
-            raise ValueError(f"link cell {list(cell)} references unknown queues {unknown}")
-        qs = [queue_pos[q] for q in cell]
+        qs = rows_of(cell, model.instance.queues).tolist()
         if len(set(qs)) != len(qs):
             raise ValueError("cells must contain distinct queues")
         model.links.append(qs)

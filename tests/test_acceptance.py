@@ -288,8 +288,7 @@ class RegionPartition:
     queues = [f"q{i}" for i in range(5)]
 
     def assign_dataset(self, ds):
-        idx = np.searchsorted(REGION_EDGES, ds.score)
-        return [f"q{i}" for i in idx]
+        return np.searchsorted(REGION_EDGES, ds.score)
 
 
 class TruthProp:

@@ -428,7 +428,7 @@ class TestPartitions:
         # observed tuples are (0,0) and (1,1); a score of 0.3 yields (1,0),
         # Hamming-equidistant from both, so the lexicographic tie goes to (0,0)
         probe = make_dataset([0.3], ["a"], [0])
-        assert part.assign_dataset(probe) == ["q0"]
+        assert _assigned_ids(part, probe).tolist() == ["q0"]
 
     def test_group_split_counts(self):
         rng = np.random.default_rng(9)
@@ -490,6 +490,13 @@ class TestPartitions:
         assert refined.n_queues == base.n_queues
 
 
+def _assigned_ids(part, ds):
+    """The queue id of each record's row that ``assign_dataset`` returns."""
+    rows = part.assign_dataset(ds)
+    assert rows.dtype == np.int64
+    return np.array(part.queues)[rows]
+
+
 def _brute_force_queues(part, ds):
     """Per-row reading of the documented assignment rule."""
     X = ds.score[:, None] if part.feature_mode == "score" else ds.features
@@ -536,7 +543,7 @@ class TestAssignDataset:
         if grouped:
             part = causal.split_queues_by_group(part, train, "g")
             assert part.group_dimension == "g"
-        assert list(part.assign_dataset(ds)) == _brute_force_queues(part, ds)
+        assert list(_assigned_ids(part, ds)) == _brute_force_queues(part, ds)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -586,7 +593,7 @@ class TestAssignDataset:
         ds = make_dataset(scores, ["a", "b"] * 20, [0, 1] * 20, groups={"g": labels})
         base = causal.intersect_partitions([stub_causal_tree([0.5])], ds, "score")
         part = causal.split_queues_by_group(base, ds, "g")
-        queue_ids = part.assign_dataset(ds)
+        queue_ids = _assigned_ids(part, ds)
         assert [q.endswith(f":{g}") for q, g in zip(queue_ids, labels)] == [True] * 40
         _, kept = causal.estimate_cate_dr(ds, part, _StubProp(0.5),
                                           _StubOut({"a": 0.0, "b": 0.5}))
@@ -637,7 +644,7 @@ class TestFeatureMode:
                                            "score")
         instance = causal.arrival_rates(plain, part, float(plain.arrival_time.max()))
         policy = core.Policy(np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
-        queue_ids = part.assign_dataset(plain)
+        queue_ids = _assigned_ids(part, plain)
         tables = [ope.score_table(ds, queue_ids, instance.queues, out, prop)
                   for ds in (_with_noise(plain), plain)]
         for name in ("DM", "IPW", "DR"):
@@ -670,7 +677,7 @@ class _OneQueue:
     queues = ["q0"]
 
     def assign_dataset(self, ds):
-        return ["q0"] * len(ds)
+        return np.zeros(len(ds), dtype=np.int64)
 
 
 class TestDREstimation:
@@ -826,7 +833,7 @@ class TestLearn:
         assert learned.partition.queue_table == part.queue_table
         assert learned.partition.group_dimension == dim
         queue_ids = np.array(learned.instance.queues)[learned.rows]
-        assert np.array_equal(queue_ids, part.assign_dataset(kept))
+        assert np.array_equal(queue_ids, _assigned_ids(part, kept))
         assert learned.instance == inst
         assert np.array_equal(learned.tau.tau, tau.tau)
         assert learned.tau.baseline_mean == tau.baseline_mean
@@ -850,15 +857,21 @@ class TestLearn:
         assert calls == [1]
 
     @pytest.mark.parametrize("dim", [None, "race"])
-    def test_assigns_each_kept_record_once(self, monkeypatch, dim):
-        assigned, assign = [], causal.PartitionFunction.assign_dataset
+    def test_walks_each_kept_record_once_per_tree(self, monkeypatch, dim):
+        """``learn`` takes each kept record's queue row from the one walk
+        that intersects the trees' leaves, and assigns nothing again."""
+        walked, leaf_ids = [], causal.DecisionTree.leaf_ids
 
-        def counted(partition, dataset):
-            assigned.append(len(dataset))
-            return assign(partition, dataset)
-        monkeypatch.setattr(causal.PartitionFunction, "assign_dataset", counted)
+        def counted(tree, X):
+            walked.append(len(X))
+            return leaf_ids(tree, X)
+
+        def refuse(partition, dataset):
+            raise AssertionError("learn assigned its records again")
+        monkeypatch.setattr(causal.DecisionTree, "leaf_ids", counted)
+        monkeypatch.setattr(causal.PartitionFunction, "assign_dataset", refuse)
         learned = causal.learn(self._data(), self.PARAMS, group_dimension=dim)
-        assert assigned == [len(learned.kept)]
+        assert sum(walked) == len(learned.trees) * len(learned.kept)
 
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unknown parameters"):

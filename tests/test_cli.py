@@ -224,6 +224,18 @@ class TestSimulateAndEvaluate:
         err = capsys.readouterr().err
         assert "fairness.dimension" in err and "non_affirmative" in err
 
+    @pytest.mark.parametrize("verb, flags", [("evaluate", []),
+                                             ("simulate", ["--horizon", "100"])])
+    def test_edge_naming_a_queue_absent_from_instance(self, workspace, tmp_path, capsys,
+                                                      verb, flags):
+        root, base = workspace_copy(workspace, tmp_path)
+        payload = json.loads((root / "topology.json").read_text())
+        payload["edges"][0][0] = "q99"
+        (root / "topology.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main([verb] + flags + base) == cli.EXIT_DATA
+        assert "ids absent from instance: ['q99']" in capsys.readouterr().err
+
 
 class TestFitSettings:
     """optimize and evaluate solve and value the instance fit learned,

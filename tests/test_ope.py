@@ -54,16 +54,16 @@ class TestPolicyRows:
 
     def test_plain_list_of_queue_ids(self):
         queue_ids = ["q2", "q0", "q2", "q1"]
-        rows = ope._queue_rows(queue_ids, self.instance().queues)
+        rows = core.rows_of(queue_ids, self.instance().queues)
         assert np.array_equal(self.policy().probs[rows],
                               self.policy().probs[[2, 0, 2, 1]])
 
     def test_unknown_queue_rejected(self):
         with pytest.raises(ValueError, match="absent from instance"):
-            ope._queue_rows(["q0", "q7"], self.instance().queues)
+            core.rows_of(["q0", "q7"], self.instance().queues)
 
     def test_zero_records(self):
-        rows = ope._queue_rows([], self.instance().queues)
+        rows = core.rows_of([], self.instance().queues)
         assert self.policy().probs[rows].shape == (0, 2)
 
 
@@ -319,13 +319,13 @@ class TestScoreTableMatchesOracle:
             queues = sorted(instance.queues)
 
             def assign_dataset(self, dataset):
-                return queue_ids
+                return core.rows_of(queue_ids, self.queues)
         tau, kept = causal.estimate_cate_dr(ds, Partition(), prop, out)
         assert kept == sorted(instance.queues)
         assert np.array_equal(tau.tau, reference.tau)
         assert tau.baseline_mean == reference.baseline_mean
         learned = causal.Learned(prop, out, [], ds, 0, None,
-                                 ope._queue_rows(queue_ids, instance.queues), instance)
+                                 core.rows_of(queue_ids, instance.queues), instance)
         reference = reference_cate_dr(ds, queue_ids, instance.queues, out, prop)
         assert np.array_equal(learned.tau.tau, reference.tau)
         assert learned.tau.baseline_mean == reference.baseline_mean

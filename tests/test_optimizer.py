@@ -154,6 +154,29 @@ class TestModelStructure:
                                 extra_linear=[(np.array([[0.5, coef]]), sense, rhs)])
 
 
+    @pytest.mark.parametrize("cell, baseline_mean", [((0, 1), 0.3), ((3, 2), 0.3),
+                                                     (None, np.inf), (None, np.nan)])
+    def test_non_finite_effects_rejected_before_any_solve(self, monkeypatch, cell,
+                                                          baseline_mean):
+        """A NaN effect kept HiGHS's run() going past its time limit, so
+        build_mio refuses it, and a non-finite baseline mean, on a learned
+        n=10k instance."""
+        learned = causal.learn(synth.generate(synth.SynthParams(n=10_000, seed=2)),
+                               {"tree_params": {"min_node_size": 60, "max_depth": 4}})
+        tau = learned.tau.tau.copy()
+        if cell is not None:
+            tau[cell] = np.nan
+        assert np.isfinite(learned.tau.tau).all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve was started")
+        monkeypatch.setattr(optimizer, "_highs", refuse)
+        with pytest.raises(ValueError, match="not finite"):
+            model = optimizer.build_mio(learned.instance,
+                                        core.CATEMatrix(tau, baseline_mean))
+            optimizer.solve(model, time_limit_s=20)
+
+
 class TestSolve:
     def test_single_queue_uses_full_capacity(self, one_queue_instance):
         tau = effects([[0.0, 0.5]])
@@ -542,6 +565,12 @@ class TestFairnessConstraints:
         with pytest.raises(ValueError):
             optimizer.build_mio(inst, tau, spec)
 
+    @pytest.mark.parametrize("kind", optimizer.FAIRNESS_KINDS[1:])
+    def test_group_naming_a_queue_absent_from_instance(self, kind):
+        spec = optimizer.FairnessSpec(kind, 0.1, "race", {"A": ["q0"], "B": ["q1", "q7"]})
+        with pytest.raises(ValueError, match=r"absent from instance: \['q7'\]"):
+            optimizer.build_mio(self._instance(), self._tau(), spec)
+
 
 class TestNonAffirmativeLinks:
     def test_linked_queues_share_eligibility_rows(self):
@@ -569,6 +598,12 @@ class TestNonAffirmativeLinks:
         with pytest.raises(ValueError, match="q9"):
             optimizer.add_non_affirmative_links(model, [["q0", "q9"]])
         assert model.links == []
+
+    def test_cell_naming_a_queue_absent_from_instance(self):
+        model = optimizer.build_mio(two_by_two_instance(),
+                                    effects([[0.0, 0.1], [0.0, 0.2]]))
+        with pytest.raises(ValueError, match=r"absent from instance: \['q9'\]"):
+            optimizer.add_non_affirmative_links(model, [["q1", "q0"], ["q9", "q1"]])
 
     @pytest.mark.parametrize("cells", [[["q0", "q1", "q2"], ["q2", "q3"]],
                                        [["q0", "q1", "q2"], ["q3", "q2"]],
