@@ -216,46 +216,64 @@ def _grow(X, y, rule, max_depth):
     partitioned stably by one boolean array over the row ids, so each child's
     orders stay sorted and its rows stay in their original order. Leaf values
     read ``y[rows]``: a mean's rounding depends on the order it adds in.
+
+    Nodes grow depth first, left before right, from a stack. A node's
+    split-search arrays are freed when the search returns, and its rows,
+    orders and sides before its children grow, the left child's before the
+    right grows: along the path, only the lists of the right children still
+    to grow stay alive.
     """
     in_left = np.zeros(len(y), dtype=bool)
-    orders = [stable_order(X[:, j])[0] for j in range(X.shape[1])]
 
-    def grow(rows, orders, depth):
+    def grow(node, rows, orders, depth):
+        """Fill in ``node``; returns its children to grow, right first, each
+        with its rows, orders and depth."""
         yn = y[rows]
-        node = TreeNode(count=len(rows), value=rule.value(yn))
+        node.count, node.value = len(rows), rule.value(yn)
         if (max_depth is not None and depth >= max_depth) or not rule.may_split(yn):
-            return node
-        parent = rule.parent(yn)
-        best = None
-        for j, order in enumerate(orders):
-            xs = X[order, j]
-            if xs[0] == xs[-1]:
-                continue
-            score, valid = rule.scores(y[order])
-            valid &= xs[:-1] < xs[1:]
-            if not valid.any():
-                continue
-            i = int(np.argmax(np.where(valid, score, -np.inf)))
-            gain = score[i] - parent
-            if gain > rule.min_gain and (best is None or gain > best[0]):
-                # the midpoint of adjacent floats can round up to the upper one
-                thr = 0.5 * (xs[i] + xs[i + 1])
-                best = (gain, j, i, thr if thr < xs[i + 1] else xs[i])
+            return []
+        best = _best_split(X, y, rule, orders, rule.parent(yn))
         if best is None:
-            return node
+            return []
         _, j, i, node.threshold = best
-        node.feature = j
+        node.feature, node.left, node.right = j, TreeNode(), TreeNode()
         left = orders[j][:i + 1]
         in_left[left] = True
         sides = [(left, order[i + 1:]) if f == j else _partition(order, in_left)
                  for f, order in enumerate(orders)]
         rows_l, rows_r = _partition(rows, in_left)
         in_left[left] = False
-        node.left = grow(rows_l, [l for l, _ in sides], depth + 1)
-        node.right = grow(rows_r, [r for _, r in sides], depth + 1)
-        return node
+        return [(node.right, rows_r, [r for _, r in sides], depth + 1),
+                (node.left, rows_l, [l for l, _ in sides], depth + 1)]
 
-    return grow(np.arange(len(y)), orders, 0)
+    root = TreeNode()
+    stack = [(root, np.arange(len(y)),
+              [stable_order(X[:, j])[0] for j in range(X.shape[1])], 0)]
+    while stack:
+        stack += grow(*stack.pop())
+    return root
+
+
+def _best_split(X, y, rule, orders, parent):
+    """The best split of a node whose ids sorted by each feature are
+    ``orders`` and whose parent score is ``parent``, as (gain, feature,
+    sorted position, threshold); None when no split gains enough."""
+    best = None
+    for j, order in enumerate(orders):
+        xs = X[order, j]
+        if xs[0] == xs[-1]:
+            continue
+        score, valid = rule.scores(y[order])
+        valid &= xs[:-1] < xs[1:]
+        if not valid.any():
+            continue
+        i = int(np.argmax(np.where(valid, score, -np.inf)))
+        gain = score[i] - parent
+        if gain > rule.min_gain and (best is None or gain > best[0]):
+            # the midpoint of adjacent floats can round up to the upper one
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            best = (gain, j, i, thr if thr < xs[i + 1] else xs[i])
+    return best
 
 
 def _partition(ids, marked):

@@ -242,11 +242,16 @@ def cmd_fit(cfg) -> int:
 
 
 def _sha256(path) -> str:
+    """The sha256 of the file at ``path``, hashed in blocks of 1 MiB read
+    into one buffer, so the file is never held whole."""
+    digest, block = hashlib.sha256(), memoryview(bytearray(1 << 20))
     try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        with open(path, "rb", buffering=0) as fh:
+            while n := fh.readinto(block):
+                digest.update(block[:n])
     except FileNotFoundError:
         raise ConfigError(f"dataset file not found: {path}")
+    return digest.hexdigest()
 
 
 def _compact(a):
@@ -255,11 +260,22 @@ def _compact(a):
                                      np.min_scalar_type(a.max(initial=0))))
 
 
+_CODE_BLOCK = 1 << 13     # entries per block when ``_codes`` indexes an array
+
+
 def _codes(a):
     """Float array ``a`` as its distinct values and each entry's index into
-    them: model predictions take few values, so this is the smaller form."""
-    values, codes = np.unique(a, return_inverse=True)
-    return values, _compact(codes.reshape(a.shape))
+    them: model predictions take few values, so this is the smaller form.
+    The indices are those of ``np.unique(a, return_inverse=True)``, in
+    ``_compact``'s type, but are found ``_CODE_BLOCK`` entries at a time: each
+    block's own few distinct values are looked up among all of them, so no
+    full-size argsort or index array is made."""
+    values, flat, block = np.unique(a), a.reshape(-1), _CODE_BLOCK
+    codes = np.empty(flat.shape, _compact(np.arange(len(values))).dtype)
+    for start in range(0, len(flat), block):
+        distinct, inverse = np.unique(flat[start:start + block], return_inverse=True)
+        codes[start:start + block] = np.searchsorted(values, distinct)[inverse]
+    return values, codes.reshape(a.shape)
 
 
 def _instance_fields(instance) -> dict:

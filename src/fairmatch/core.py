@@ -116,7 +116,11 @@ class Dataset:
         return index
 
     def subset(self, mask) -> "Dataset":
+        """The records ``mask`` selects. A bool mask over every record that
+        keeps them all returns this dataset itself, uncopied."""
         mask = np.asarray(mask)
+        if mask.dtype == bool and mask.shape == (len(self),) and mask.all():
+            return self
         po = None
         if self.potential_outcomes is not None:
             po = {r: v[mask] for r, v in self.potential_outcomes.items()}

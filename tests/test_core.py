@@ -358,6 +358,42 @@ class TestDataset:
         assert np.allclose(sub.score, [1.0, 3.0])
         assert np.array_equal(sub.outcome, [1, 1])
 
+    @staticmethod
+    def _three_records():
+        scores = np.array([1.0, 2.0, 3.0])
+        return core.Dataset(scores[:, None], scores, {"race": ["A", "B", "A"]},
+                            np.array(["x", "y", "x"], dtype=object),
+                            np.array([1, 0, 1]), np.array([0.0, 1.0, 2.0]),
+                            ["x", "y"], ["score"],
+                            potential_outcomes={"x": [1, 0, 1], "y": [0, 0, 1]})
+
+    def test_subset_keeping_every_record_is_the_dataset_itself(self):
+        ds = self._three_records()
+        assert ds.subset(np.ones(3, dtype=bool)) is ds
+        assert ds.subset([True, True, True]) is ds
+
+    def test_subset_of_some_records_copies_them(self):
+        ds = self._three_records()
+        sub = ds.subset(np.array([True, False, True]))
+        assert sub is not ds and len(sub) == 2
+        for got, full in ((sub.features, ds.features), (sub.score, ds.score),
+                          (sub.groups["race"], ds.groups["race"]),
+                          (sub.potential_outcomes["y"], ds.potential_outcomes["y"])):
+            assert not np.shares_memory(got, full)
+        assert sub.ids.tolist() == ["0", "2"]
+        assert sub.groups["race"].tolist() == ["A", "A"]
+
+    def test_subset_by_an_empty_mask_has_no_records(self):
+        """numpy reads an empty bool mask as an empty index, whatever the
+        length of the data, so it selects nothing; all() of it is still True."""
+        sub = self._three_records().subset(np.array([], dtype=bool))
+        assert len(sub) == 0 and sub.features.shape == (0, 1)
+
+    @pytest.mark.parametrize("mask", [[True, True], [True, False], [True] * 4])
+    def test_subset_by_a_mask_of_another_length_rejected(self, mask):
+        with pytest.raises(IndexError):
+            self._three_records().subset(np.array(mask))
+
 
 class TestTypeInvariants:
     def test_policy_rows_must_be_stochastic(self):
