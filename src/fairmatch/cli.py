@@ -14,8 +14,9 @@ differs from the record's, and ``resources`` other than ``fit``'s, in its
 order. Without ``fairness.dimension`` they do not parse the dataset; with it
 they parse it once for its labels. Fairness and non-affirmative runs split
 the record's queue rows by those labels (``causal.split_instance``) and
-read no ``models.json``. A verb checks each scalar setting it reads, by that
-setting's rule in ``SETTINGS``, before it reads or writes any file.
+read no ``models.json``. A verb checks each setting it reads, by that
+setting's rule in ``SETTINGS``, before it reads or writes any file;
+``sq_cuts`` alone is checked against the fitted resources.
 
 Exit codes: 0 success, 1 the `optimize --oracle` cross-check disagreed with
 the MIO, 2 configuration error, 3 data error, 4 infeasible model, 5 HiGHS
@@ -87,14 +88,35 @@ def _holds_float(x):
     return True
 
 
+def _list_of(ok, test=lambda x: True):
+    """Passes a list whose every item ``ok`` passes and that passes ``test``."""
+    return _rule((list,), lambda x: all(map(ok, x)) and test(x))
+
+
+def _object_of(ok, test=lambda x: True):
+    """Passes an object whose every value ``ok`` passes and that passes ``test``."""
+    return _rule((dict,), lambda x: all(map(ok, x.values())) and test(x))
+
+
 _POSITIVE = ("be a positive integer", _rule((int,), lambda x: x >= 1))
 _DEPTH = ("be null or a non-negative integer", _rule((int, None), lambda x: x >= 0))
 _FLAG = ("be true or false", _rule((bool,)))
-# Each scalar setting's rule, and the phrase that names it in the error
+_TEXT = _rule((str,))
+_ALPHA = _rule((int, float), lambda x: 0 < x < 0.7)
+_WEIGHTS = _object_of(_rule((int, float), lambda x: 0 <= x < np.inf),
+                      lambda x: sum(x.values()) > 0)
+# Each setting's rule, and the phrase that names it in the error
 SETTINGS = {
+    "dataset": ("be a string", _TEXT),
+    "out_dir": ("be a string", _TEXT),
     "seed": ("be a non-negative integer", _rule((int,), lambda x: x >= 0)),
+    "resources": ("be a list of distinct strings",
+                  _list_of(_TEXT, lambda x: len(set(x)) == len(x))),
+    "feature_names": ("be a list of strings", _list_of(_TEXT)),
     "synth.n": _POSITIVE,
-    "synth.alpha": ("lie in (0, 0.7)", _rule((int, float, None), lambda x: 0 < x < 0.7)),
+    "synth.alpha": ("lie in (0, 0.7)", lambda x: x is None or _ALPHA(x)),
+    "synth.group_probs": ("map each dimension to an object of label weights >= 0, "
+                          "not all 0", _object_of(_WEIGHTS)),
     "rho": ("lie in (0, 1]", _rule((int, float), lambda x: 0 < x <= 1)),
     "positivity_threshold": ("lie in [0, 1)", _rule((int, float), lambda x: 0 <= x < 1)),
     "features": ('be "score" or "all"', lambda x: x in ("score", "all")),
@@ -105,6 +127,7 @@ SETTINGS = {
     "nuisance_params.max_depth": _DEPTH,
     "fairness.kind": ("be one of " + ", ".join(optimizer.FAIRNESS_KINDS),
                       lambda x: x in optimizer.FAIRNESS_KINDS),
+    "fairness.dimension": ("be a string", _TEXT),
     "fairness.bound": ("be a finite number",
                        _rule((int, float), lambda x: -np.inf < x < np.inf)),
     "non_affirmative": _FLAG,
@@ -116,6 +139,9 @@ SETTINGS = {
     "simulate.horizon_days": ("be finite and > 0",
                               _rule((int, float), lambda x: 0 < x < np.inf)),
     "simulate.warmup_fraction": ("lie in [0, 1)", _rule((int, float), lambda x: 0 <= x < 1)),
+    "experiment.alphas": ("be a list of numbers in (0, 0.7)", _list_of(_ALPHA)),
+    "experiment.min_node_sizes": ("be a list of positive integers",
+                                  _list_of(_POSITIVE[1])),
     "experiment.n": _POSITIVE,
     "experiment.n_seeds": _POSITIVE,
 }
@@ -202,8 +228,9 @@ def _load_dataset(cfg) -> core.Dataset:
 # Commands
 
 def cmd_synth(cfg) -> int:
-    n, seed, alpha = (_setting(cfg, key) for key in ("synth.n", "seed", "synth.alpha"))
-    params = synth.SynthParams(n=n, seed=seed, group_probs=cfg["synth"]["group_probs"])
+    n, seed, alpha, group_probs = (_setting(cfg, key) for key in (
+        "synth.n", "seed", "synth.alpha", "synth.group_probs"))
+    params = synth.SynthParams(n=n, seed=seed, group_probs=group_probs)
     if alpha is not None:
         params = synth.alpha_variant(params, alpha)
     dataset = synth.generate(params)
@@ -221,6 +248,8 @@ def cmd_synth(cfg) -> int:
 
 def cmd_fit(cfg) -> int:
     params, seed = _pipeline_params(cfg), _setting(cfg, "seed")
+    for key in ("dataset", "resources", "feature_names", "fairness.dimension"):
+        _setting(cfg, key)
     dataset = _load_dataset(cfg)
     learned = causal.learn(dataset, params, seed)
     instance = learned.instance
@@ -358,7 +387,7 @@ def _split_dimension(cfg):
     kind, linked = _setting(cfg, "fairness.kind"), _setting(cfg, "non_affirmative")
     if kind == "none" and not linked:
         return None
-    dim = cfg["fairness"]["dimension"]
+    dim = _setting(cfg, "fairness.dimension")
     if not dim:
         raise ConfigError("fairness and non-affirmative runs need "
                           "fairness.dimension (set it in the config, or "
@@ -385,13 +414,15 @@ def _fitted(cfg, names=None, labels=False) -> _Fitted:
     fairness and non-affirmative runs, whose queues are split by them, and,
     if ``labels``, whenever ``fairness.dimension`` is set."""
     split = _split_dimension(cfg)
+    dim = split or (_setting(cfg, "fairness.dimension") if labels else "")
+    for key in ("dataset", "resources", *(["feature_names"] if dim else [])):
+        _setting(cfg, key)
     record, arrays = _read_record(cfg)
     instance = _instance_of(record["instance"])
     inputs = ope.ScoreInputs(arrays["arm"][:, None] == np.arange(instance.n_resources),
                              arrays["outcome"], *(arrays[k][arrays[f"{k}_codes"]]
                                                   for k in ("yhat", "pbar")),
                              arrays.get("po"))
-    dim = split or (cfg["fairness"]["dimension"] if labels else "")
     groups = {dim: _load_dataset(cfg).groups[dim][arrays["kept"]]} if dim else {}
     instance, rows, by_label, score_cells = (
         causal.split_instance(instance, arrays["rows"], groups[dim]) if split
@@ -569,16 +600,17 @@ def cmd_evaluate(cfg) -> int:
 
 
 def cmd_experiment(cfg, which: str) -> int:
-    exp = cfg["experiment"]
     seeds = range(_setting(cfg, "experiment.n_seeds"))
     n, pipeline = _setting(cfg, "experiment.n"), _pipeline_params(cfg)
+    alphas, sizes = (_setting(cfg, key) for key in ("experiment.alphas",
+                                                     "experiment.min_node_sizes"))
     out = _out_dir(cfg)
     if which == "alpha":
         path = out / "alpha_sweep.csv"
-        synth.run_alpha_sweep(exp["alphas"], n, seeds, pipeline, path)
+        synth.run_alpha_sweep(alphas, n, seeds, pipeline, path)
     else:
         path = out / "queue_sweep.csv"
-        synth.run_queue_sweep(exp["min_node_sizes"], n, seeds, pipeline, path)
+        synth.run_queue_sweep(sizes, n, seeds, pipeline, path)
     print(f"wrote {path}")
     return 0
 
@@ -659,6 +691,7 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = load_config(args.config, _overrides(args))
+        _setting(cfg, "out_dir")
         if args.verb == "synth":
             return cmd_synth(cfg)
         if args.verb == "fit":

@@ -80,6 +80,14 @@ class Dataset:
         n = len(self.score)
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError("feature matrix must be N x n_features")
+        columns = {"treatment": self.treatment, "outcome": self.outcome,
+                   "arrival_time": self.arrival_time, "ids": self.ids,
+                   **{f"group {k}": v for k, v in self.groups.items()},
+                   **{f"po_{r}": v for r, v in (self.potential_outcomes or {}).items()}}
+        for name, column in columns.items():
+            if column.shape != (n,):
+                raise ValueError(f"{name} must hold one entry per score ({n}), "
+                                 f"not shape {column.shape}")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
         unknown = set(np.unique(self.treatment)) - set(self.resource_set)

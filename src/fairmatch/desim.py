@@ -20,13 +20,13 @@ The arrivals are merged and matched one time window at a time, and no
 node's stream is ever held whole. ``simulate`` first draws every node's
 arrivals once, node by node from one generator, only to count them and to
 keep the generator's state where each node's draws begin. Each window then
-replays every node's arrivals up to the window's bound from that node's own
-generator, into a buffer reused from window to window, bit for bit the times
-of the first pass. A buffer holds its node's waiting line, its arrivals in
-the window and at most one block of ``_BLOCK`` times drawn ahead, so memory
-does not grow with the horizon, beyond the waiting lines themselves and,
-with ``audit=True``, the event log, which keeps one entry per match by
-design.
+takes from every node's stream its new arrivals, those before the window's
+bound, replayed from that node's own generator bit for bit as the first pass
+drew them; a stream keeps at most one block of ``_BLOCK`` times drawn ahead.
+A node's times in a window are its waiting line followed by its new
+arrivals, so memory does not grow with the horizon, beyond the waiting lines
+themselves and, with ``audit=True``, the event log, which keeps one entry per
+match by design.
 
 Every node's sorted stream is cut at the same bounds, a uniform grid over
 the horizon, and an arrival exactly at a bound goes to the later
@@ -97,45 +97,26 @@ def _draw_sizes(n_expect):
 
 
 class _Stream:
-    """A node's arrival times in order, held in a reused buffer from the head
-    of its waiting line to the last time drawn. A subclass writes the
-    stream's next times into the array that ``_draw`` is given."""
+    """A node's arrival times in order, taken a window at a time. A subclass
+    writes the stream's next times into the array that ``_draw`` is given."""
 
     def __init__(self, n):
         self.n = n                       # arrivals before the horizon
-        self.buf = np.empty(min(n, _BLOCK))
-        self.start = 0                   # arrivals dropped before buf[0]
-        self.held = 0                    # buf[:held] holds times
-        self.cut = 0                     # buf[cut:held] is in no window yet
+        self.drawn = 0                   # times drawn so far
+        self.ahead = np.empty(0)         # times drawn and not yet taken
 
-    def window(self, bound, head):
-        """Hold every time before ``bound``, dropping times before the buffer
-        index ``head`` when the buffer is full. Return how many times were
-        dropped and the new window's slice of the buffer, the times from the
-        last window's end up to ``bound``."""
-        dropped = 0
-        while self.start + self.held < self.n and (
-                not self.held or self.buf[self.held - 1] < bound):
-            k = min(_BLOCK, self.n - self.start - self.held)
-            if self.held + k > self.buf.size:
-                dropped += self._make_room(head - dropped, k)
-            self._draw(self.buf[self.held:self.held + k])
-            self.held += k
-        lo = self.cut - dropped
-        self.cut = lo + int(self.buf[lo:self.held].searchsorted(bound))
-        return dropped, lo, self.cut
-
-    def _make_room(self, head, k):
-        """Move buf[head:held] to the front and return ``head``. When those
-        times and ``k`` more would fill over half the buffer, they move to
-        a new one twice their size, so that a time is moved about once."""
-        keep = self.held - head
-        buf = self.buf
-        if 2 * (keep + k) > buf.size:
-            buf = np.empty(2 * (keep + k))
-        buf[:keep] = self.buf[head:self.held]
-        self.buf, self.start, self.held = buf, self.start + head, keep
-        return head
+    def take(self, bound):
+        """The stream's times before ``bound`` that no earlier call returned.
+        At most one block of ``_BLOCK`` times is kept drawn ahead."""
+        parts, ahead = [], self.ahead
+        while self.drawn < self.n and (not ahead.size or ahead[-1] < bound):
+            parts.append(ahead)
+            ahead = np.empty(min(_BLOCK, self.n - self.drawn))
+            self._draw(ahead)
+            self.drawn += ahead.size
+        cut = int(ahead.searchsorted(bound))
+        self.ahead = ahead[cut:]
+        return np.concatenate([*parts, ahead[:cut]])
 
 
 class _Given(_Stream):
@@ -146,8 +127,7 @@ class _Given(_Stream):
         self.times = times
 
     def _draw(self, out):
-        at = self.start + self.held
-        out[:] = self.times[at:at + out.size]
+        out[:] = self.times[self.drawn:self.drawn + out.size]
 
 
 class _Replay(_Stream):
@@ -246,7 +226,7 @@ def _match(streams, topology, warmup_end, horizon, seed, audit):
     fcfs = _FCFS(streams, topology.m, warmup_end, audit)
     for bound in bounds:
         fcfs.window(bound)
-    waiting = [s.n - s.start - h for s, h in zip(streams[:fcfs.n_q], fcfs.head)]
+    waiting = [s.size - h for s, h in zip(fcfs.streams[:fcfs.n_q], fcfs.head)]
     counts, wait_sum = np.array(fcfs.counts, dtype=np.int64), np.array(fcfs.wait_sum)
     wait_n = counts.sum(axis=1)
     measured = horizon - warmup_end
@@ -268,12 +248,12 @@ def _match(streams, topology, warmup_end, horizon, seed, audit):
 
 class _FCFS:
     """FCFS matching state carried from one window to the next: each node's
-    stream, where its waiting line starts in the stream's buffer, and the
-    tallies."""
+    source of arrivals, the times held of its stream, where its waiting line
+    starts among them, and the tallies."""
 
     def __init__(self, sources, m, warmup_end, audit):
         self.sources = sources
-        self.streams = [None] * len(sources)      # each source's held times, per window
+        self.streams = [np.empty(0)] * len(sources)   # line and new arrivals, per window
         self.n_q, self.n_r = n_q, n_r = m.shape
         self.neighbours = ([(n_q + np.flatnonzero(row)).tolist() for row in m]
                            + [np.flatnonzero(col).tolist() for col in m.T])
@@ -287,27 +267,30 @@ class _FCFS:
 
     def window(self, bound):
         """Match every node's arrivals before ``bound`` that no earlier
-        window matched."""
-        lo, hi = [], []
+        window matched. Each node's times for the window are its waiting
+        line followed by its new arrivals."""
+        lo = []
         for j, source in enumerate(self.sources):
-            dropped, a, b = source.window(bound, self.head[j])
-            self.head[j] -= dropped
-            self.streams[j] = source.buf[:source.held]
-            lo.append(a)
-            hi.append(b)
-        window = [s[a:b] for s, a, b in zip(self.streams, lo, hi)]
-        times, nodes = _merged_events(window[:self.n_q], window[self.n_q:])
-        start = self._stretch(times, nodes, lo, hi)
+            # one node at a time, so that each node's old array is freed
+            # before the next node's new one is made
+            line = self.streams[j][self.head[j]:]
+            lo.append(line.size)
+            self.streams[j] = np.concatenate((line, source.take(bound)))
+        self.head = [0] * len(lo)
+        new = [s[a:] for s, a in zip(self.streams, lo)]
+        times, nodes = _merged_events(new[:self.n_q], new[self.n_q:])
+        start = self._stretch(times, nodes, lo)
         if start < len(times):
             arrived = np.add(lo, np.bincount(nodes[:start], minlength=len(self.streams)))
             self._loop(times[start:], nodes[start:], arrived.tolist())
 
-    def _stretch(self, times, nodes, lo, hi):
+    def _stretch(self, times, nodes, lo):
         """Match the window's events from its start for as long as the set
         of nodes with someone waiting stays the one at the start, and return
-        the index of the first event left unmatched."""
-        streams, head = self.streams, self.head
-        busy = [h < a for h, a in zip(head, lo)]
+        the index of the first event left unmatched. Every line starts at
+        its stream's index 0."""
+        streams = self.streams
+        busy = [a > 0 for a in lo]
         if not any(busy):
             return 0
         partners = [[] if b else [j for j in nb if busy[j]]
@@ -323,8 +306,8 @@ class _FCFS:
         choices = np.flatnonzero(partner < 0)
         if choices.size:
             partner[choices] = self._choose(i_ev, partner, choices, partners)
-        # the k-th partner taken from node j is streams[j][head[j] + k]; it
-        # must have arrived before its taker, or the busy set changed there
+        # the k-th partner taken from node j is streams[j][k]; it must have
+        # arrived before its taker, or the busy set changed there
         t_ev = times[ev]
         h = np.full(ev.size, np.inf)
         taken = np.bincount(partner, minlength=len(streams))
@@ -332,7 +315,7 @@ class _FCFS:
         order = np.argsort(partner.astype(np.min_scalar_type(len(streams))), kind="stable")
         first = np.cumsum(taken) - taken
         for j in np.flatnonzero(taken).tolist():
-            line = streams[j][head[j]:min(hi[j], head[j] + taken[j])]
+            line = streams[j][:taken[j]]
             h[order[first[j]:first[j] + line.size]] = line
         bad = np.flatnonzero((h > t_ev) | ((h == t_ev) & (partner > i_ev)))
         n_ok = int(bad[0]) if bad.size else ev.size
@@ -341,14 +324,13 @@ class _FCFS:
         # a taker is matched on arrival, so its line stays empty
         used = np.bincount(partner[:n_ok], minlength=len(streams)).tolist()
         arrived = np.bincount(nodes[:end], minlength=len(streams)).tolist()
-        for j in range(len(streams)):
-            head[j] += used[j] if busy[j] else arrived[j]
+        self.head = [u if b else a for u, a, b in zip(used, arrived, busy)]
         return end
 
     def _choose(self, i_ev, partner, choices, partners):
         """The partner of each event with two or more waiting neighbours:
         the earliest head among them, a tie going to the lower node."""
-        streams, head = self.streams, self.head
+        streams = self.streams
         i_c = i_ev[choices]
         choosers = np.flatnonzero(np.bincount(i_c)).tolist()
         table = np.full((len(partners), max(len(partners[i]) for i in choosers)), -1)
@@ -365,13 +347,13 @@ class _FCFS:
         bases = np.take_along_axis(np.column_stack([s[choices] for s in singles]),
                                    column[ks], axis=1)
         # a candidate's heads are read in place from its stream, as many as
-        # its single takers and every choice could take; a head past the
-        # window's end is later than every event in it, so it is never
+        # its single takers and every choice could take; past the window's
+        # last arrival they are inf, later than every event in it, so never
         # chosen before the stretch breaks
         lines = [None] * len(partners)
         for j, taken in zip(cands, singles):
             cap = int(taken[-1]) + choices.size
-            line = streams[j][head[j]:head[j] + cap]
+            line = streams[j][:cap]
             if line.size < cap:              # the stream ends: pad it with inf
                 line = np.append(line, np.full(cap - line.size, np.inf))
             lines[j] = memoryview(line)

@@ -2,7 +2,9 @@
 
 Every estimator but CT is the mean over records of sum_r pi(r | queue of
 record) * S[record, r] for its own per-record score matrix S (Dudík, Langford
-& Li 2011); ``score_table`` builds the matrices of one record set once.
+& Li 2011). ``ScoreTable.of(score_inputs(...))`` builds the matrices of one
+record set once, each model predicting once; ``score_table`` does both steps
+for the ``evaluate_*`` functions.
 """
 
 from __future__ import annotations

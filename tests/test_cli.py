@@ -830,6 +830,87 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"configuration error: {shown}\n")
         assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
+    @pytest.mark.parametrize("argv, config, shown", [
+        # each of these once ended in a traceback, exit 1, or in exit 3
+        (["fit"], {"resources": 5}, "resources must be a list of distinct strings, not 5"),
+        (["fit"], {"resources": None},
+         "resources must be a list of distinct strings, not None"),
+        (["optimize"], {"resources": ["SO", "RRH", "SO"]},
+         "resources must be a list of distinct strings, not ['SO', 'RRH', 'SO']"),
+        (["fit"], {"feature_names": 5}, "feature_names must be a list of strings, not 5"),
+        (["fit"], {"feature_names": None}, "feature_names must be a list of strings, not None"),
+        (["evaluate"], {"feature_names": [1]},
+         "feature_names must be a list of strings, not [1]"),
+        (["synth"], {"synth": {"group_probs": 5}}, "synth.group_probs must map each "
+         "dimension to an object of label weights >= 0, not all 0, not 5"),
+        (["synth"], {"synth": {"group_probs": ["race"]}}, "synth.group_probs must map each "
+         "dimension to an object of label weights >= 0, not all 0, not ['race']"),
+        (["synth"], {"synth": {"group_probs": {"race": 5}}}, "synth.group_probs must map "
+         "each dimension to an object of label weights >= 0, not all 0, not {'race': 5}"),
+        (["synth"], {"synth": {"group_probs": {"race": {"A": -1, "B": 2}}}},
+         "synth.group_probs must map each dimension to an object of label weights >= 0, "
+         "not all 0, not {'race': {'A': -1, 'B': 2}}"),
+        (["synth"], {"synth": {"group_probs": {"race": {"A": 0, "B": 0.0}}}},
+         "synth.group_probs must map each dimension to an object of label weights >= 0, "
+         "not all 0, not {'race': {'A': 0, 'B': 0.0}}"),
+        (["synth"], {"synth": {"group_probs": {"race": {"A": "0.5"}}}},
+         "synth.group_probs must map each dimension to an object of label weights >= 0, "
+         "not all 0, not {'race': {'A': '0.5'}}"),
+        (["experiment", "alpha"], {"experiment": {"alphas": 5}},
+         "experiment.alphas must be a list of numbers in (0, 0.7), not 5"),
+        (["experiment", "queues"], {"experiment": {"alphas": [0.1, 0.7]}},
+         "experiment.alphas must be a list of numbers in (0, 0.7), not [0.1, 0.7]"),
+        (["experiment", "queues"], {"experiment": {"min_node_sizes": "x"}},
+         "experiment.min_node_sizes must be a list of positive integers, not 'x'"),
+        (["experiment", "alpha"], {"experiment": {"min_node_sizes": [400, 0]}},
+         "experiment.min_node_sizes must be a list of positive integers, not [400, 0]"),
+        (["fit"], {"fairness": {"dimension": 5}}, "fairness.dimension must be a string, not 5"),
+        (["optimize"], {"fairness": {"kind": "maximin_outcome", "dimension": 5,
+                                     "bound": 0.3}},
+         "fairness.dimension must be a string, not 5"),
+        (["evaluate"], {"fairness": {"dimension": None}},
+         "fairness.dimension must be a string, not None"),
+    ], ids=["resources-int", "resources-null", "resources-repeated", "features-int",
+            "features-null", "evaluate-features-int", "probs-int", "probs-list",
+            "probs-dimension-int", "probs-negative", "probs-zero", "probs-string",
+            "alphas-int", "alphas-out-of-range", "sizes-string", "sizes-zero",
+            "dimension-int", "optimize-dimension-int", "evaluate-dimension-null"])
+    def test_malformed_setting_names_the_key(self, workspace, tmp_path, capsys, argv,
+                                             config, shown):
+        """Settings that are lists or objects have rules too, checked before
+        any file is read or written."""
+        root, base = workspace_copy(
+            workspace, tmp_path, **{"fairness": {"dimension": "race"}, **config})
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        capsys.readouterr()
+        assert cli.main(argv + base) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: {shown}\n")
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    @pytest.mark.parametrize("argv, config, shown", [
+        (["synth"], {"out_dir": None}, "out_dir must be a string, not None"),
+        (["simulate"], {"out_dir": 5}, "out_dir must be a string, not 5"),
+        (["fit", "--out", "out"], {"dataset": None}, "dataset must be a string, not None"),
+        (["fit", "--out", "out"], {"dataset": ["dataset.csv"]},
+         "dataset must be a string, not ['dataset.csv']"),
+    ], ids=["out-null", "out-int", "dataset-null", "dataset-list"])
+    def test_malformed_path_names_the_key(self, tmp_path, monkeypatch, capsys, argv,
+                                          config, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli.main(argv + ["--config", "cfg.json"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: {shown}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_each_config_key_has_a_rule(self):
+        """No setting reaches the code unchecked. ``sq_cuts`` alone is checked
+        where it is read, against the fitted instance's resources."""
+        leaves = set()
+        for key, value in cli.DEFAULT_CONFIG.items():
+            leaves |= {f"{key}.{sub}" for sub in value} if isinstance(value, dict) else {key}
+        assert leaves == set(cli.SETTINGS) | {"sq_cuts"}
+
     @pytest.mark.parametrize("verb, config", [
         ("simulate", {"tree_params": {"honest": "no"}}),
         ("fit", {"fairness": {"bound": "x"}}),

@@ -202,6 +202,27 @@ class TestPolicyValue:
 
 
 class TestDataset:
+    @staticmethod
+    def _columns(n=3, **lengths):
+        """Dataset arguments with n scores, and each column named in
+        ``lengths`` given that many entries instead."""
+        k = {**dict.fromkeys(["race", "treatment", "outcome", "arrival_time", "ids",
+                              "po_x", "po_y"], n), **lengths}
+        return dict(features=np.zeros((n, 1)), score=np.zeros(n),
+                    groups={"race": ["A"] * k["race"]}, treatment=["x"] * k["treatment"],
+                    outcome=[0] * k["outcome"], arrival_time=[0.0] * k["arrival_time"],
+                    resource_set=["x", "y"], feature_names=["score"],
+                    ids=[str(i) for i in range(k["ids"])],
+                    potential_outcomes={r: [1] * k[f"po_{r}"] for r in "xy"})
+
+    @pytest.mark.parametrize("length", [2, 4])
+    @pytest.mark.parametrize("column", ["treatment", "outcome", "arrival_time", "ids",
+                                        "race", "po_x", "po_y"])
+    def test_column_of_another_length_rejected(self, column, length):
+        assert len(core.Dataset(**self._columns())) == 3
+        with pytest.raises(ValueError, match="one entry per score"):
+            core.Dataset(**self._columns(**{column: length}))
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         n = 40

@@ -114,14 +114,35 @@ def _replayed(rng, rates, horizon):
     replayed to its end."""
     out = []
     for stream in desim._replays(rng, rates, horizon):
-        _, lo, hi = stream.window(np.inf, 0)
-        assert hi - lo == stream.n
-        out.append(stream.buf[lo:hi])
+        times = stream.take(np.inf)
+        assert times.size == stream.n
+        out.append(times)
     return out
 
 
 def _same_bits(a, b):
     assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+@given(times=st.lists(st.integers(0, 12), max_size=30),
+       bounds=st.lists(st.integers(0, 14), max_size=8), block=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_take_cuts_the_stream_at_each_bound(times, bounds, block):
+    """Takes at non-decreasing bounds, some repeated and the last one inf,
+    each return exactly the stream's times in [previous bound, bound), so
+    together they are the whole stream; ties are common on the grid. No
+    more than one block is held drawn ahead."""
+    times = np.sort(np.array(times, dtype=float)) / 3
+    bounds = [*np.sort(np.array(bounds, dtype=float) / 3).tolist(), np.inf]
+    stream, takes = desim._Given(times), []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(desim, "_BLOCK", block)
+        for bound in bounds:
+            takes.append(stream.take(bound))
+            assert stream.ahead.size <= block
+    for lo, hi, got in zip([-np.inf, *bounds], bounds, takes):
+        _same_bits(got, times[(lo <= times) & (times < hi)])
+    _same_bits(np.concatenate(takes), times)
 
 
 class TestReplay:
@@ -292,7 +313,8 @@ class TestAgainstReference:
 class TestInSmallWindows(TestAgainstReference):
     """The reference comparisons again, with windows of a few arrivals, so
     that window bounds often fall on tied arrival times, and with streams
-    drawn a few times at a time, so that their buffers often move and grow."""
+    drawn a few times at a time, so that a window's arrivals often span
+    several blocks and a block often spans several windows."""
 
     @pytest.fixture(scope="class", params=[1, 3, 16], autouse=True)
     def window(self, request):
